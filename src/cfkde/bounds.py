@@ -18,11 +18,13 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
 from scipy import integrate
 
 from .charfun import DensityModel
 from .kernels import KernelModel
-from .risk import integrated_sq_bias
+from .risk import (RISK_RTOL, _decay_breaks, _sup_tail, certified_cutoff,
+                   gauss_panels, integrated_sq_bias, panel_edges)
 
 __all__ = [
     "BoundResult",
@@ -89,15 +91,35 @@ def _power_minimum(c1: float, c2: float, p: float) -> Tuple[float, float]:
 
 def _abs_bias_factor(density: DensityModel, kernel: KernelModel,
                      h: float) -> float:
-    """(2 pi)^(-1) int |f(t)| |1 - phi(h t)| dt over the whole line."""
-    def g(t):
-        return abs(complex(density.cf(t))) * float(kernel.one_minus_cf(h * t))
+    """Upper estimate of (2 pi)^(-1) int |f(t)| |1 - phi(h t)| dt.
 
-    hi = density.cf_cutoff if density.cf_cutoff is not None else math.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(g, 0.0, hi, **_QUAD_KW)
-    return val / math.pi
+    The head up to the cutoff T is integrated on Gauss-Legendre panels;
+    its error estimate and the certified tail cf_abs_tail(T) (1 + s) / (2 pi),
+    with s = sup_{|u| >= hT} |phi(u)|, are added, so the factor, which is
+    squared into an upper bound, is never rounded below its true value.
+    """
+    scale = float(density.cf_abs_tail(0.0)) / (2.0 * math.pi)
+    tol = RISK_RTOL * scale
+    sup_tail = _sup_tail(kernel)
+
+    def tail(T):
+        return float(density.cf_abs_tail(T)) * (1.0 + float(sup_tail(h * T))) \
+            / (2.0 * math.pi)
+
+    omega = density.cf_phases[1] - density.cf_phases[0] + h
+    if density.cf_cutoff is not None:
+        T = float(density.cf_cutoff)
+    else:
+        # an algebraic tail stops at 4096 periods; the bound only loosens
+        T = certified_cutoff(tail, 0.5 * tol, start=0.0625,
+                             limit=4096 * 2.0 * math.pi / omega)
+
+    def integrand(t):
+        return np.abs(density.cf(t)) * np.abs(kernel.one_minus_cf(h * t))
+
+    edges = panel_edges(0.0, T, omega, _decay_breaks(density.cf_abs_tail, T))
+    q = gauss_panels(integrand, edges, 0.5 * math.pi * tol)
+    return float(q.value[0] + q.error[0]) / math.pi + tail(T)
 
 
 def lemma1_mse_bound(density: DensityModel, kernel: KernelModel, h: float,

@@ -12,6 +12,9 @@ quantities the exact-risk and bound formulas need:
     cf_sq_integral   int |cf|^2
     cf_sq_tail(T)    int_{|t| >= T} |cf|^2, exact or near-exact
     cf_abs_tail(T)   int_{|t| >= T} |cf|, None when divergent
+    cf_phases        (lo, hi): cf is a finite sum of exp(i a t) g(t) with
+                     lo <= a <= hi and each g free of oscillation; sets the
+                     width of the transform-side quadrature panels
 
 Variation constants are computed at construction and stored to six
 significant digits.
@@ -25,7 +28,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.special import erfc, eval_hermitenorm, polygamma, sici
+from scipy.special import erfc, eval_hermitenorm, polygamma, sici, wofz
 
 from .kernels import KernelModel
 
@@ -74,6 +77,7 @@ class DensityModel:
     pdf_deriv: Optional[Callable]
     sampler: Optional[Callable]
     support_hint: Tuple[float, float]
+    cf_phases: Tuple[float, float] = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -191,30 +195,26 @@ def one_minus_cf_bound(kernel: KernelModel, t, alpha: Optional[float] = None):
 # ---------------------------------------------------------------------------
 # built-in densities
 
-def _abs_integral_by_lobes(fun, lo: float, hi: float) -> Tuple[float, float]:
-    """Integrate |fun| over [lo, hi] by splitting at the sign changes of fun.
+def _abs_integral_by_lobes(fun, lo: float, hi: float,
+                           scale: float) -> Tuple[float, float]:
+    """Integrate |fun| over [lo, hi], with panel edges at the sign changes of fun.
 
-    Each lobe is smooth and single-signed, so plain quadrature is accurate;
-    returns (value, accumulated error estimate).
+    Each lobe is smooth and single-signed, so Gauss-Legendre panels at most
+    scale wide resolve it; returns (value, error estimate).
     """
+    from .risk import gauss_panels, panel_edges
+
     grid = np.linspace(lo, hi, 8193)
     vals = np.asarray(fun(grid), dtype=float)
-    cuts = [lo]
-    for i in np.where(vals[:-1] * vals[1:] < 0.0)[0]:
-        r = optimize.brentq(
-            lambda x: float(fun(x)), grid[i], grid[i + 1], xtol=1e-13
-        )
-        cuts.append(float(r))
-    cuts.append(hi)
-    total = 0.0
-    err_total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= 0.0:
-            continue
-        v, e = integrate.quad(lambda x: float(fun(x)), a, b, limit=200)
-        total += abs(v)
-        err_total += e
-    return total, err_total
+    cuts = [float(x) for x in grid[vals == 0.0]] + [
+        optimize.brentq(lambda x: float(fun(x)), grid[i], grid[i + 1], xtol=1e-13)
+        for i in np.where(vals[:-1] * vals[1:] < 0.0)[0]
+    ]
+    rough = float(np.trapezoid(np.abs(vals), grid))
+    q = gauss_panels(lambda x: np.abs(fun(x)),
+                     panel_edges(lo, hi, 2.0 * math.pi / scale, cuts),
+                     1e-13 * max(rough, 1e-300))
+    return float(q.value[0]), float(q.error[0])
 
 
 _NORMAL_ABS_HERMITE: Dict[int, float] = {}
@@ -287,6 +287,7 @@ def _make_normal(sigma: float = 1.0, mu: float = 0.0) -> DensityModel:
         pdf_deriv=pdf_deriv,
         sampler=sampler,
         support_hint=(m0 - 10.0 * s, m0 + 10.0 * s),
+        cf_phases=(m0, m0),
     )
 
 
@@ -313,9 +314,6 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
             axis=-1,
         )
 
-    def cf_mod2(t):
-        return np.abs(cf(t)) ** 2
-
     def pdf_deriv(order, x):
         x = np.asarray(x, dtype=float)
         u = (x[..., None] - mus) / sig
@@ -325,11 +323,12 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
 
     lo = float(np.min(mus - 10.0 * sig))
     hi = float(np.max(mus + 10.0 * sig))
+    s_min = float(np.min(sig))
 
     variation = {}
     for m in range(7):
         val, err = _abs_integral_by_lobes(
-            lambda x, m=m: pdf_deriv(m + 1, x), lo, hi
+            lambda x, m=m: pdf_deriv(m + 1, x), lo, hi, s_min
         )
         # gate matches the six-significant-digit storage precision
         if err < 1e-7 * max(1.0, val):
@@ -347,38 +346,44 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
     )
     sup_p = max(float(vals[i]), -float(res.fun))
 
-    s_min = float(np.min(sig))
-    a_val, _ = integrate.quad(lambda t: abs(complex(cf(t))), 0.0, 30.0 / s_min, limit=300)
-    a_p = a_val / math.pi
+    # a_p = pi^(-1) int_0^inf |cf| and the supersmooth constant
+    # B = 2 int_0^inf exp(gamma t^2) |cf|, both in one quadrature pass;
+    # past 30/s_min (40/s_min) the integrands are below exp(-400)
+    from .risk import gauss_panels, panel_edges
 
     gamma = s_min * s_min / 4.0
-    b_val, _ = integrate.quad(
-        lambda t: math.exp(gamma * t * t) * abs(complex(cf(t))),
-        0.0,
-        40.0 / s_min,
-        limit=300,
-    )
-    b_const = 2.0 * b_val
+    a_end, b_end = 30.0 / s_min, 40.0 / s_min
 
-    pair_s = sig[:, None] ** 2 + sig[None, :] ** 2
-    pair_d = mus[:, None] - mus[None, :]
+    def setup_integrands(t):
+        mod = np.abs(cf(t))
+        return np.stack((np.where(t <= a_end, mod, 0.0),
+                         np.exp(gamma * t * t) * mod))
+
+    q = gauss_panels(setup_integrands,
+                     panel_edges(0.0, b_end, float(np.ptp(mus)), [a_end]),
+                     np.full(2, 1e-13 / s_min))
+    # both enter upper bounds, so each carries its error estimate
+    a_p = float(q.value[0] + q.error[0]) / math.pi
+    b_const = 2.0 * float(q.value[1] + q.error[1])
+
+    # |cf|^2 = sum_jk w_j w_k exp(i d t - r^2 t^2), d = mu_j - mu_k,
+    # r^2 = (s_j^2 + s_k^2)/2, whose tails are Faddeeva functions:
+    # int_T^inf exp(i d t - r^2 t^2) dt = sqrt(pi)/(2r) exp(i d T - r^2 T^2)
+    #                                     * w(i r T + d/(2r))
+    pair_w = (w[:, None] * w[None, :]).ravel()
+    pair_d = (mus[:, None] - mus[None, :]).ravel()
+    pair_r = np.sqrt(0.5 * (sig[:, None] ** 2 + sig[None, :] ** 2)).ravel()
     cf_sq_int = float(
-        np.sum(
-            w[:, None]
-            * w[None, :]
-            * np.sqrt(2.0 * math.pi / pair_s)
-            * np.exp(-0.5 * pair_d ** 2 / pair_s)
-        )
+        np.sum(pair_w * (_SQRT_PI / pair_r) * np.exp(-0.25 * (pair_d / pair_r) ** 2))
     )
 
     def cf_sq_tail(T):
         T = max(T, 0.0)
         if T == 0.0:
             return cf_sq_int
-        val, _ = integrate.quad(
-            lambda t: float(cf_mod2(t)), T, np.inf, limit=300
-        )
-        return 2.0 * val
+        z = 1j * pair_r * T + 0.5 * pair_d / pair_r
+        terms = np.exp(1j * pair_d * T - (pair_r * T) ** 2) * wofz(z)
+        return max(0.0, float(np.sum(pair_w * (_SQRT_PI / pair_r) * terms.real)))
 
     def cf_abs_tail(T):
         # certified upper estimate via the component envelope
@@ -409,6 +414,7 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
         pdf_deriv=pdf_deriv,
         sampler=sampler,
         support_hint=(lo, hi),
+        cf_phases=(float(mus.min()), float(mus.max())),
     )
 
 
@@ -455,6 +461,7 @@ def _make_uniform(a: float = 0.0, b: float = 1.0) -> DensityModel:
         pdf_deriv=None,
         sampler=sampler,
         support_hint=(a, b),
+        cf_phases=(a, b),
     )
 
 
@@ -501,6 +508,7 @@ def _make_laplace(scale: float = 1.0, mu: float = 0.0) -> DensityModel:
         pdf_deriv=None,
         sampler=sampler,
         support_hint=(m0 - 40.0 * b, m0 + 40.0 * b),
+        cf_phases=(m0, m0),
     )
 
 

@@ -261,8 +261,11 @@ def _output_path(cfg: RunConfig) -> str:
 def _cell(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        # repr(float) also for numpy floats, whose own repr is np.float64(...)
+        return repr(float(value))
     return str(value)
 
 
@@ -383,6 +386,7 @@ def cmd_risk(cfg: RunConfig) -> int:
     header = ["h", "exact_mise", "quad_error"]
     if cfg.mc is not None:
         header += ["mc_mise", "mc_se"]
+    header += ["degraded", "cutoff", "nodes"]
     rows = []
     for h in grid:
         rep = exact_mise(density, kernel, float(h), cfg.n)
@@ -391,6 +395,7 @@ def cmd_risk(cfg: RunConfig) -> int:
             mean, se = mc_mise(density, kernel, float(h), cfg.n,
                                reps=cfg.mc, seed=cfg.seed)
             row += [mean, se]
+        row += [bool(rep.degraded), float(rep.cutoff), int(rep.nodes)]
         rows.append(row)
     out = _output_path(cfg)
     if cfg.format == "json":
@@ -437,10 +442,8 @@ def _bound_table(density: DensityModel, kernel: KernelModel,
                     else:
                         exact = exact_mise(density, k_used, res.h_used, n).value
                 else:
-                    exact = max(
-                        exact_mse(density, k_used, res.h_used, n, float(x)).value
-                        for x in xs
-                    )
+                    exact = float(np.max(
+                        exact_mse(density, k_used, res.h_used, n, xs).value))
             except ValueError:
                 exact = None
         ratio = None

@@ -138,32 +138,46 @@ def _epan_eval(x):
     return np.where(np.abs(x) <= 1.0, 0.75 * (1.0 - x * x), 0.0)
 
 
-def _epan_cf(t):
+# Taylor coefficients in u^2 of the compact kernels' transforms, used for
+# |u| < 1 where the closed forms lose digits to cancellation; at |u| = 1 the
+# first omitted term is below 1e-17, so the switch leaves no visible jump.
+# 3 (sin u - u cos u)/u^3 = 3 sum_{k>=1} (-1)^(k+1) 2k u^(2k-2)/(2k+1)!
+_EPAN_CF = np.array([3.0 * (-1) ** (k + 1) * 2 * k / math.factorial(2 * k + 1)
+                     for k in range(1, 12)])
+_EPAN_OM = np.concatenate(([0.0], -_EPAN_CF[1:]))
+# 9 ((3 - u^2) sin u - 3u cos u)/u^5 = 9 sum_{k>=2} (-1)^k 4k(k-1) u^(2k-4)/(2k+1)!
+_EPAN_SQCF = np.array([9.0 * (-1) ** k * 4 * k * (k - 1) / math.factorial(2 * k + 1)
+                       for k in range(2, 14)])
+# 1 - sin(u)/u = sum_{k>=1} (-1)^(k+1) u^(2k)/(2k+1)!
+_UNIF_OM = np.array([0.0] + [(-1) ** (k + 1) / math.factorial(2 * k + 1)
+                             for k in range(1, 11)])
+
+
+def _series(t, coeffs, exact):
+    """coeffs as a polynomial in t^2 where |t| < 1, exact(t) elsewhere."""
     t = np.asarray(t, dtype=float)
-    small = np.abs(t) < 0.2
-    ts = np.where(small, 1.0, t)
-    exact = 3.0 * (np.sin(ts) - ts * np.cos(ts)) / ts ** 3
-    t2 = t * t
-    series = 1.0 + t2 * (-1.0 / 10.0 + t2 * (1.0 / 280.0 - t2 / 15120.0))
-    return np.where(small, series, exact)
+    small = np.abs(t) < 1.0
+    out = np.empty(t.shape)
+    out[small] = np.polynomial.polynomial.polyval(t[small] ** 2, coeffs)
+    big = ~small
+    out[big] = exact(t[big])
+    return out
+
+
+def _epan_cf(t):
+    return _series(t, _EPAN_CF,
+                   lambda u: 3.0 * (np.sin(u) - u * np.cos(u)) / u ** 3)
 
 
 def _epan_om(t):
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < 0.2
-    t2 = t * t
-    series = t2 * (1.0 / 10.0 + t2 * (-1.0 / 280.0 + t2 / 15120.0))
-    return np.where(small, series, 1.0 - _epan_cf(t))
+    return _series(t, _EPAN_OM,
+                   lambda u: 1.0 - 3.0 * (np.sin(u) - u * np.cos(u)) / u ** 3)
 
 
 def _epan_sqcf(t):
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < 0.2
-    ts = np.where(small, 1.0, t)
-    exact = 9.0 * ((3.0 - ts * ts) * np.sin(ts) - 3.0 * ts * np.cos(ts)) / ts ** 5
-    t2 = t * t
-    series = 0.6 + t2 * (-3.0 / 70.0 + t2 * (1.0 / 840.0 - t2 / 55440.0))
-    return np.where(small, series, exact)
+    return _series(t, _EPAN_SQCF,
+                   lambda u: 9.0 * ((3.0 - u * u) * np.sin(u) - 3.0 * u * np.cos(u))
+                   / u ** 5)
 
 
 def _epan_selfconv(u):
@@ -192,11 +206,7 @@ def _unif_cf(t):
 
 
 def _unif_om(t):
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < 0.2
-    t2 = t * t
-    series = t2 * (1.0 / 6.0 + t2 * (-1.0 / 120.0 + t2 / 5040.0))
-    return np.where(small, series, 1.0 - _unif_cf(t))
+    return _series(t, _UNIF_OM, lambda u: 1.0 - np.sin(u) / u)
 
 
 def _unif_sqcf(t):

@@ -8,27 +8,40 @@ the target's characteristic function f:
     mise    = (2 pi)^(-1) [ int |f|^2 |1 - phi(h t)|^2 dt
                             + n^(-1) int |phi(h t)|^2 (1 - |f|^2) dt ]
 
-Every routine here evaluates these expressions by quadrature with an
-explicit truncation certificate, or by closed form for the sinc kernel,
-and reports the accumulated numerical error alongside the value.
+Every transform-side integral here goes through one vectorized engine,
+``gauss_panels``: Gauss-Legendre panels one period of the fastest
+oscillation wide, a 12-against-24-node error estimate per panel, adaptive
+bisection of the panels that miss their share of the tolerance, and the
+integrand evaluated a chunk of panels at a time.  The integration range
+stops at one cutoff T from ``certified_cutoff``, where the model's
+closed-form tail (cf_sq_tail, cf_abs_tail) times the kernel's sup-tail
+bounds what is left to within RISK_RTOL of the integral's scale.  Where no
+affordable T meets that (a transform decaying only algebraically, for
+pointwise risk), the oscillatory tail past T is summed over half-periods
+and extrapolated.  Every report carries the accumulated numerical error,
+the cutoff and the node count.  The sinc kernel's integrated risk is a
+closed form.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import integrate
 
 from .charfun import DensityModel, Sample
 from .estimator import kde_eval
 from .kernels import KernelModel
 
 __all__ = [
+    "RISK_RTOL",
     "RiskReport",
+    "Quadrature",
+    "gauss_panels",
+    "panel_edges",
+    "certified_cutoff",
     "integrated_sq_bias",
     "exact_mise",
     "sinc_exact_mise",
@@ -37,43 +50,242 @@ __all__ = [
     "mc_mise",
 ]
 
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
+# Relative tolerance of every transform-side integral, against the scale of
+# its integrand (int |f|^2 for integrated risk, int |f| for pointwise risk).
+RISK_RTOL = 1e-13
+# Node evaluations times integrands one integral may spend, and per call of
+# the integrand; the second keeps memory flat however many panels there are.
+_WORK = 1 << 23
+_CHUNK = 1 << 15
+_EPS = np.finfo(float).eps
+
+_X12, _W12 = np.polynomial.legendre.leggauss(12)
+_X24, _W24 = np.polynomial.legendre.leggauss(24)
+_NODES = np.concatenate((_X12, _X24))
+_PER_PANEL = _NODES.size
 
 
 @dataclass(frozen=True)
 class RiskReport:
-    """A risk value together with its numerical-error budget."""
+    """A risk value together with its numerical-error budget.
 
-    value: float
-    quad_error: float
-    truncation: float
-    degraded: bool
-
-
-def _certified_cutoff(density: DensityModel, kernel: KernelModel, h: float,
-                      tol: float = 1e-13) -> float:
-    """Find T so the remainder beyond T is controlled by closed forms.
-
-    Beyond T the transform factor of the kernel is at most
-    s = sup_{|u| >= hT} |phi(u)|, so every tail piece is a multiple of
-    cf_sq_tail(T) with a factor between (1-s)^2 and (1+s)^2; the scan
-    stops once cf_sq_tail(T) * s <= tol.  Band-limited factors on either
-    side cut the scan off exactly.
+    value, quad_error and degraded are arrays when the risk was asked for
+    at an array of points.  cutoff is the transform-side cutoff T and
+    nodes the number of quadrature nodes spent.
     """
-    cut = math.inf
-    if density.cf_cutoff is not None:
-        cut = min(cut, density.cf_cutoff)
-    if kernel.is_sinc:
-        cut = min(cut, 1.0 / h)
-    if math.isfinite(cut):
-        return cut
-    T = max(4.0, 4.0 / h)
-    for _ in range(200):
-        cert = density.cf_sq_tail(T) * float(kernel.cf_sup_tail(h * T))
-        if cert <= tol:
-            return T
-        T *= 1.6
+
+    value: Union[float, np.ndarray]
+    quad_error: Union[float, np.ndarray]
+    truncation: float
+    degraded: Union[bool, np.ndarray]
+    cutoff: float
+    nodes: int
+
+
+class Quadrature(NamedTuple):
+    """Values and error estimates of m integrals over the same panels."""
+
+    value: np.ndarray
+    error: np.ndarray
+    nodes: int
+
+
+def _degraded(value, quad_error):
+    return quad_error > 1e-6 * np.maximum(1.0, np.abs(value))
+
+
+def panel_edges(lo: float, hi: float, omega: float,
+                breaks: Sequence[float] = ()) -> np.ndarray:
+    """Edges of panels over [lo, hi], each at most one period 2 pi/omega wide.
+
+    Every break inside (lo, hi) is an edge, so kinks and jumps of the
+    integrand fall on panel boundaries.
+    """
+    points = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
+    width = 2.0 * math.pi / omega if omega > 0.0 else math.inf
+    pieces = [np.linspace(a, b, max(1, math.ceil((b - a) / width)) + 1)[:-1]
+              for a, b in zip(points[:-1], points[1:])]
+    return np.concatenate(pieces + [np.array([hi], dtype=float)])
+
+
+def gauss_panels(fun: Callable, edges, tol) -> Quadrature:
+    """Integrate m functions over the panels between consecutive edges.
+
+    fun maps a 1-d array of nodes to an (m, nodes) array (or a 1-d array
+    when m = 1).  tol holds the absolute tolerance of each integral over the
+    whole range; a panel gets the share of it proportional to its width,
+    but never less than a few ulps of its own magnitude.  Each panel is
+    integrated with 12 and 24 Gauss-Legendre nodes; the 24-node value is
+    kept and |Q24 - Q12| is its error estimate.  Panels that miss their
+    share are bisected, until all pass or the next level would exceed the
+    work budget (node evaluations times m); then the rest are kept with
+    their error estimates, so the reported error stays honest.  The
+    reported error also counts the ulp floor of every panel, the rounding
+    that no rule can remove.
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    tol = np.atleast_1d(np.asarray(tol, dtype=float))
+    m = tol.size
+    rate = tol / max(edges[-1] - edges[0], np.finfo(float).tiny)
+    per_call = max(1, _CHUNK // (_PER_PANEL * m))
+    value = np.zeros(m)
+    error = np.zeros(m)
+    nodes = 0
+    while lo.size:
+        final = (nodes + 3 * _PER_PANEL * lo.size) * m > _WORK
+        redo = []
+        for s in range(0, lo.size, per_call):
+            a, b = lo[s:s + per_call], hi[s:s + per_call]
+            half = 0.5 * (b - a)
+            mid = 0.5 * (b + a)
+            t = (mid[:, None] + half[:, None] * _NODES).ravel()
+            v = np.asarray(fun(t), dtype=float).reshape(m, a.size, _PER_PANEL)
+            q12 = (v[..., :12] @ _W12) * half
+            q24 = (v[..., 12:] @ _W24) * half
+            err = np.abs(q24 - q12)
+            floor = 8.0 * _EPS * (np.abs(v[..., 12:]) @ _W24) * half
+            ok = np.all(err <= np.maximum(rate[:, None] * (b - a), floor), axis=0)
+            if final:
+                ok[:] = True
+            else:
+                ok |= half <= 4.0 * _EPS * np.abs(mid)
+            value += q24[:, ok].sum(axis=1)
+            error += np.maximum(err, floor)[:, ok].sum(axis=1)
+            if not ok.all():
+                redo.append((a[~ok], b[~ok]))
+        nodes += _PER_PANEL * lo.size
+        if not redo:
+            break
+        a = np.concatenate([r[0] for r in redo])
+        b = np.concatenate([r[1] for r in redo])
+        mid = 0.5 * (a + b)
+        lo, hi = np.concatenate((a, mid)), np.concatenate((mid, b))
+    return Quadrature(value, error, nodes)
+
+
+def certified_cutoff(cert: Callable[[float], float], tol: float,
+                     start: float = 1.0, limit: float = math.inf) -> float:
+    """Smallest T, to within 1%, with cert(T) <= tol for a decreasing cert.
+
+    Doubles T from start until the certificate passes, then bisects in
+    log T.  T never exceeds limit; cert(limit) may still exceed tol, and
+    the caller accounts for what is left.
+    """
+    T = min(start, limit)
+    if cert(T) <= tol:
+        return T
+    below = T
+    while T < limit:
+        T = min(2.0 * T, limit)
+        if cert(T) <= tol:
+            break
+        below = T
+    else:
+        return limit
+    while T > 1.01 * below:
+        mid = math.sqrt(below * T)
+        if cert(mid) <= tol:
+            T = mid
+        else:
+            below = mid
     return T
+
+
+def _cutoff_limit(omega: float, m: int) -> float:
+    """Largest T whose starting panels fit in a quarter of the work budget."""
+    panels = _WORK / (4.0 * _PER_PANEL * m)
+    return panels * 2.0 * math.pi / omega if omega > 0.0 else math.inf
+
+
+def _decay_breaks(tail: Callable[[float], float], T: float) -> list:
+    """Panel breaks at s 2^k, k >= -3, below T, with tail(s) = tail(0)/2.
+
+    The transform is concentrated within a few s of the origin, however
+    slowly it oscillates; panels that fine there keep the first levels of
+    refinement out of the pre-asymptotic regime.
+    """
+    s = certified_cutoff(tail, 0.5 * float(tail(0.0)), start=1e-3)
+    return [s * 2.0 ** k for k in range(-3, 64) if s * 2.0 ** k < T]
+
+
+def _sup_tail(kernel: KernelModel) -> Callable:
+    """u -> sup_{|v| >= u} |phi(v)|, with 1 when the kernel carries no bound."""
+    if kernel.cf_sup_tail is None:
+        return lambda u: np.ones_like(np.asarray(u, dtype=float))
+    return lambda u: np.asarray(kernel.cf_sup_tail(u), dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# integrated risk
+
+
+class _SqIntegrals(NamedTuple):
+    """Full-line int |f|^2 (1 - phi(ht))^2 and int |f|^2 phi(ht)^2 per h."""
+
+    bias: np.ndarray
+    bias_error: np.ndarray
+    var: np.ndarray
+    var_error: np.ndarray
+    truncation: np.ndarray
+    cutoff: float
+    nodes: int
+
+
+def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
+                  variance: bool = True) -> _SqIntegrals:
+    """Both |f|^2-damped integrals of the MISE, for every h in one pass.
+
+    Beyond the cutoff T the kernel factor is at most s = sup_{|u| >= hT}
+    |phi(u)|, so the bias tail lies in [tau (1-s)^2, tau (1+s)^2] and the
+    variance tail in [0, tau s^2], with tau = cf_sq_tail(T): the midpoints
+    are added and the half-widths counted as error.
+    """
+    hs = np.atleast_1d(np.asarray(hs, dtype=float))
+    total = float(density.cf_sq_integral)
+    zeros = np.zeros(hs.size)
+    if kernel.is_sinc:
+        # phi is the indicator of [-1, 1]: both integrals are tails of |f|^2
+        tails = np.array([float(density.cf_sq_tail(1.0 / h)) for h in hs])
+        return _SqIntegrals(tails, zeros, total - tails, zeros, zeros,
+                            float(1.0 / hs.min()), 0)
+    omega = density.cf_phases[1] - density.cf_phases[0] + 2.0 * float(hs.max())
+    parts = 2 if variance else 1
+    tol = RISK_RTOL * total
+    sup_tail = _sup_tail(kernel)
+    if density.cf_cutoff is not None:
+        T = float(density.cf_cutoff)
+    else:
+        h_min = float(hs.min())
+        T = certified_cutoff(
+            lambda c: 2.0 * float(density.cf_sq_tail(c)) * float(sup_tail(h_min * c)),
+            0.5 * tol, start=0.0625, limit=_cutoff_limit(omega, parts * hs.size))
+    tau = float(density.cf_sq_tail(T))
+    s = sup_tail(hs * T) * np.ones(hs.size)
+
+    def integrand(t):
+        ft = density.cf(t)
+        mod2 = ft.real ** 2 + ft.imag ** 2
+        u = hs[:, None] * t[None, :]
+        rows = [mod2 * kernel.one_minus_cf(u) ** 2]
+        if variance:
+            rows.append(mod2 * kernel.cf(u) ** 2)
+        return np.concatenate(rows)
+
+    tols = np.full(parts * hs.size, 0.25 * tol)
+    q = gauss_panels(integrand, panel_edges(0.0, T, omega,
+                                            _decay_breaks(density.cf_sq_tail, T)),
+                     tols)
+    k = hs.size
+    bias = 2.0 * q.value[:k] + tau * (1.0 + s * s)
+    bias_error = 2.0 * q.error[:k] + 2.0 * tau * s
+    if variance:
+        var = 2.0 * q.value[k:] + 0.5 * tau * s * s
+        var_error = 2.0 * q.error[k:] + 0.5 * tau * s * s
+    else:
+        var, var_error = zeros, zeros
+    return _SqIntegrals(bias, bias_error, var, var_error, 2.0 * tau * s, T,
+                        q.nodes)
 
 
 def integrated_sq_bias(density: DensityModel, kernel: KernelModel,
@@ -81,70 +293,39 @@ def integrated_sq_bias(density: DensityModel, kernel: KernelModel,
     """Integrated squared bias int bias(x)^2 dx, by certified quadrature.
 
     Parseval moves the integral to the transform side, where it is
-    damped by |f|^2:  (2 pi)^(-1) int |f(t)|^2 |1 - phi(h t)|^2 dt.  The
-    tail past the scanned cutoff is restored from the closed-form
-    cf_sq_tail with the kernel factor bracketed between (1 - s)^2 and
-    (1 + s)^2.
+    damped by |f|^2:  (2 pi)^(-1) int |f(t)|^2 |1 - phi(h t)|^2 dt.
     """
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    T = _certified_cutoff(density, kernel, h)
-
-    def mod2(t):
-        return abs(complex(density.cf(t))) ** 2
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, e1 = integrate.quad(
-            lambda t: mod2(t) * float(kernel.one_minus_cf(h * t)) ** 2,
-            0.0, T, **_QUAD_KW,
-        )
-    tau = float(density.cf_sq_tail(T))
-    if kernel.is_sinc:
-        # the transform is exactly 0 past the cutoff, so 1 - phi is exactly 1
-        i1 = 2.0 * head + tau
-        tail_err = 0.0
-    else:
-        s = float(kernel.cf_sup_tail(h * T))
-        i1 = 2.0 * head + tau * (1.0 + s * s)
-        tail_err = 2.0 * tau * s
-    value = i1 / (2.0 * math.pi)
-    quad_error = (2.0 * e1 + 2.0 * tail_err) / (2.0 * math.pi)
-    degraded = quad_error > 1e-6 * max(1.0, abs(value))
-    return RiskReport(value=float(value), quad_error=float(quad_error),
-                      truncation=float(tail_err), degraded=degraded)
+    r = _sq_integrals(density, kernel, h, variance=False)
+    value = float(r.bias[0]) / (2.0 * math.pi)
+    quad_error = float(r.bias_error[0]) / (2.0 * math.pi)
+    return RiskReport(value=value, quad_error=quad_error,
+                      truncation=float(r.truncation[0]) / (2.0 * math.pi),
+                      degraded=bool(_degraded(value, quad_error)),
+                      cutoff=r.cutoff, nodes=r.nodes)
 
 
 def exact_mise(density: DensityModel, kernel: KernelModel, h: float,
                n: int) -> RiskReport:
     """Exact mean integrated squared error, by certified quadrature.
 
-    The two Fourier blocks are reduced so that only integrals damped by
-    |f|^2 reach the quadrature: the bias block is integrated_sq_bias and
-    the kernel-only variance part enters exactly as
+    Only integrals damped by |f|^2 reach the quadrature, both in one pass:
+    the kernel-only part of the variance enters exactly as
     int |phi(ht)|^2 dt = 2 pi R(K) / h.
     """
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    bias_part = integrated_sq_bias(density, kernel, h)
-    T = _certified_cutoff(density, kernel, h)
-
-    def mod2(t):
-        return abs(complex(density.cf(t))) ** 2
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        c2_head, e2 = integrate.quad(
-            lambda t: mod2(t) * float(kernel.cf(h * t)) ** 2, 0.0, T, **_QUAD_KW
-        )
-    i2 = 2.0 * math.pi * kernel.roughness / h - 2.0 * c2_head
-    value = bias_part.value + i2 / n / (2.0 * math.pi)
-    quad_error = bias_part.quad_error + 2.0 * e2 / (2.0 * math.pi)
-    degraded = quad_error > 1e-6 * max(1.0, abs(value))
-    return RiskReport(value=float(value), quad_error=float(quad_error),
-                      truncation=bias_part.truncation, degraded=degraded)
+    r = _sq_integrals(density, kernel, h)
+    two_pi = 2.0 * math.pi
+    value = float(r.bias[0] / two_pi + (kernel.roughness / h - r.var[0] / two_pi) / n)
+    quad_error = float((r.bias_error[0] + r.var_error[0] / n) / two_pi)
+    return RiskReport(value=value, quad_error=quad_error,
+                      truncation=float(r.truncation[0]) / two_pi,
+                      degraded=bool(_degraded(value, quad_error)),
+                      cutoff=r.cutoff, nodes=r.nodes)
 
 
 def sinc_exact_mise(density: DensityModel, h: float, n: int) -> RiskReport:
@@ -162,33 +343,203 @@ def sinc_exact_mise(density: DensityModel, h: float, n: int) -> RiskReport:
     head = density.cf_sq_integral - tail
     value = (tail + (2.0 * cutoff - head) / n) / (2.0 * math.pi)
     return RiskReport(value=float(value), quad_error=0.0, truncation=0.0,
-                      degraded=False)
+                      degraded=False, cutoff=cutoff, nodes=0)
 
 
-def _fourier_integral(g_re, g_im, lo: float, x: float) -> Tuple[float, float]:
-    """int_lo^inf [g_re(t) cos(x t) + g_im(t) sin(x t)] dt with error.
+# ---------------------------------------------------------------------------
+# pointwise risk
 
-    Uses the oscillatory-weight integrator when x is away from zero and
-    the plain infinite-interval rule otherwise.
+
+def _wynn(partial):
+    """Wynn's epsilon extrapolation of each row of partial sums (r, K).
+
+    Returns the limit estimate with the smallest error estimate over the
+    even columns of the epsilon table, and that error estimate: the change
+    from the previous entry of its column plus the change from the column
+    before.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if abs(x) < 1e-12:
-            val, err = integrate.quad(g_re, lo, np.inf, epsabs=1e-12, limit=400)
-            return val, err
-        w = abs(x)
-        vc, ec = integrate.quad(g_re, lo, np.inf, weight="cos", wvar=w,
-                                epsabs=1e-12, limlst=200)
-        vs, es = integrate.quad(g_im, lo, np.inf, weight="sin", wvar=w,
-                                epsabs=1e-12, limlst=200)
-    if x < 0:
-        vs = -vs
-    return vc + vs, ec + es
+    best = partial[:, -1]
+    best_err = np.abs(partial[:, -1] - partial[:, -2])
+    prev = np.zeros((partial.shape[0], partial.shape[1] + 1), dtype=partial.dtype)
+    cur = last_even = partial
+    with np.errstate(all="ignore"):
+        for k in range(1, partial.shape[1]):
+            cur, prev = prev[:, 1:cur.shape[1]] + 1.0 / (cur[:, 1:] - cur[:, :-1]), cur
+            if k % 2 == 0 and cur.shape[1] >= 2:
+                est = cur[:, -1]
+                err = np.abs(est - cur[:, -2]) + np.abs(est - last_even[:, -1])
+                better = np.isfinite(err) & (err < best_err)
+                best = np.where(better, est, best)
+                best_err = np.where(better, err, best_err)
+                last_even = cur
+    return best, best_err
+
+
+_TAIL_HALF_PERIODS = 40
+
+
+def _fourier_tail(density: DensityModel, factor, reach: float, T: float, xs,
+                  tol: float, bound: float):
+    """int_T^inf Re[f(t) a(t) exp(-i t x)] dt for each x, for algebraic decay.
+
+    a is factor(t), a kernel transform at h t whose phase speeds are at most
+    reach, or 1 when factor is None.  The integrand is integrated over
+    half-periods of its fastest oscillation, all points in one evaluation,
+    and the partial sums are extrapolated by Wynn's epsilon algorithm.  A
+    point with no oscillation at all is integrated after t = T/u on [0, 1].
+    Where the error estimate exceeds the certified bound of the whole tail,
+    the tail is dropped and the bound is its error.
+    """
+    xs = np.asarray(xs, dtype=float)
+    lo, hi = density.cf_phases
+    nu = np.maximum(np.abs(xs - lo), np.abs(xs - hi)) + reach
+    values = np.zeros(xs.size)
+    errors = np.zeros(xs.size)
+    weight = (lambda t: 1.0) if factor is None else factor
+    osc = nu > 0.0
+    if osc.any():
+        x = xs[osc][:, None, None]
+        half = 0.5 * math.pi / nu[osc]
+        starts = T + 2.0 * half[:, None] * np.arange(_TAIL_HALF_PERIODS)
+        t = starts[:, :, None] + half[:, None, None] * (1.0 + _NODES)
+        g = density.cf(t) * weight(t) * np.exp(-1j * x * t)
+        q12 = (g[..., :12] @ _W12) * half[:, None]
+        q24 = (g[..., 12:] @ _W24) * half[:, None]
+        partial = np.cumsum(q24, axis=1)
+        limit, err = _wynn(partial)
+        # an extrapolation from three quarters of the sums must agree too:
+        # a component that barely oscillates escapes the epsilon table's
+        # own estimate
+        early, _ = _wynn(partial[:, : 3 * _TAIL_HALF_PERIODS // 4])
+        values[osc] = limit.real
+        errors[osc] = (np.maximum(err, np.abs(limit - early))
+                       + np.abs(q24 - q12).sum(axis=1))
+    if not osc.all():
+        x = xs[~osc][:, None]
+
+        def integrand(u):
+            t = T / u
+            g = density.cf(t) * weight(t) * np.exp(-1j * x * t)
+            return (g * (T / (u * u))).real
+
+        q = gauss_panels(integrand, panel_edges(0.0, 1.0, 0.0),
+                         np.full(x.size, tol))
+        values[~osc] = q.value
+        errors[~osc] = q.error
+    failed = ~(errors <= bound)
+    values[failed] = 0.0
+    errors[failed] = bound
+    return values, errors
+
+
+class _Pointwise(NamedTuple):
+    bias: np.ndarray          # int_0^inf Re[f e^{-itx}] (1 - phi(ht)) dt
+    bias_error: np.ndarray
+    second: np.ndarray        # int_0^inf Re[f e^{-itx}] psi(ht) dt
+    second_error: np.ndarray
+    cutoff: float
+    nodes: int
+
+
+def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
+               second: bool) -> _Pointwise:
+    """Half-line transform integrals of the bias (and of E K_h^2), batched over x.
+
+    Past T the bias integrand is at most |f| (1 + s) and the second-moment
+    integrand |f| sup|psi|, with psi the transform of K^2; both are bounded
+    by the closed form cf_abs_tail.  A density whose transform decays only
+    algebraically cannot meet the tolerance at a feasible T: there the tail
+    is integrated over half-periods and extrapolated (``_fourier_tail``),
+    and its error is counted.
+    """
+    xs = np.asarray(xs, dtype=float)
+    nx = xs.size
+    lo, hi = density.cf_phases
+    # fastest phase speed of f(t) exp(-i t x) phi(h t) over the points
+    omega = float(np.max(np.maximum(np.abs(hi - xs), np.abs(lo - xs)))) + h
+    parts = 2 if second else 1
+    scale = 0.5 * float(density.cf_abs_tail(0.0))
+    sup_tail = _sup_tail(kernel)
+    rough = kernel.roughness
+    if math.isfinite(kernel.a_value):
+        psi_sup = lambda u: min(rough, 2.0 * kernel.a_value * float(sup_tail(0.5 * u)))
+    else:
+        psi_sup = lambda u: rough
+    certs = [(lambda c: 0.5 * float(density.cf_abs_tail(c)) * (1.0 + float(sup_tail(h * c))),
+              RISK_RTOL * scale)]
+    if second:
+        certs.append((lambda c: 0.5 * float(density.cf_abs_tail(c)) * psi_sup(h * c),
+                      RISK_RTOL * scale * rough))
+    breaks = [1.0 / h, 2.0 / h] if kernel.is_sinc else []
+    algebraic = [False] * parts
+    if density.cf_cutoff is not None:
+        T = float(density.cf_cutoff)
+    else:
+        limit = _cutoff_limit(omega, parts * nx)
+        T = 0.0
+        for i, (cert, tol) in enumerate(certs):
+            Ti = certified_cutoff(cert, 0.5 * tol, start=0.0625, limit=limit)
+            if cert(Ti) > 0.5 * tol:
+                algebraic[i] = True
+                Ti = min(limit, max([8.0 / h] + breaks))
+            T = max(T, Ti)
+
+    def integrand(t):
+        ft = density.cf(t)
+        tx = xs[:, None] * t[None, :]
+        re = ft.real * np.cos(tx) + ft.imag * np.sin(tx)
+        u = h * t
+        rows = [re * kernel.one_minus_cf(u)]
+        if second:
+            rows.append(re * kernel.sq_cf(u))
+        return np.concatenate(rows)
+
+    tols = np.repeat([0.5 * tol for _, tol in certs], nx)
+    breaks += _decay_breaks(density.cf_abs_tail, T)
+    q = gauss_panels(integrand, panel_edges(0.0, T, omega, breaks), tols)
+    values = q.value.reshape(parts, nx)
+    errors = q.error.reshape(parts, nx).copy()
+    if density.cf_cutoff is None:
+        abs_tail = 0.5 * float(density.cf_abs_tail(T))
+        kernel_cf = lambda t: kernel.cf(h * t)
+        kernel_sq_cf = lambda t: kernel.sq_cf(h * t)
+        # past T: bias = int f e^{-itx} - int f phi(ht) e^{-itx}, second
+        # moment = int f psi(ht) e^{-itx}; each piece with its own bound
+        pieces = [[(1.0, None, 0.0, abs_tail),
+                   (-1.0, kernel_cf, h, abs_tail * float(sup_tail(h * T)))],
+                  [(1.0, kernel_sq_cf, h, abs_tail * psi_sup(h * T))]]
+        for i, (cert, tol) in enumerate(certs):
+            if not algebraic[i]:
+                errors[i] += cert(T)
+                continue
+            for sign, factor, reach, bound in pieces[i]:
+                if factor is not None and bound <= 0.25 * tol:
+                    errors[i] += bound
+                    continue
+                val, err = _fourier_tail(density, factor, reach, T, xs,
+                                         0.125 * tol, bound)
+                values[i] += sign * val
+                errors[i] += err
+    return _Pointwise(values[0], errors[0],
+                      values[1] if second else None,
+                      errors[1] if second else None, T, q.nodes)
+
+
+def _check_pointwise(density: DensityModel) -> None:
+    if density.cf_abs_tail is None:
+        raise ValueError(
+            "density %r lacks an integrable transform; pointwise bias is "
+            "not available" % density.name
+        )
+
+
+def _shape(x, arr):
+    return float(arr[0]) if np.ndim(x) == 0 else arr.reshape(np.shape(x))
 
 
 def exact_bias(density: DensityModel, kernel: KernelModel, h: float,
-               x: float) -> RiskReport:
-    """Exact pointwise bias of the estimate at x.
+               x) -> RiskReport:
+    """Exact pointwise bias of the estimate at x (a point or an array).
 
     Requires an absolutely integrable characteristic function (the model
     must carry cf_abs_tail); otherwise the inversion integral is not
@@ -196,83 +547,49 @@ def exact_bias(density: DensityModel, kernel: KernelModel, h: float,
     """
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    if density.a_p is None or density.cf_abs_tail is None:
-        raise ValueError(
-            "density %r lacks an integrable transform; pointwise bias is "
-            "not available" % density.name
-        )
-    x = float(x)
-    lo = 1.0 / h if kernel.is_sinc else 0.0
-
-    def integrand(t):
-        ft = complex(density.cf(t))
-        re = ft.real * math.cos(t * x) + ft.imag * math.sin(t * x)
-        return re * float(kernel.one_minus_cf(h * t))
-
-    if density.cf_cutoff is not None:
-        hi = density.cf_cutoff
-        if hi <= lo:
-            return RiskReport(0.0, 0.0, 0.0, False)
-        val, err = integrate.quad(integrand, lo, hi, **_QUAD_KW)
-    else:
-        val, err = _fourier_integral(
-            lambda t: complex(density.cf(t)).real * float(kernel.one_minus_cf(h * t)),
-            lambda t: complex(density.cf(t)).imag * float(kernel.one_minus_cf(h * t)),
-            lo, x,
-        )
-    value = -val / math.pi
-    quad_error = err / math.pi
-    degraded = quad_error > 1e-6 * max(1.0, abs(value))
-    return RiskReport(value=float(value), quad_error=float(quad_error),
-                      truncation=0.0, degraded=degraded)
+    _check_pointwise(density)
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    r = _pointwise(density, kernel, h, xs, second=False)
+    value = -r.bias / math.pi
+    quad_error = r.bias_error / math.pi
+    return RiskReport(value=_shape(x, value), quad_error=_shape(x, quad_error),
+                      truncation=0.0,
+                      degraded=_shape(x, _degraded(value, quad_error)),
+                      cutoff=r.cutoff, nodes=r.nodes)
 
 
 def exact_mse(density: DensityModel, kernel: KernelModel, h: float, n: int,
-              x: float) -> RiskReport:
-    """Exact pointwise mean squared error at x.
+              x) -> RiskReport:
+    """Exact pointwise mean squared error at x (a point or an array).
 
     MSE(x) = bias(x)^2 + n^(-1) [ E K_h^2(x - X) - (E K_h(x - X))^2 ],
     with both expectations written through the transforms: the second
     moment uses the transform of K^2 and the first is p(x) + bias(x).
+    Bias and second moment at every x come from one quadrature pass.
     """
+    if h <= 0:
+        raise ValueError("bandwidth must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    bias_rep = exact_bias(density, kernel, h, x)
-    b = bias_rep.value
-    x = float(x)
-
-    hi = math.inf
-    if density.cf_cutoff is not None:
-        hi = density.cf_cutoff
-    if kernel.is_sinc:
-        # the transform of the squared sinc kernel vanishes past 2/h
-        hi = min(hi, 2.0 / h)
-    if math.isfinite(hi):
-        def integrand(t):
-            ft = complex(density.cf(t))
-            re = ft.real * math.cos(t * x) + ft.imag * math.sin(t * x)
-            return re * float(kernel.sq_cf(h * t))
-
-        sec, err = integrate.quad(integrand, 0.0, hi, **_QUAD_KW)
-    else:
-        sec, err = _fourier_integral(
-            lambda t: complex(density.cf(t)).real * float(kernel.sq_cf(h * t)),
-            lambda t: complex(density.cf(t)).imag * float(kernel.sq_cf(h * t)),
-            0.0, x,
-        )
-    second_moment = sec / (math.pi * h)
-    mean_sq = (float(density.pdf(x)) + b) ** 2
-    var = (second_moment - mean_sq) / n
-    if var < -1e-10:
+    _check_pointwise(density)
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    r = _pointwise(density, kernel, h, xs, second=True)
+    b = -r.bias / math.pi
+    b_err = r.bias_error / math.pi
+    second_moment = r.second / (math.pi * h)
+    mean = np.asarray(density.pdf(xs), dtype=float) + b
+    var = (second_moment - mean * mean) / n
+    if np.any(var < -1e-10):
         raise ValueError(
-            "negative variance %.3e indicates quadrature failure" % var
+            "negative variance %.3e indicates quadrature failure" % float(var.min())
         )
-    value = b * b + max(var, 0.0)
-    quad_error = (bias_rep.quad_error * (2.0 * abs(b) + 1.0)
-                  + err / (math.pi * h) / n)
-    degraded = quad_error > 1e-6 * max(1.0, abs(value))
-    return RiskReport(value=float(value), quad_error=float(quad_error),
-                      truncation=0.0, degraded=degraded)
+    value = b * b + np.maximum(var, 0.0)
+    quad_error = (b_err * (2.0 * np.abs(b) + 2.0 * np.abs(mean) / n + b_err)
+                  + r.second_error / (math.pi * h) / n)
+    return RiskReport(value=_shape(x, value), quad_error=_shape(x, quad_error),
+                      truncation=0.0,
+                      degraded=_shape(x, _degraded(value, quad_error)),
+                      cutoff=r.cutoff, nodes=r.nodes)
 
 
 def mc_mise(density: DensityModel, kernel: KernelModel, h: float, n: int,

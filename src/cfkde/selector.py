@@ -23,7 +23,7 @@ from scipy.spatial.distance import pdist
 from .bounds import _power_minimum, amise_conventional
 from .charfun import Sample, make_density
 from .kernels import KernelModel, make_builtin
-from .risk import integrated_sq_bias
+from .risk import _sq_integrals, certified_cutoff
 
 __all__ = [
     "SelectorResult",
@@ -208,21 +208,17 @@ def default_h_grid(sigma_hat: float, n: int, size: int = 60) -> np.ndarray:
 
 
 def _phi_cutoff(k: KernelModel) -> float:
-    # smallest dyadic u with sup_{|t| >= u} |phi(t)| below tolerance
+    # smallest u with sup_{|t| >= u} |phi(t)| below tolerance; without a
+    # closed-form sup-tail, the largest |phi| over [u, 2u] stands in for it
     if k.cf_sup_tail is not None:
-        u = 1.0
-        while k.cf_sup_tail(u) > 1e-10:
-            u *= 2.0
-            if u > 2.0 ** 40:
-                raise ValueError("kernel transform tail decays too slowly")
-        return u
-    u = 1.0
-    while u <= 2.0 ** 24:
-        band = np.linspace(u, 2.0 * u, 64)
-        if np.max(np.abs(k.cf(band))) <= 1e-10:
-            return u
-        u *= 2.0
-    raise ValueError("kernel transform tail decays too slowly")
+        sup, limit = (lambda u: float(k.cf_sup_tail(u))), 2.0 ** 40
+    else:
+        sup = lambda u: float(np.max(np.abs(k.cf(np.linspace(u, 2.0 * u, 64)))))
+        limit = 2.0 ** 24
+    u = certified_cutoff(sup, 1e-10, start=1.0, limit=limit)
+    if sup(u) > 1e-10:
+        raise ValueError("kernel transform tail decays too slowly")
+    return u
 
 
 def _pairwise_curve(d: np.ndarray, k: KernelModel, grid: np.ndarray,
@@ -263,13 +259,11 @@ def _quadrature_curve(d: np.ndarray, k: KernelModel, grid: np.ndarray,
 
 def _parametric_curve(sigma: float, k: KernelModel, grid: np.ndarray,
                       n: int) -> np.ndarray:
-    # plug-in model for the squared transform modulus: exp(-sigma^2 t^2)
+    # plug-in model for the squared transform modulus: exp(-sigma^2 t^2);
+    # the integrated squared bias of every h comes from one quadrature pass
     model = make_density("normal", sigma=sigma)
-    out = np.empty(grid.size)
-    for i, h in enumerate(grid):
-        out[i] = integrated_sq_bias(model, k, h).value \
-            + k.roughness / (n * h)
-    return out
+    bias = _sq_integrals(model, k, grid, variance=False).bias
+    return bias / (2.0 * math.pi) + k.roughness / (n * grid)
 
 
 def cv_bandwidth(s: Sample, k: KernelModel,

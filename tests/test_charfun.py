@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
+from scipy.optimize import minimize_scalar
 
 from cfkde.charfun import (
     BUILTIN_DENSITIES,
@@ -83,6 +84,21 @@ def test_normal_variation_constants():
     d2 = make_density("normal", sigma=2.0)
     for m in (0, 1, 2, 3):
         assert_allclose(d2.variation[m], d.variation[m] / 2.0 ** (m + 1), rtol=1e-5)
+
+
+def test_symmetric_mixture_variation():
+    # the derivative vanishes exactly on a grid point at the central valley;
+    # that sign change must still split the lobes: V0 = 4 p(peak) - 2 p(0)
+    d = make_density("mixture", weights=(0.5, 0.5), means=(-1.5, 1.5),
+                     sigmas=(0.5, 0.5))
+    peak = -minimize_scalar(lambda x: -float(d.pdf(x)), bounds=(1.0, 2.0),
+                            method="bounded", options={"xatol": 1e-12}).fun
+    assert_allclose(d.variation[0], 4.0 * peak - 2.0 * float(d.pdf(0.0)),
+                    rtol=1e-5)
+    ref, _ = integrate.quad(lambda x: abs(float(d.pdf_deriv(3, x))), -7.0, 7.0,
+                            points=[-2.5, -1.5, -0.5, 0.0, 0.5, 1.5, 2.5],
+                            limit=500)
+    assert_allclose(d.variation[2], ref, rtol=1e-5)
 
 
 def test_uniform_laplace_fejer_variation():

@@ -148,8 +148,42 @@ def test_risk_mc_columns_and_determinism(tmp_path):
         <= 4.0 * float(row["mc_se"])
 
 
+def test_risk_provenance_columns(tmp_path):
+    out = str(tmp_path / "p.csv")
+    rc = main(["risk", "--density", "uniform", "--kernel", "epanechnikov",
+               "--h-grid", "0.3", "--n", "100", "--mc", "3", "--output", out])
+    assert rc == 0
+    with open(out) as fh:
+        header = fh.readline().strip().split(",")
+    assert header == ["h", "exact_mise", "quad_error", "mc_mise", "mc_se",
+                      "degraded", "cutoff", "nodes"]
+    row = _read_csv(out)[0]
+    assert row["degraded"] == "false"
+    assert float(row["cutoff"]) > 0.0 and int(row["nodes"]) > 0
+    out_json = str(tmp_path / "p.json")
+    rc = main(["risk", "--density", "normal", "--h-grid", "0.3", "--n", "100",
+               "--format", "json", "--output", out_json])
+    assert rc == 0
+    entry = json.load(open(out_json))[0]
+    assert entry["degraded"] is False and entry["nodes"] > 0
+
+
 # ---------------------------------------------------------------------------
 # bounds
+
+
+@pytest.mark.parametrize("density", ["normal", "mixture", "laplace", "fejer"])
+def test_bounds_epanechnikov_cells_parse_as_numbers(tmp_path, density):
+    out = str(tmp_path / "be.csv")
+    params = (["--param", "weights=0.5,0.5", "--param", "means=-1.5,1.5",
+               "--param", "sigmas=0.5,0.5"] if density == "mixture" else [])
+    rc = main(["bounds", "--density", density, "--kernel", "epanechnikov",
+               "--n", "100", "--output", out] + params)
+    assert rc == 0
+    for row in _read_csv(out):
+        for col in ("h_n", "bound", "exact", "ratio"):
+            if row[col] != "":
+                float(row[col])
 
 
 def test_bounds_normal_ratios_at_least_one(tmp_path):

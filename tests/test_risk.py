@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
+from scipy.special import erfc, erfcx, ndtr
 
 from cfkde.charfun import make_density
 from cfkde.kernels import make_builtin
@@ -201,3 +202,202 @@ def test_integrated_sq_bias_normal_gaussian_closed_form():
                     + 1.0 / math.sqrt(s2 + h * h)) / (2.0 * math.sqrt(math.pi))
         assert_allclose(got.value, expected, rtol=1e-10)
         assert got.quad_error < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# cross-check matrix: every built-in density x conventional kernel x three
+# decades of h at n = 100, against references that do not use cfkde.risk
+
+
+GL20 = np.polynomial.legendre.leggauss(20)
+GL32 = np.polynomial.legendre.leggauss(32)
+ROUGHNESS = {"gaussian": 1.0 / (2.0 * SQRT_PI), "epanechnikov": 0.6,
+             "uniform": 0.5}
+MIXTURE_PARAMS = dict(weights=(0.5, 0.5), means=(-1.5, 1.5), sigmas=(0.5, 0.5))
+
+
+def _kernel_pdf(name, u):
+    if name == "gaussian":
+        return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    inside = np.abs(u) <= 1.0
+    return np.where(inside, 0.75 * (1.0 - u * u) if name == "epanechnikov"
+                    else 0.5, 0.0)
+
+
+def _kernel_cdf(name, v):
+    if name == "gaussian":
+        return ndtr(v)
+    w = np.clip(v, -1.0, 1.0)
+    if name == "epanechnikov":
+        return 0.5 + 0.75 * (w - w ** 3 / 3.0)
+    return 0.5 * (w + 1.0)
+
+
+def _components(name):
+    if name == "normal":
+        return ((1.0, 0.0, 1.0),)
+    p = MIXTURE_PARAMS
+    return tuple(zip(p["weights"], p["means"], p["sigmas"]))
+
+
+def _pdf(name, x):
+    if name == "uniform":
+        return np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
+    if name == "laplace":
+        return 0.5 * np.exp(-np.abs(x))
+    return sum(w * np.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+               for w, m, s in _components(name))
+
+
+def _smoothed(name, kname, h, x):
+    """(K_h * p)(x): closed forms, else Gauss-Legendre in u split at kinks."""
+    if name == "uniform":
+        return _kernel_cdf(kname, x / h) - _kernel_cdf(kname, (x - 1.0) / h)
+    if kname == "gaussian" and name == "laplace":
+        # 1/4 e^{h^2/2} [e^{-x} erfc(z(x)) + e^{x} erfc(z(-x))], z(y) = (h - y/h)/sqrt 2
+        def term(y):
+            z = (h - y / h) / math.sqrt(2.0)
+            with np.errstate(over="ignore"):
+                direct = np.exp(0.5 * h * h - y) * erfc(z)
+            return np.where(z >= 0.0, erfcx(np.maximum(z, 0.0))
+                            * np.exp(-0.5 * (y / h) ** 2), direct)
+        return 0.25 * (term(x) + term(-x))
+    if kname == "gaussian":
+        return sum(w * np.exp(-0.5 * (x - m) ** 2 / (s * s + h * h))
+                   / math.sqrt(2.0 * math.pi * (s * s + h * h))
+                   for w, m, s in _components(name))
+    nodes, weights = GL32
+    cut = np.clip(x / h, -1.0, 1.0) if name == "laplace" else np.zeros_like(x)
+    total = np.zeros_like(x)
+    for lo, hi in ((-np.ones_like(x), cut), (cut, np.ones_like(x))):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        u = mid[:, None] + half[:, None] * nodes
+        total += (_kernel_pdf(kname, u) * _pdf(name, x[:, None] - h * u)) @ weights * half
+    return total
+
+
+def _x_space_mise(name, kname, h, n):
+    """int (K_h*p - p)^2 + (R(K)/h - int (K_h*p)^2)/n on x-space panels.
+
+    Panels are at most 0.5 wide, with edges at the target's kinks and at
+    kink +- f h, so every piece of the integrand is smooth.
+    """
+    reach = 12.0 * h if kname == "gaussian" else h
+    lo, hi = {"normal": (-12.0, 12.0), "mixture": (-8.0, 8.0),
+              "uniform": (0.0, 1.0), "laplace": (-36.0, 36.0)}[name]
+    breaks = {lo - reach, hi + reach}
+    for k in {"uniform": (0.0, 1.0), "laplace": (0.0,)}.get(name, ()):
+        breaks.update(k + s * f * h for f in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+                      for s in (-1.0, 0.0, 1.0))
+    breaks = sorted(b for b in breaks if lo - reach <= b <= hi + reach)
+    nodes, weights = GL20
+    xs, ws = [], []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        edges = np.linspace(a, b, max(1, math.ceil((b - a) / 0.5)) + 1)
+        half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+        xs.append((mid[:, None] + half[:, None] * nodes).ravel())
+        ws.append(np.outer(half, weights).ravel())
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    s = _smoothed(name, kname, h, x)
+    return float(w @ (s - _pdf(name, x)) ** 2) + (ROUGHNESS[kname] / h
+                                                   - float(w @ (s * s))) / n
+
+
+def _series(u, terms):
+    """sum_k terms(k) u^(2k) for k = 1..12, for the cancellation-prone small u."""
+    return sum(terms(k) * u ** (2 * k) for k in range(1, 13))
+
+
+def _kernel_ft(name, u):
+    """phi(u) and 1 - phi(u) from the definitions, without cancellation."""
+    u = np.abs(u)
+    small = u < 0.5
+    us = np.where(small, 1.0, u)
+    if name == "gaussian":
+        return np.exp(-0.5 * u * u), -np.expm1(-0.5 * u * u)
+    if name == "uniform":
+        big = np.sin(us) / us
+        om = _series(u, lambda k: (-1) ** (k + 1) / math.factorial(2 * k + 1))
+    else:
+        big = 3.0 * (np.sin(us) - us * np.cos(us)) / us ** 3
+        om = _series(u, lambda k: (-1) ** (k + 1) * 6.0 * (k + 1)
+                     / math.factorial(2 * k + 3))
+    om = np.where(small, om, 1.0 - big)
+    return 1.0 - om, om
+
+
+def _fejer_mise(kname, h, n):
+    # |f|^2 = (1 - |t|)^2 on [-1, 1]: a finite Parseval integral, exact to
+    # rounding with 64 Gauss-Legendre nodes
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    t, w = 0.5 * (nodes + 1.0), 0.5 * weights
+    phi, om = _kernel_ft(kname, h * t)
+    mod2 = (1.0 - t) ** 2
+    bias = float(w @ (mod2 * om * om)) / math.pi
+    head = float(w @ (mod2 * phi * phi)) / math.pi
+    return bias + (ROUGHNESS[kname] / h - head) / n
+
+
+def _reference_mise(name, kname, h, n):
+    if name == "fejer":
+        return _fejer_mise(kname, h, n)
+    return _x_space_mise(name, kname, h, n)
+
+
+def _model(name):
+    return make_density(name, **(MIXTURE_PARAMS if name == "mixture" else {}))
+
+
+# three decades of bandwidth, on the lattice 10^(k/10)
+CROSS_H = (10.0 ** -1.9, 10.0 ** -0.9, 10.0 ** 0.1)
+
+
+@pytest.mark.parametrize("kname", ("gaussian", "epanechnikov", "uniform"))
+@pytest.mark.parametrize("name", ("normal", "mixture", "uniform", "laplace", "fejer"))
+def test_exact_mise_cross_check_matrix(name, kname):
+    density, kernel = _model(name), make_builtin(kname)
+    for h in CROSS_H:
+        rep = exact_mise(density, kernel, h, 100)
+        ref = _reference_mise(name, kname, h, 100)
+        assert rep.degraded or abs(rep.value - ref) <= rep.quad_error + 1e-12, (
+            h, rep, ref)
+        assert rep.cutoff > 0.0 and rep.nodes > 0
+
+
+def test_uniform_uniform_mise_pinned():
+    # the value once read 0.00428 here, outside its own error bar
+    h = 10.0 ** 0.1
+    rep = exact_mise(make_density("uniform"), make_builtin("uniform"), h, 100)
+    ref = _reference_mise("uniform", "uniform", h, 100)
+    assert_allclose(ref, 0.5507819017, rtol=1e-9)
+    assert not rep.degraded
+    assert abs(rep.value - ref) <= rep.quad_error + 1e-12
+
+
+def test_exact_mse_batched_matches_pointwise():
+    d = make_density("laplace")
+    g = make_builtin("epanechnikov")
+    xs = np.linspace(-3.0, 3.0, 5)
+    batch = exact_mse(d, g, 0.4, 50, xs)
+    assert batch.value.shape == xs.shape and batch.degraded.shape == xs.shape
+    for x, v, e in zip(xs, batch.value, batch.quad_error):
+        one = exact_mse(d, g, 0.4, 50, float(x))
+        assert isinstance(one.value, float)
+        assert abs(one.value - v) <= e + one.quad_error + 1e-15
+
+
+def test_gauss_panels_error_bounds_an_oscillatory_integral():
+    from cfkde.risk import gauss_panels, panel_edges
+
+    # int_0^50 cos(7 t) exp(-t/10) dt and int_0^50 t^2 exp(-t) dt together
+    def fun(t):
+        return np.stack((np.cos(7.0 * t) * np.exp(-0.1 * t), t * t * np.exp(-t)))
+
+    q = gauss_panels(fun, panel_edges(0.0, 50.0, 7.0), [1e-12, 1e-12])
+    a = 0.1 / (0.01 + 49.0)
+    exact_cos = a + math.exp(-5.0) * (7.0 * math.sin(350.0) - 0.1 * math.cos(350.0)) / 49.01
+    exact_poly = 2.0 - math.exp(-50.0) * (2500.0 + 100.0 + 2.0)
+    assert abs(q.value[0] - exact_cos) <= q.error[0] + 1e-15
+    assert abs(q.value[1] - exact_poly) <= q.error[1] + 1e-15
+    assert np.all(q.error <= 1e-12) and q.nodes > 0
+
