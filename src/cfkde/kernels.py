@@ -68,6 +68,9 @@ class KernelModel:
     is_sinc : bool
     zero_mean : bool
         True when int x K(x) dx = 0.
+    support : float
+        Half-width of the support of K (K vanishes for |x| > support); inf
+        when K has unbounded support.
     """
 
     name: str
@@ -84,6 +87,7 @@ class KernelModel:
     is_density: bool
     is_sinc: bool
     zero_mean: bool
+    support: float = math.inf
 
 
 def scaled_eval(kernel: KernelModel, h: float, x):
@@ -320,6 +324,7 @@ def make_builtin(name: str) -> KernelModel:
             is_density=True,
             is_sinc=False,
             zero_mean=True,
+            support=1.0,
         )
     elif name == "uniform":
         model = KernelModel(
@@ -337,6 +342,7 @@ def make_builtin(name: str) -> KernelModel:
             is_density=True,
             is_sinc=False,
             zero_mean=True,
+            support=1.0,
         )
     elif name == "sinc":
         model = KernelModel(
@@ -369,12 +375,14 @@ def kernel_from_functions(
     cf_fn: Callable,
     sq_cf: Optional[Callable] = None,
     selfconv: Optional[Callable] = None,
+    support: float = math.inf,
 ) -> KernelModel:
     """Build a KernelModel from a (spatial form, Fourier transform) pair.
 
     The scalar functionals are computed by quadrature.  The kernel is
     assumed symmetric about zero; a_value falls back to inf when int |phi|
-    does not converge numerically.
+    does not converge numerically.  support is the half-width outside which
+    eval_fn vanishes, inf when it never does.
     """
     mu1, _ = integrate.quad(lambda x: abs(x) * float(eval_fn(x)), -np.inf, np.inf, limit=400)
     mu2, _ = integrate.quad(lambda x: x * x * float(eval_fn(x)), -np.inf, np.inf, limit=400)
@@ -406,4 +414,5 @@ def kernel_from_functions(
         is_density=is_density,
         is_sinc=False,
         zero_mean=abs(mean) < 1e-10,
+        support=float(support),
     )

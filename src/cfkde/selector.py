@@ -5,8 +5,12 @@ the asymptotically optimal bandwidth for a unit normal target by an estimated
 scale. ``bound_rule`` turns the closed-form minimizers of the finite-sample
 risk bounds into plug-in bandwidth rules driven by user-supplied derivative
 constants. ``cv_bandwidth`` minimizes a transform-side risk criterion over a
-bandwidth grid, estimating the unknown squared transform modulus either by an
-unbiased pairwise statistic or by a normal parametric model.
+bandwidth grid, estimating the unknown squared transform modulus either by the
+unbiased statistic (n |f_n|^2 - 1)/(n - 1) or by a normal parametric model.
+The unbiased criterion (UCV) is computed exactly by the cheaper of two
+routes: on the transform side from the empirical characteristic function on
+Gauss-Legendre panels, in O(n sqrt(panels) + n panels/16) operations, or on
+the data side from the pairs of points within the kernel's reach.
 
 ``plan_sample_size`` inverts a minimized risk bound: given a target accuracy
 it returns the smallest sample size whose certified bound falls below it.
@@ -15,13 +19,12 @@ it returns the smallest sample size whose certified bound falls below it.
 import dataclasses
 import math
 import warnings
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .bounds import _power_minimum, amise_conventional
-from .charfun import Sample, make_density
+from .charfun import Sample, ecf_sq_unbiased, ecf_sq_unbiased_panels, make_density
 from .kernels import KernelModel, make_builtin
 from .risk import _sq_integrals, certified_cutoff
 
@@ -37,6 +40,13 @@ __all__ = [
 ]
 
 _DEGENERATE_SCALE = 1e-12
+# Largest sup |phi| the transform route of the UCV criterion leaves out
+# past its cutoff u_cut.
+_PHI_TOL = 1e-14
+# Pairs per block of the pair route, which keeps its memory flat in n.
+_BLOCK = 1 << 18
+_X12, _W12 = np.polynomial.legendre.leggauss(12)
+_NODES = _X12.size
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,7 +63,11 @@ class SelectorResult:
         For grid-search selectors, (h, criterion) pairs over the full grid;
         None for closed-form rules.
     metadata : dict
-        Sample size, kernel name, and rule-specific constants.
+        Sample size, kernel name, and rule-specific constants.  The UCV
+        criterion adds its route ("transform" or "pairs"), the transform
+        cutoff u_cut and panel_width (None without a usable cutoff), and
+        the node count of the transform route or the pair count of the pair
+        route.
     """
 
     method: str
@@ -207,54 +221,163 @@ def default_h_grid(sigma_hat: float, n: int, size: int = 60) -> np.ndarray:
     return np.geomspace(0.05 * scale, 3.0 * scale, size)
 
 
-def _phi_cutoff(k: KernelModel) -> float:
-    # smallest u with sup_{|t| >= u} |phi(t)| below tolerance; without a
-    # closed-form sup-tail, the largest |phi| over [u, 2u] stands in for it
+def _phi_cutoff(k: KernelModel) -> Tuple[float, bool]:
+    """Smallest u, to within 1%, with sup_{|t| >= u} |phi(t)| <= _PHI_TOL.
+
+    Without a closed-form sup-tail, the largest |phi| over [u, 2u] stands in
+    for it.  When the bound reaches zero the transform is band-limited: then
+    the band edge itself is returned, to rounding, with True, so that the
+    jump of phi there can be a panel edge.
+    """
     if k.cf_sup_tail is not None:
         sup, limit = (lambda u: float(k.cf_sup_tail(u))), 2.0 ** 40
     else:
         sup = lambda u: float(np.max(np.abs(k.cf(np.linspace(u, 2.0 * u, 64)))))
         limit = 2.0 ** 24
-    u = certified_cutoff(sup, 1e-10, start=1.0, limit=limit)
-    if sup(u) > 1e-10:
+    u = certified_cutoff(sup, _PHI_TOL, start=1.0, limit=limit)
+    if sup(u) > _PHI_TOL:
         raise ValueError("kernel transform tail decays too slowly")
-    return u
+    if sup(u) > 0.0:
+        return u, False
+    lo = u
+    while lo > 0.0 and sup(lo) == 0.0:
+        lo *= 0.5
+    while np.nextafter(lo, u) < u:
+        mid = 0.5 * (lo + u)
+        if sup(mid) == 0.0:
+            u = mid
+        else:
+            lo = mid
+    return u, True
 
 
-def _pairwise_curve(d: np.ndarray, k: KernelModel, grid: np.ndarray,
-                    n: int) -> np.ndarray:
-    # Q(h) = R/(n h) + 2/(n(n-1)h) sum_{j<k} [(K*K)(d/h) - 2 K(d/h)]
+class _TransformPlan(NamedTuple):
+    u_cut: float
+    band_limited: bool
+    width: float
+    panels: int
+    full: np.ndarray
+    ops: float
+
+
+def _transform_plan(x: np.ndarray, k: KernelModel,
+                    grid: np.ndarray) -> Optional[_TransformPlan]:
+    # panels one period 2 pi/span of qhat's fastest oscillation wide, and at
+    # most a quarter of phi's range at the largest h, up to u_cut/h_min.
+    # Each h takes the whole panels that reach u_cut/h; when phi is
+    # band-limited, those below it and one partial panel that ends there.
+    try:
+        u_cut, band_limited = _phi_cutoff(k)
+    except ValueError:
+        return None
+    width = u_cut / (4.0 * float(grid.max()))
+    span = float(x[-1] - x[0])
+    if span > 0.0:
+        width = min(width, 2.0 * math.pi / span)
+    panels = math.ceil(u_cut / (float(grid.min()) * width))
+    stops = u_cut / (grid * width)
+    full = np.floor(stops) if band_limited else np.ceil(stops)
+    full = np.minimum(full, panels).astype(int)
+    partial = grid.size if band_limited else 0
+    nodes = _NODES * (panels + partial)
+    ops = (2 * x.size * (2 * math.sqrt(panels) + _NODES * (1 + partial))
+           + _NODES * (int(full.sum()) + partial) + nodes * x.size / 16)
+    return _TransformPlan(u_cut, band_limited, width, panels, full, ops)
+
+
+def _transform_curve(x: np.ndarray, k: KernelModel, grid: np.ndarray,
+                     plan: _TransformPlan) -> np.ndarray:
+    # (1/pi) int_0^{u_cut/h} qhat(t) (phi(ht)^2 - 2 phi(ht)) dt; the
+    # h-independent delta-type term of the expanded square is dropped
+    sample = Sample(values=x)
+    half = 0.5 * plan.width
+    mids = (np.arange(plan.panels) + 0.5) * plan.width
+    t = (mids[:, None] + half * _X12).ravel()
+    qhat = ecf_sq_unbiased_panels(sample, plan.width, plan.panels, half * _X12)
+    wq = (half * _W12 * qhat).ravel()
+    if plan.band_limited:
+        ends = plan.u_cut / grid
+        lo = plan.full * plan.width
+        p_half = (0.5 * (ends - lo))[:, None]
+        p_t = 0.5 * (ends + lo)[:, None] + p_half * _X12
+        p_wq = p_half * _W12 * ecf_sq_unbiased(sample, p_t.ravel()).reshape(p_t.shape)
+    else:
+        p_t = p_wq = np.empty((grid.size, 0))
     out = np.empty(grid.size)
     for i, h in enumerate(grid):
-        u = d / h
-        pair = np.sum(k.selfconv(u) - 2.0 * k.eval(u))
-        out[i] = k.roughness / (n * h) + 2.0 * pair / (n * (n - 1.0) * h)
-    return out
+        m = _NODES * plan.full[i]
+        phi = k.cf(h * np.concatenate((t[:m], p_t[i])))
+        out[i] = np.dot(np.concatenate((wq[:m], p_wq[i])), phi * (phi - 2.0))
+    return out / math.pi
 
 
-def _quadrature_curve(d: np.ndarray, k: KernelModel, grid: np.ndarray,
-                      n: int) -> np.ndarray:
-    # (1/pi) int_0^T qhat(t) (phi(ht)^2 - 2 phi(ht)) dt + R/(n h); the
-    # h-independent delta-type term of the expanded square is dropped, as in
-    # the pairwise form, so both routes compute the same curve
-    u_cut = _phi_cutoff(k)
-    d_max = float(d.max()) if d.size else 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    out = np.empty(grid.size)
-    for i, h in enumerate(grid):
-        t_max = u_cut / h
-        panels = max(16, int(math.ceil(t_max * d_max / math.pi)) + 1)
-        edges = np.linspace(0.0, t_max, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
-        qhat = 2.0 * np.cos(t[:, None] * d[None, :]).sum(axis=1) \
-            / (n * (n - 1.0))
-        phi = k.cf(h * t)
-        integral = float(np.dot(w, qhat * (phi * phi - 2.0 * phi)))
-        out[i] = integral / math.pi + k.roughness / (n * h)
-    return out
+def _pair_count(x: np.ndarray, grid: np.ndarray, reach: float) -> int:
+    n = x.size
+    if not math.isfinite(reach):
+        return n * (n - 1) // 2 * grid.size
+    idx = np.arange(n)
+    return int(sum(np.sum(np.searchsorted(x, x + reach * h, side="right") - idx - 1)
+                   for h in grid))
+
+
+def _pair_curve(x: np.ndarray, k: KernelModel, grid: np.ndarray,
+                reach: float) -> np.ndarray:
+    # 2/(n(n-1)) sum_{j<l} [(K*K)(d/h) - 2 K(d/h)] / h over the pairs of the
+    # sorted sample with d = x_l - x_j <= reach h, in blocks of rows of at
+    # most about _BLOCK pairs, each block's distances sorted once for all h
+    n = x.size
+    far = reach * float(grid.max())
+    end = (np.searchsorted(x, x + far, side="right") if math.isfinite(far)
+           else np.full(n, n))
+    sums = np.zeros(grid.size)
+    j = 0
+    while j < n - 1:
+        rows = max(1, _BLOCK // max(1, int(end[j]) - j))
+        while rows > 1 and rows * (int(end[min(j + rows, n) - 1]) - j) > 2 * _BLOCK:
+            rows //= 2
+        r = np.arange(j, min(j + rows, n - 1))
+        c = np.arange(j + 1, int(end[r[-1]]))
+        d = x[c][None, :] - x[r][:, None]
+        d = d[(c[None, :] > r[:, None]) & (d <= far)]
+        if math.isfinite(far):
+            d.sort()
+        for i, h in enumerate(grid):
+            near = d[:np.searchsorted(d, reach * h, side="right")] \
+                if math.isfinite(far) else d
+            u = near / h
+            sums[i] += np.sum(k.selfconv(u) - 2.0 * k.eval(u))
+        j = int(r[-1]) + 1
+    return 2.0 * sums / (n * (n - 1.0) * grid)
+
+
+def _ucv_curve(x: np.ndarray, k: KernelModel,
+               grid: np.ndarray) -> Tuple[np.ndarray, Dict[str, object]]:
+    """UCV criterion over the grid by whichever exact route counts fewer operations.
+
+    An operation is one evaluation of cos, sin, phi, K or K*K, or 16
+    node-point products of a matrix product.  The transform route costs
+    2 n (2 sqrt(panels) + 12) evaluations of cos and sin, 24 n per h more for
+    a band-limited phi, the phi evaluations, and n/16 per node; the pair
+    route two kernel evaluations per pair within the kernel's reach,
+    2 support h, summed over the grid.
+    """
+    n = x.size
+    plan = _transform_plan(x, k, grid)
+    reach = 2.0 * k.support
+    pairs = _pair_count(x, grid, reach) if k.selfconv is not None else None
+    if plan is None and pairs is None:
+        raise ValueError("kernel %r has neither a usable transform cutoff nor a "
+                         "self-convolution" % (k.name,))
+    meta = {"u_cut": None if plan is None else plan.u_cut,
+            "panel_width": None if plan is None else plan.width}
+    if pairs is None or (plan is not None and plan.ops <= 2 * pairs):
+        curve = _transform_curve(x, k, grid, plan)
+        meta.update(route="transform", nodes=_NODES * (
+            plan.panels + (grid.size if plan.band_limited else 0)))
+    else:
+        curve = _pair_curve(x, k, grid, reach)
+        meta.update(route="pairs", pairs=pairs)
+    return curve + k.roughness / (n * grid), meta
 
 
 def _parametric_curve(sigma: float, k: KernelModel, grid: np.ndarray,
@@ -287,8 +410,8 @@ def cv_bandwidth(s: Sample, k: KernelModel,
         Candidate bandwidths; defaults to a 60-point log grid scaled by the
         sample standard deviation and n^(-1/5).
     q_estimator : str
-        "unbiased" for the pairwise leave-structure estimator, "parametric"
-        for the normal plug-in model.
+        "unbiased" for the unbiased estimator (n |f_n|^2 - 1)/(n - 1),
+        "parametric" for the normal plug-in model.
     sigma_hat : float, optional
         Scale for the parametric model; defaults to the sample standard
         deviation.
@@ -303,7 +426,7 @@ def cv_bandwidth(s: Sample, k: KernelModel,
     n = s.n
     if q_estimator == "unbiased" and n < 2:
         raise ValueError("unbiased criterion needs at least two points")
-    values = np.asarray(s.values, dtype=float)
+    values = np.sort(np.asarray(s.values, dtype=float))
     sigma = s.std() if n >= 2 else 0.0
     degenerate = not sigma > _DEGENERATE_SCALE
 
@@ -323,13 +446,8 @@ def cv_bandwidth(s: Sample, k: KernelModel,
                           "smallest bandwidth", stacklevel=2)
 
     if q_estimator == "unbiased":
-        d = pdist(values[:, None]) if n > 1 else np.empty(0)
-        if k.selfconv is not None:
-            curve = _pairwise_curve(d, k, grid, n)
-        else:
-            curve = _quadrature_curve(d, k, grid, n)
+        curve, extra = _ucv_curve(values, k, grid)
         method = "ucv"
-        extra = {}
     else:
         scale = sigma if sigma_hat is None else float(sigma_hat)
         if not scale > _DEGENERATE_SCALE:

@@ -14,6 +14,7 @@ from cfkde.charfun import (
     cf_envelope,
     ecf,
     ecf_sq_unbiased,
+    ecf_sq_unbiased_panels,
     make_density,
     one_minus_cf_bound,
 )
@@ -80,10 +81,25 @@ def test_normal_variation_constants():
     assert_allclose(d.variation[2], 1.510013, rtol=1e-5)
     assert_allclose(d.variation[3], 2.80060, rtol=1e-5)
     assert_allclose(d.variation[4], 5.91009, rtol=1e-5)
-    # scaling in sigma, up to six-significant-digit storage on both sides
+    # scaling in sigma
     d2 = make_density("normal", sigma=2.0)
     for m in (0, 1, 2, 3):
         assert_allclose(d2.variation[m], d.variation[m] / 2.0 ** (m + 1), rtol=1e-5)
+
+
+def test_normal_variation_at_least_closed_form():
+    # V_m = int |p^(m+1)| is the sum of |p^(m)| increments between the
+    # extrema of p^(m), the roots of He_{m+1}; p^(m) = (-1)^m phi He_m
+    for sigma in (1.0, 2.0):
+        d = make_density("normal", sigma=sigma)
+        for m in range(7):
+            roots = np.sort(np.real(np.polynomial.hermite_e.hermeroots([0.0] * (m + 1) + [1.0])))
+            pm = np.exp(-0.5 * roots ** 2) / math.sqrt(2.0 * math.pi) \
+                * np.polynomial.hermite_e.hermeval(roots, [0.0] * m + [1.0])
+            closed = float(np.sum(np.abs(np.diff(np.concatenate(([0.0], pm, [0.0])))))) \
+                / sigma ** (m + 1)
+            assert d.variation[m] >= closed
+            assert d.variation[m] <= closed * (1.0 + 1e-10)
 
 
 def test_symmetric_mixture_variation():
@@ -255,6 +271,18 @@ def test_ecf_sq_unbiased_pair_sum():
         assert_allclose(got[i], ref, atol=1e-12)
     with pytest.raises(ValueError):
         ecf_sq_unbiased(as_sample([1.0]), t)
+
+
+def test_ecf_sq_unbiased_panels_matches_pointwise():
+    # several data blocks, a panel count that is not a square, a far offset
+    rng = np.random.default_rng(4)
+    s = as_sample(1e5 + rng.normal(size=5000))
+    width, panels = 0.37, 23
+    offsets = 0.5 * width * np.polynomial.legendre.leggauss(12)[0]
+    got = ecf_sq_unbiased_panels(s, width, panels, offsets)
+    t = (np.arange(panels) + 0.5)[:, None] * width + offsets
+    assert got.shape == (panels, 12)
+    assert_allclose(got, ecf_sq_unbiased(s, t.ravel()).reshape(t.shape), atol=1e-13)
 
 
 def test_ecf_sq_unbiased_is_unbiased():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.optimize import brentq
 
 from cfkde import bounds, selector
 from cfkde.charfun import as_sample, make_density
-from cfkde.kernels import make_builtin
+from cfkde.kernels import kernel_from_functions, make_builtin
 
 GAUSS = make_builtin("gaussian")
 SINC = make_builtin("sinc")
@@ -166,6 +167,106 @@ def test_cv_quadrature_fallback_matches_closed_form():
         assert h1 == h2
         assert q2 == pytest.approx(q1, rel=1e-6)
     assert quad.h == closed.h
+
+
+def _pairwise_ucv(x, k, grid, selfconv=None):
+    # closed-form pair sum, the oracle for both routes:
+    # R/(n h) + 2/(n(n-1) h) sum_{j<l} [(K*K)(d/h) - 2 K(d/h)]
+    selfconv = k.selfconv if selfconv is None else selfconv
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    d = np.abs(x[:, None] - x[None, :])[np.triu_indices(n, 1)]
+    return np.array([k.roughness / (n * h)
+                     + 2.0 * np.sum(selfconv(d / h) - 2.0 * k.eval(d / h))
+                     / (n * (n - 1.0) * h) for h in grid])
+
+
+def _assert_matches(curve, ref, h=None, grid=None):
+    assert np.max(np.abs(np.asarray(curve) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    if h is not None:
+        assert grid[int(np.argmin(ref))] == h
+
+
+def _check_against_oracle(s, k, h_grid=None, selfconv=None):
+    res = selector.cv_bandwidth(s, k, h_grid=h_grid)
+    grid = np.array([h for h, _ in res.criterion_curve])
+    curve = np.array([q for _, q in res.criterion_curve])
+    _assert_matches(curve, _pairwise_ucv(s.values, k, grid, selfconv), res.h, grid)
+    return res
+
+
+def _mixture_sample(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(n) < 0.4, rng.normal(-1.0, 0.6, n),
+                    rng.normal(1.5, 1.1, n))
+
+
+@pytest.mark.parametrize("name,route", [("gaussian", "transform"),
+                                        ("sinc", "transform"),
+                                        ("epanechnikov", "pairs"),
+                                        ("uniform", "pairs")])
+def test_ucv_matches_pairwise_oracle(name, route):
+    res = _check_against_oracle(as_sample(_mixture_sample(150, 11)),
+                                make_builtin(name))
+    meta = res.metadata
+    assert meta["route"] == route
+    assert (meta["nodes"] if route == "transform" else meta["pairs"]) > 0
+
+
+@pytest.mark.parametrize("name", ["gaussian", "sinc"])
+def test_ucv_both_routes_match_oracle(name):
+    k = make_builtin(name)
+    x = np.sort(_mixture_sample(120, 12))
+    grid = selector.default_h_grid(float(np.std(x, ddof=1)), x.size, 25)
+    ref = _pairwise_ucv(x, k, grid) - k.roughness / (x.size * grid)
+    plan = selector._transform_plan(x, k, grid)
+    _assert_matches(selector._transform_curve(x, k, grid, plan), ref)
+    _assert_matches(selector._pair_curve(x, k, grid, math.inf), ref)
+
+
+def test_ucv_custom_kernels_match_oracle():
+    s = as_sample(_mixture_sample(80, 13))
+    # a transform with no self-convolution: the transform route
+    gauss_fn = kernel_from_functions(
+        "gauss-fn", lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+        lambda t: math.exp(-0.5 * t * t))
+    res = _check_against_oracle(s, gauss_fn, selfconv=GAUSS.selfconv)
+    assert res.metadata["route"] == "transform"
+    # a self-convolution and a transform decaying like 1/t^2: the pair route
+    laplace = kernel_from_functions(
+        "laplace", lambda x: 0.5 * math.exp(-abs(x)), lambda t: 1.0 / (1.0 + t * t),
+        selfconv=lambda u: 0.25 * (1.0 + np.abs(u)) * np.exp(-np.abs(u)))
+    res = _check_against_oracle(s, laplace)
+    assert res.metadata["route"] == "pairs"
+
+
+@pytest.mark.parametrize("name", ["gaussian", "sinc"])
+def test_ucv_edge_samples_match_oracle(name):
+    k = make_builtin(name)
+    rng = np.random.default_rng(14)
+    _check_against_oracle(as_sample([0.3, 1.7]), k)
+    _check_against_oracle(as_sample(0.5 * rng.integers(0, 6, size=90)), k)
+    with pytest.warns(UserWarning):
+        _check_against_oracle(as_sample([2.0] * 4), k, h_grid=[0.1, 0.4, 1.3])
+    offset = _check_against_oracle(as_sample(1e6 + rng.normal(size=200)), k)
+    assert offset.metadata["route"] == "transform"
+    outlier = _check_against_oracle(
+        as_sample(np.append(rng.normal(size=60), 1e4)), k,
+        h_grid=np.geomspace(0.05, 2.0, 30))
+    assert outlier.metadata["route"] == "pairs"
+
+
+def test_ucv_memory_is_flat_in_n():
+    # the pairwise distances alone would take n(n-1)/2 * 8 bytes = 1.6 GB
+    s = as_sample(np.random.default_rng(15).normal(size=20000))
+    tracemalloc.start()
+    try:
+        res = selector.cv_bandwidth(s, GAUSS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.metadata["route"] == "transform"
+    assert peak < 64 * 2 ** 20
 
 
 def test_cv_parametric_near_rule_of_thumb_at_large_n():
