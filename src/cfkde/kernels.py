@@ -375,14 +375,12 @@ def kernel_from_functions(
     cf_fn: Callable,
     sq_cf: Optional[Callable] = None,
     selfconv: Optional[Callable] = None,
-    support: float = math.inf,
 ) -> KernelModel:
     """Build a KernelModel from a (spatial form, Fourier transform) pair.
 
     The scalar functionals are computed by quadrature.  The kernel is
     assumed symmetric about zero; a_value falls back to inf when int |phi|
-    does not converge numerically.  support is the half-width outside which
-    eval_fn vanishes, inf when it never does.
+    does not converge numerically.
     """
     mu1, _ = integrate.quad(lambda x: abs(x) * float(eval_fn(x)), -np.inf, np.inf, limit=400)
     mu2, _ = integrate.quad(lambda x: x * x * float(eval_fn(x)), -np.inf, np.inf, limit=400)
@@ -414,5 +412,4 @@ def kernel_from_functions(
         is_density=is_density,
         is_sinc=False,
         zero_mean=abs(mean) < 1e-10,
-        support=float(support),
     )
