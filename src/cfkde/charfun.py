@@ -42,6 +42,7 @@ __all__ = [
     "ecf",
     "ecf_sq_unbiased",
     "ecf_sq_unbiased_panels",
+    "ecf_panel_sums",
     "cf_envelope",
     "one_minus_cf_bound",
 ]
@@ -160,32 +161,32 @@ def ecf_sq_unbiased(sample: Sample, t):
     return out
 
 
-def ecf_sq_unbiased_panels(sample: Sample, width: float, panels: int,
-                           offsets) -> np.ndarray:
-    """ecf_sq_unbiased at t = (p + 1/2) width + a, for p < panels and each offset a.
+def ecf_panel_sums(x: np.ndarray, width: float, panels: int,
+                   offsets) -> Tuple[np.ndarray, np.ndarray]:
+    """Sums of cos(t x_j) and sin(t x_j) at t = (p + 1/2) width + a.
 
-    Returns an array of shape (panels, len(offsets)).  With p = b L + j and
-    L about sqrt(panels), exp(i t x) factors into exp(i (b L + 1/2) w x)
-    exp(i j w x) exp(i a x): the trigonometric work per point is
-    panels/L + L + len(offsets), the last two factors are combined by angle
-    addition, and the sum over the sample is one real matrix product per
-    block of it, [cos, sin](block phase) @ [[cos, sin], [-sin, cos]](offset
-    phase).  The product stays real because a complex one of these thin
-    shapes costs milliseconds each through threaded BLAS.
+    Returns two arrays of shape (panels, len(offsets)), for p < panels and
+    each offset a.  With p = b L + j and L about sqrt(panels), exp(i t x)
+    factors into exp(i (b L + 1/2) w x) exp(i j w x) exp(i a x): the
+    trigonometric work per point is panels/L + L + len(offsets), the last
+    two factors are combined by angle addition, and the sum over the values
+    is four real matrix products per block of them, of the cos and sin of
+    the block phase with the cos and sin of the combined phase.  The
+    products stay real because a complex one of these thin shapes costs
+    milliseconds each through threaded BLAS.  Centre x first: the rounding
+    of the phases grows with |t x|.
     """
-    n = sample.n
-    if n < 2:
-        raise ValueError("ecf_sq_unbiased requires at least two observations")
-    x = _centered(sample).values
+    x = np.asarray(x, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
     run = max(1, round(math.sqrt(panels)))
     blocks = math.ceil(panels / run)
     base = (np.arange(blocks) * run + 0.5) * width
     steps = np.arange(run) * width
     cols = run * offsets.size
-    acc = np.zeros((blocks, 2 * cols))
+    re = np.zeros((blocks, cols))
+    im = np.zeros((blocks, cols))
     chunk = max(1, _ECF_BLOCK // (blocks + cols))
-    for s in range(0, n, chunk):
+    for s in range(0, x.size, chunk):
         xb = x[s:s + chunk]
         jx, ax = np.multiply.outer(xb, steps), np.multiply.outer(xb, offsets)
         cj, sj = np.cos(jx)[:, :, None], np.sin(jx)[:, :, None]
@@ -193,9 +194,24 @@ def ecf_sq_unbiased_panels(sample: Sample, width: float, panels: int,
         co = (cj * ca - sj * sa).reshape(xb.size, cols)
         so = (sj * ca + cj * sa).reshape(xb.size, cols)
         bx = np.multiply.outer(base, xb)
-        acc += np.hstack((np.cos(bx), np.sin(bx))) @ np.block([[co, so], [-so, co]])
-    re = acc[:, :cols].reshape(-1, offsets.size)[:panels]
-    im = acc[:, cols:].reshape(-1, offsets.size)[:panels]
+        cb, sb = np.cos(bx), np.sin(bx)
+        re += cb @ co - sb @ so
+        im += cb @ so + sb @ co
+    return (re.reshape(-1, offsets.size)[:panels],
+            im.reshape(-1, offsets.size)[:panels])
+
+
+def ecf_sq_unbiased_panels(sample: Sample, width: float, panels: int,
+                           offsets) -> np.ndarray:
+    """ecf_sq_unbiased at t = (p + 1/2) width + a, for p < panels and each offset a.
+
+    Returns an array of shape (panels, len(offsets)), from the factored
+    sums of ecf_panel_sums over the centred sample.
+    """
+    n = sample.n
+    if n < 2:
+        raise ValueError("ecf_sq_unbiased requires at least two observations")
+    re, im = ecf_panel_sums(_centered(sample).values, width, panels, offsets)
     # n |f_n|^2 = |sum exp(i t x)|^2 / n
     return ((re * re + im * im) / n - 1.0) / (n - 1.0)
 

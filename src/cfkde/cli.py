@@ -232,6 +232,8 @@ def _require(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
             parser.error("%s requires %s" % (cfg.command, flag))
     if cfg.command == "estimate" and cfg.h is None and cfg.method is None:
         parser.error("estimate requires --h or --method")
+    if cfg.h is not None and not math.isfinite(cfg.h):
+        parser.error("--h must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +308,12 @@ def _parse_grid(spec: str) -> np.ndarray:
         if len(parts) != 3:
             raise ValueError("grid spec must be LO:HI:COUNT or a comma list")
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if not (0.0 < lo <= hi and count >= 1):
-            raise ValueError("grid spec must satisfy 0 < LO <= HI, COUNT >= 1")
+        if not (0.0 < lo <= hi < math.inf and count >= 1):
+            raise ValueError("grid spec must satisfy 0 < LO <= HI < inf, COUNT >= 1")
         return np.geomspace(lo, hi, count)
     grid = np.array([float(v) for v in spec.split(",")])
-    if grid.size == 0 or not np.all(grid > 0.0):
-        raise ValueError("grid entries must be positive")
+    if grid.size == 0 or not np.all((grid > 0.0) & np.isfinite(grid)):
+        raise ValueError("grid entries must be positive and finite")
     return grid
 
 
@@ -374,6 +376,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
         "bandwidth_method": method, "corrected": est.corrected,
         "xi": est.xi, "mass": est.mass, "grid_size": int(est.xs.size),
     }
+    meta.update(est.metadata)
     _write_atomic(sidecar, _json_text(meta))
     print("wrote %s and %s" % (out, sidecar))
     return 0

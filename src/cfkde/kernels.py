@@ -36,6 +36,8 @@ BUILTIN_KERNELS = ("gaussian", "epanechnikov", "uniform", "sinc")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
+# exp(-u^2/2) = 2^-53 at u = sqrt(106 ln 2), about 8.572
+_GAUSS_REACH = math.sqrt(106.0 * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,11 @@ class KernelModel:
     support : float
         Half-width of the support of K (K vanishes for |x| > support); inf
         when K has unbounded support.
+    reach : float
+        Half-width of the window the estimate sums over: |K(u)| <= 2^-53 K(0)
+        for |u| > reach, so the terms left out move the estimate by at most
+        2^-53 K(0)/h.  Equals support for a compact K; inf when no such
+        window is known (sinc, kernel_from_functions).
     """
 
     name: str
@@ -88,6 +95,7 @@ class KernelModel:
     is_sinc: bool
     zero_mean: bool
     support: float = math.inf
+    reach: float = math.inf
 
 
 def scaled_eval(kernel: KernelModel, h: float, x):
@@ -307,6 +315,7 @@ def make_builtin(name: str) -> KernelModel:
             is_density=True,
             is_sinc=False,
             zero_mean=True,
+            reach=_GAUSS_REACH,
         )
     elif name == "epanechnikov":
         model = KernelModel(
@@ -325,6 +334,7 @@ def make_builtin(name: str) -> KernelModel:
             is_sinc=False,
             zero_mean=True,
             support=1.0,
+            reach=1.0,
         )
     elif name == "uniform":
         model = KernelModel(
@@ -343,6 +353,7 @@ def make_builtin(name: str) -> KernelModel:
             is_sinc=False,
             zero_mean=True,
             support=1.0,
+            reach=1.0,
         )
     elif name == "sinc":
         model = KernelModel(

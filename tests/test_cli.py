@@ -93,6 +93,33 @@ def test_estimate_needs_h_or_method(tmp_path, capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_estimate_non_finite_h_exit_2(tmp_path, capsys, h):
+    inp = _write_sample(tmp_path / "s.csv", [0.0, 1.0])
+    out = tmp_path / "x.csv"
+    rc = main(["estimate", "--input", inp, "--h", h, "--output", str(out)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("kernel,route", [("epanechnikov", "pairs"), ("sinc", "transform")])
+def test_estimate_sidecar_provenance(tmp_path, kernel, route):
+    rng = np.random.default_rng(8)
+    inp = _write_sample(tmp_path / "s.csv", rng.normal(size=500))
+    out = str(tmp_path / "p.csv")
+    rc = main(["estimate", "--input", inp, "--kernel", kernel, "--h", "0.25",
+               "--output", out])
+    assert rc == 0
+    meta = json.load(open(str(tmp_path / "p.json")))
+    assert meta["route"] == route
+    assert {"h", "xi", "mass", "grid_size", "bandwidth_method"} <= set(meta)
+    if route == "pairs":
+        assert meta["reach"] == 0.25 and 0 < meta["pairs"] < 500 * 512
+    else:
+        assert meta["reach"] is None and meta["nodes"] > 0
+
+
 # ---------------------------------------------------------------------------
 # risk
 
@@ -120,6 +147,16 @@ def test_risk_fejer_sinc_closed_form(tmp_path):
         h = float(row["h"])
         expected = (1.0 / h - 1.0 / 3.0) / (math.pi * 50.0)
         assert float(row["exact_mise"]) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("grid", ["inf", "0.1,nan", "0.1:inf:3", "nan:1:3"])
+def test_risk_non_finite_grid_exit_2(tmp_path, capsys, grid):
+    out = tmp_path / "x.csv"
+    rc = main(["risk", "--density", "normal", "--n", "100", "--h-grid", grid,
+               "--output", str(out)])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_risk_requires_n(capsys):

@@ -1,6 +1,7 @@
 """Tests for grid estimates, the Fourier route, and the density repair."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,23 @@ from cfkde.estimator import (
     sinc_kde_fourier,
 )
 from cfkde.kernels import make_builtin
+from cfkde.risk import mc_mise
+
+
+def _all_pairs(values, k, h, x):
+    # reference: every datum summed at every point, as the direct sum reads
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    values = np.asarray(values, dtype=float)
+    return np.array([np.sum(k.eval((xi - values) / h)) for xi in x]) / (values.size * h)
+
+
+def _assert_reach_sum(values, name, h, x):
+    k = make_builtin(name)
+    got = kde_eval(as_sample(values), k, h, x)
+    ref = _all_pairs(values, k, h, x)
+    tol = 2.0 ** -52 * float(k.eval(0.0)) / h + 1e-13 * float(np.max(np.abs(ref)))
+    assert np.max(np.abs(np.atleast_1d(got) - ref)) <= tol
+    return got
 
 
 def test_kde_eval_point_examples():
@@ -184,3 +202,131 @@ def test_correction_improves_ise():
         ise_raw = np.trapezoid((est.ys - truth) ** 2, xs)
         ise_fix = np.trapezoid((fixed.ys - truth) ** 2, xs)
         assert ise_fix <= ise_raw + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the pair route sums only the data within the kernel's reach
+
+
+_RNG_DATA = np.random.default_rng(77).normal(size=300)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "epanechnikov", "uniform"])
+@pytest.mark.parametrize("case", ["outside", "single", "tied", "offset", "unsorted"])
+def test_reach_sum_matches_all_pairs(name, case):
+    h = 0.3
+    values, x = _RNG_DATA, np.linspace(-4.0, 4.0, 401)
+    if case == "outside":
+        # most points lie beyond the data, many further than the reach
+        x = np.linspace(-40.0, 40.0, 801)
+    elif case == "single":
+        values = np.array([0.25])
+        x = np.linspace(-2.0, 2.0, 401)
+    elif case == "tied":
+        values = np.repeat(np.round(_RNG_DATA[:40], 1), 5)
+    elif case == "offset":
+        values = 1e6 + _RNG_DATA
+        x = 1e6 + x
+    elif case == "unsorted":
+        x = np.random.default_rng(3).permutation(x)
+    _assert_reach_sum(values, name, h, x)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "epanechnikov", "uniform"])
+def test_reach_sum_scalar_point(name):
+    got = _assert_reach_sum(_RNG_DATA, name, 0.4, 0.1)
+    assert isinstance(got, float)
+
+
+def test_uniform_reach_at_the_support_edge():
+    # data at x0 +- h as computed, and one and two ulps either side: each is
+    # in or out of the support by the rounding of (x0 - X)/h, which the
+    # window must not pre-empt.  At x0 = 0.8630035359078434, h = 0.7 the
+    # datum one ulp below x0 - h is still inside: (x0 - X)/h rounds to 1.
+    x0, h = 0.8630035359078434, 0.7
+    assert (x0 - np.nextafter(x0 - h, -np.inf)) / h == 1.0
+    rng = np.random.default_rng(12)
+    cases = [(x0, h)] + list(zip(
+        np.concatenate([rng.uniform(-5, 5, 20), 1e6 + rng.uniform(-1, 1, 10)]),
+        rng.choice([0.1, 0.3, 1.0 / 3.0, 0.7, 1.3], 30)))
+    for x0, h in cases:
+        edges = np.array([x0 - h, x0 + h])
+        below = np.nextafter(edges, -np.inf)
+        above = np.nextafter(edges, np.inf)
+        values = np.concatenate([[x0], edges, below, above,
+                                 np.nextafter(below, -np.inf), np.nextafter(above, np.inf)])
+        _assert_reach_sum(values, "uniform", h, [x0, np.nextafter(x0, np.inf)])
+
+
+def test_kde_eval_rejects_non_finite_bandwidth():
+    s = as_sample([0.0, 1.0])
+    for h in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError):
+            kde_eval(s, make_builtin("gaussian"), h, 0.0)
+        with pytest.raises(ValueError):
+            sinc_kde_fourier(s, h, 0.0)
+        with pytest.raises(ValueError):
+            default_grid(s, h)
+        with pytest.raises(ValueError):
+            estimate_on_grid(s, make_builtin("gaussian"), h, grid=np.linspace(0, 1, 5))
+
+
+def test_estimate_metadata_pairs_route():
+    s = as_sample(_RNG_DATA)
+    est = estimate_on_grid(s, make_builtin("epanechnikov"), 0.3, n_points=256)
+    assert est.metadata["route"] == "pairs"
+    assert est.metadata["reach"] == 0.3
+    assert 0 < est.metadata["pairs"] < s.n * 256
+    gauss = estimate_on_grid(s, make_builtin("gaussian"), 0.3, n_points=256)
+    assert gauss.metadata["reach"] == pytest.approx(0.3 * math.sqrt(106 * math.log(2)))
+
+
+@pytest.mark.parametrize("outlier,route", [(None, "transform"), (200.0, "pairs")])
+def test_sinc_estimate_routes_match_all_pairs(outlier, route):
+    values = np.random.default_rng(5).normal(size=400)
+    if outlier is not None:
+        # a far outlier multiplies the panels of the transform route
+        values[0] = outlier
+    s = as_sample(values)
+    k = make_builtin("sinc")
+    est = estimate_on_grid(s, k, 0.3, n_points=512)
+    assert est.metadata["route"] == route and est.metadata["reach"] is None
+    assert ("nodes" if route == "transform" else "pairs") in est.metadata
+    ref = _all_pairs(values, k, 0.3, est.xs)
+    assert np.max(np.abs(est.ys - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the repair keeps the provenance
+    assert correct_to_density(est).metadata == est.metadata
+
+
+def test_sinc_fourier_offset_data():
+    values = 1e6 + np.random.default_rng(6).normal(size=200)
+    s = as_sample(values)
+    xs = 1e6 + np.linspace(-5.0, 5.0, 101)
+    ref = _all_pairs(values, make_builtin("sinc"), 0.4, xs)
+    assert np.max(np.abs(sinc_kde_fourier(s, 0.4, xs) - ref)) <= 1e-10 * np.max(ref)
+
+
+def test_mc_mise_matches_all_pairs_replicates():
+    d = make_density("normal")
+    k = make_builtin("gaussian")
+    h, n, reps, seed = 0.4, 60, 5, 11
+    mean, se = mc_mise(d, k, h, n, reps=reps, seed=seed)
+    lo, hi = d.support_hint
+    xs = np.linspace(lo - 4.0 * h, hi + 4.0 * h, 1024)
+    truth = d.pdf(xs)
+    ises = [np.trapezoid((_all_pairs(np.sort(d.sampler(np.random.default_rng(seed + r), n)),
+                                     k, h, xs) - truth) ** 2, xs) for r in range(reps)]
+    assert_allclose(mean, np.mean(ises), rtol=1e-12)
+    assert_allclose(se, np.std(ises, ddof=1) / math.sqrt(reps), rtol=1e-10)
+
+
+def test_estimate_memory_flat_at_large_n():
+    s = as_sample(np.random.default_rng(9).normal(size=100_000))
+    tracemalloc.start()
+    try:
+        est = estimate_on_grid(s, make_builtin("gaussian"), 0.05, n_points=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.metadata["pairs"] > 4_000_000
+    assert peak < 32 * 2 ** 20
