@@ -14,7 +14,6 @@ c1 * h0^p + c2 / h0, the closed-form minimizer over h0 is attached.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -536,7 +535,8 @@ def amise_conventional(density: DensityModel, kernel: KernelModel,
     amise = (5/4) { mu2^2 R(K)^4 }^(1/5) R(p'')^(1/5) n^(-4/5)
 
     R(p'') is computed by quadrature of the model's analytic second
-    derivative; densities without one raise.
+    derivative; densities without one raise, and so does a quadrature whose
+    error estimate exceeds its tolerance (epsabs + epsrel |R(p'')|).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -551,10 +551,13 @@ def amise_conventional(density: DensityModel, kernel: KernelModel,
             "is unavailable" % density.name
         )
     lo, hi = density.support_hint
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        rpp, _ = integrate.quad(
-            lambda x: float(density.pdf_deriv(2, x)) ** 2, lo, hi, **_QUAD_KW
+    rpp, err = integrate.quad(
+        lambda x: float(density.pdf_deriv(2, x)) ** 2, lo, hi, **_QUAD_KW
+    )
+    if not err <= _QUAD_KW["epsabs"] + _QUAD_KW["epsrel"] * abs(rpp):
+        raise ValueError(
+            "R(p'') of density %r is not resolved: quad error estimate %.3g "
+            "for the value %.6g" % (density.name, err, rpp)
         )
     h = ((kernel.roughness / kernel.mu2 ** 2) ** 0.2 * rpp ** -0.2
          * n ** -0.2)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import integrate
@@ -78,6 +78,12 @@ class KernelModel:
         for |u| > reach, so the terms left out move the estimate by at most
         2^-53 K(0)/h.  Equals support for a compact K; inf when no such
         window is known (sinc, kernel_from_functions).
+    poly : pair of tuples of float, or None
+        For a compact K whose K and K*K are polynomials in |u| on their
+        supports: the coefficients of K on [0, support] and of K*K on
+        [0, 2 support], lowest degree first.  The pair route of the UCV
+        criterion then sums each pair once for the whole bandwidth grid
+        (selector._ucv_curve).  None for every other kernel.
     """
 
     name: str
@@ -96,6 +102,7 @@ class KernelModel:
     zero_mean: bool
     support: float = math.inf
     reach: float = math.inf
+    poly: Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]] = None
 
 
 def scaled_eval(kernel: KernelModel, h: float, x):
@@ -335,6 +342,8 @@ def make_builtin(name: str) -> KernelModel:
             zero_mean=True,
             support=1.0,
             reach=1.0,
+            # 0.75 (1 - u^2); 3 (2 - u)^3 (u^2 + 6u + 4)/160
+            poly=((0.75, 0.0, -0.75), (0.6, 0.0, -0.75, 0.375, 0.0, -3.0 / 160.0)),
         )
     elif name == "uniform":
         model = KernelModel(
@@ -354,6 +363,8 @@ def make_builtin(name: str) -> KernelModel:
             zero_mean=True,
             support=1.0,
             reach=1.0,
+            # 1/2; (2 - u)/4
+            poly=((0.5,), (0.5, -0.25)),
         )
     elif name == "sinc":
         model = KernelModel(

@@ -10,7 +10,8 @@ unbiased statistic (n |f_n|^2 - 1)/(n - 1) or by a normal parametric model.
 The unbiased criterion (UCV) is computed exactly by the cheaper of two
 routes: on the transform side from the empirical characteristic function on
 Gauss-Legendre panels, in O(n sqrt(panels) + n panels/16) operations, or on
-the data side from the pairs of points within the kernel's reach.
+the data side from the pairs of points within the kernel's reach, each pair
+once for the whole grid when K and K*K are polynomials on their supports.
 
 ``plan_sample_size`` inverts a minimized risk bound: given a target accuracy
 it returns the smallest sample size whose certified bound falls below it.
@@ -25,6 +26,7 @@ import numpy as np
 
 from .bounds import _power_minimum, amise_conventional
 from .charfun import Sample, ecf_sq_unbiased, ecf_sq_unbiased_panels, make_density
+from .estimator import _window
 from .kernels import KernelModel, make_builtin
 from .risk import _sq_integrals, certified_cutoff
 
@@ -45,6 +47,13 @@ _DEGENERATE_SCALE = 1e-12
 _PHI_TOL = 1e-14
 # Pairs per block of the pair route, which keeps its memory flat in n.
 _BLOCK = 1 << 18
+# Counted operations per pair of the pair route's moment form: binning,
+# powers and bin sums take about 20-40 ns per pair at n >= 632, against
+# 9-23 ns per counted operation of the transform route.
+_MOMENT_OPS = 2
+# Pairs per bin sum of the moment form.  np.bincount adds in sequence: on
+# 2000 tied values one sum per bin was off by 7e-13 of max|curve|.
+_MOMENT_CHUNK = 1 << 10
 _X12, _W12 = np.polynomial.legendre.leggauss(12)
 _NODES = _X12.size
 
@@ -66,8 +75,10 @@ class SelectorResult:
         Sample size, kernel name, and rule-specific constants.  The UCV
         criterion adds its route ("transform" or "pairs"), the transform
         cutoff u_cut and panel_width (None without a usable cutoff), and
-        the node count of the transform route or the pair count of the pair
-        route.
+        the node count of the transform route or the pairs the pair route
+        evaluated: each pair within 2 support h_max once in its moment form
+        (kernels with KernelModel.poly), each pair within 2 support h once
+        per h otherwise.
     """
 
     method: str
@@ -311,25 +322,20 @@ def _transform_curve(x: np.ndarray, k: KernelModel, grid: np.ndarray,
     return out / math.pi
 
 
-def _pair_count(x: np.ndarray, grid: np.ndarray, reach: float) -> int:
+def _pair_count(x: np.ndarray, far: float) -> int:
+    # pairs of the sorted sample within distance far, by one binary search
     n = x.size
-    if not math.isfinite(reach):
-        return n * (n - 1) // 2 * grid.size
-    idx = np.arange(n)
-    return int(sum(np.sum(np.searchsorted(x, x + reach * h, side="right") - idx - 1)
-                   for h in grid))
+    if not math.isfinite(far):
+        return n * (n - 1) // 2
+    return int(np.sum(np.searchsorted(x, x + far, side="right") - np.arange(n) - 1))
 
 
-def _pair_curve(x: np.ndarray, k: KernelModel, grid: np.ndarray,
-                reach: float) -> np.ndarray:
-    # 2/(n(n-1)) sum_{j<l} [(K*K)(d/h) - 2 K(d/h)] / h over the pairs of the
-    # sorted sample with d = x_l - x_j <= reach h, in blocks of rows of at
-    # most about _BLOCK pairs, each block's distances sorted once for all h
+def _pair_blocks(x: np.ndarray, far: float):
+    # the distances d = x_l - x_j <= far of the pairs j < l of the sorted
+    # sample, in blocks of rows of at most about 2 _BLOCK pairs; the window
+    # is widened as in kde_eval, so only the test d <= far decides
     n = x.size
-    far = reach * float(grid.max())
-    end = (np.searchsorted(x, x + far, side="right") if math.isfinite(far)
-           else np.full(n, n))
-    sums = np.zeros(grid.size)
+    end = _window(x, far, x)[1]
     j = 0
     while j < n - 1:
         rows = max(1, _BLOCK // max(1, int(end[j]) - j))
@@ -338,7 +344,22 @@ def _pair_curve(x: np.ndarray, k: KernelModel, grid: np.ndarray,
         r = np.arange(j, min(j + rows, n - 1))
         c = np.arange(j + 1, int(end[r[-1]]))
         d = x[c][None, :] - x[r][:, None]
+        # rebound, so the dense block is freed while the caller works
         d = d[(c[None, :] > r[:, None]) & (d <= far)]
+        yield d
+        j = int(r[-1]) + 1
+
+
+def _per_h_sums(x: np.ndarray, k: KernelModel,
+                grid: np.ndarray) -> Tuple[np.ndarray, int]:
+    # sum_{j<l} [(K*K)(d/h) - 2 K(d/h)] for each h over the pairs with
+    # d <= 2 support h, each block's distances sorted once for all h; also
+    # returns the pairs evaluated, summed over the grid
+    reach = 2.0 * k.support
+    far = reach * float(grid.max())
+    sums = np.zeros(grid.size)
+    pairs = 0
+    for d in _pair_blocks(x, far):
         if math.isfinite(far):
             d.sort()
         for i, h in enumerate(grid):
@@ -346,8 +367,62 @@ def _pair_curve(x: np.ndarray, k: KernelModel, grid: np.ndarray,
                 if math.isfinite(far) else d
             u = near / h
             sums[i] += np.sum(k.selfconv(u) - 2.0 * k.eval(u))
-        j = int(r[-1]) + 1
-    return 2.0 * sums / (n * (n - 1.0) * grid)
+            pairs += near.size
+    return sums, pairs
+
+
+def _moment_sums(x: np.ndarray, k: KernelModel,
+                 grid: np.ndarray) -> Tuple[np.ndarray, int]:
+    # the same sums for a kernel with k.poly, each pair evaluated once for
+    # the whole grid: a binary search bins d among the sorted edges
+    # {support h, 2 support h}, np.bincount sums the powers of
+    # v = d/(2 support h_max) in [0, 1] per bin, and the cumulative bin sums
+    # S_p(e) over d <= e give sum_{d <= e} c(d/h) = sum_p c_p (2 support
+    # h_max/h)^p S_p(e).  For support 1 the edges h and 2h are exact, so the
+    # bins hold the pairs of the tests fl(d/h) <= 1 and <= 2.
+    deg = max(len(c) for c in k.poly)
+    a, b = (np.pad(np.asarray(c, dtype=float), (0, deg - len(c))) for c in k.poly)
+    edges = np.concatenate((k.support * grid, 2.0 * k.support * grid))
+    order = np.sort(edges)
+    far = float(order[-1])
+    nb = edges.size
+    sums = np.zeros((deg, nb))
+    for d in _pair_blocks(x, far):
+        # one bin per chunk of _MOMENT_CHUNK pairs and edge: no float sum
+        # runs over more terms before the chunks are added
+        bins = np.arange(d.size) // _MOMENT_CHUNK
+        bins *= nb
+        bins += np.searchsorted(order, d)
+        size = nb * -(-d.size // _MOMENT_CHUNK)
+        v = np.divide(d, far, out=d)
+        vp = None
+        for p in range(deg):
+            vp = None if p == 0 else (v if p == 1 else vp * v)
+            if a[p] != 0.0 or b[p] != 0.0:
+                sums[p] += np.bincount(bins, vp, size).reshape(-1, nb).sum(axis=0)
+    at = np.cumsum(sums, axis=1)[:, np.searchsorted(order, edges, side="right") - 1]
+    scale = (far / grid) ** np.arange(deg)[:, None]
+    h = grid.size
+    out = np.sum(scale * (b[:, None] * at[:, h:] - 2.0 * a[:, None] * at[:, :h]), axis=0)
+    return out, int(sums[0].sum())
+
+
+def _moments_apply(k: KernelModel, grid: np.ndarray) -> bool:
+    # the moment sums need k.poly, and (2 support h_max/h)^p must stay far
+    # from overflow
+    if k.poly is None:
+        return False
+    deg = max(len(c) for c in k.poly) - 1
+    return deg * math.log2(2.0 * k.support * float(grid.max() / grid.min())) < 500.0
+
+
+def _pair_curve(x: np.ndarray, k: KernelModel,
+                grid: np.ndarray) -> Tuple[np.ndarray, int]:
+    # 2/(n(n-1) h) sum_{j<l} [(K*K)(d/h) - 2 K(d/h)] over the grid, by the
+    # moment sums where they apply, else per h; and the pairs evaluated
+    n = x.size
+    sums, pairs = (_moment_sums if _moments_apply(k, grid) else _per_h_sums)(x, k, grid)
+    return 2.0 * sums / (n * (n - 1.0) * grid), pairs
 
 
 def _ucv_curve(x: np.ndarray, k: KernelModel,
@@ -357,25 +432,40 @@ def _ucv_curve(x: np.ndarray, k: KernelModel,
     An operation is one evaluation of cos, sin, phi, K or K*K, or 16
     node-point products of a matrix product.  The transform route costs
     2 n (2 sqrt(panels) + 12) evaluations of cos and sin, 24 n per h more for
-    a band-limited phi, the phi evaluations, and n/16 per node; the pair
-    route two kernel evaluations per pair within the kernel's reach,
-    2 support h, summed over the grid.
+    a band-limited phi, the phi evaluations, and n/16 per node.  The pair
+    route sums (K*K)(d/h) - 2 K(d/h) over the pairs of the sorted sample
+    within the kernel's reach, d <= 2 support h, in one of two forms:
+
+    * moments (kernels with KernelModel.poly, epanechnikov and uniform):
+      each pair within 2 support h_max is evaluated once for the whole grid
+      and costs _MOMENT_OPS operations; the H edges add O(H degree).
+    * per h (every other kernel with a selfconv): two kernel evaluations
+      per pair within 2 support h, summed over the grid.
+
+    metadata["pairs"] counts the pairs evaluated: once each for the moment
+    form, once per h for the per-h form.
     """
     n = x.size
     plan = _transform_plan(x, k, grid)
     reach = 2.0 * k.support
-    pairs = _pair_count(x, grid, reach) if k.selfconv is not None else None
-    if plan is None and pairs is None:
+    moments = _moments_apply(k, grid)
+    if moments:
+        pair_ops = _MOMENT_OPS * _pair_count(x, reach * float(grid.max()))
+    elif k.selfconv is not None:
+        pair_ops = 2 * sum(_pair_count(x, reach * h) for h in grid)
+    else:
+        pair_ops = None
+    if plan is None and pair_ops is None:
         raise ValueError("kernel %r has neither a usable transform cutoff nor a "
                          "self-convolution" % (k.name,))
     meta = {"u_cut": None if plan is None else plan.u_cut,
             "panel_width": None if plan is None else plan.width}
-    if pairs is None or (plan is not None and plan.ops <= 2 * pairs):
+    if pair_ops is None or (plan is not None and plan.ops <= pair_ops):
         curve = _transform_curve(x, k, grid, plan)
         meta.update(route="transform", nodes=_NODES * (
             plan.panels + (grid.size if plan.band_limited else 0)))
     else:
-        curve = _pair_curve(x, k, grid, reach)
+        curve, pairs = _pair_curve(x, k, grid)
         meta.update(route="pairs", pairs=pairs)
     return curve + k.roughness / (n * grid), meta
 

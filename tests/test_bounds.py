@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -547,6 +548,27 @@ def test_amise_gates():
         bounds.amise_conventional(UNIFORM, GAUSS, 100)
     with pytest.raises(ValueError):
         bounds.amise_conventional(NORMAL, SINC, 100)
+
+
+def test_amise_roughness_resolved_without_warnings():
+    # R(p'') is recovered from h = (R(K)/mu2^2)^(1/5) R(p'')^(-1/5) n^(-1/5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        h, _ = bounds.amise_conventional(NORMAL, GAUSS, 100)
+        bounds.amise_conventional(
+            make_density("mixture", weights=(0.5, 0.5), means=(-1.5, 1.5),
+                         sigmas=(0.5, 0.5)), GAUSS, 100)
+    assert caught == []
+    rpp = GAUSS.roughness / GAUSS.mu2 ** 2 / (h * 100 ** 0.2) ** 5
+    assert abs(rpp - 3.0 / (8.0 * math.sqrt(math.pi))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_amise_unresolved_roughness_raises():
+    wild = dataclasses.replace(
+        NORMAL, pdf_deriv=lambda m, x: np.sin(1e3 / (np.abs(x) + 1e-9)))
+    with pytest.raises(ValueError, match="error estimate"):
+        bounds.amise_conventional(wild, GAUSS, 100)
 
 
 def test_mixture_bounds_applicable_and_dominant():

@@ -15,6 +15,7 @@ from cfkde.estimator import (
     default_grid,
     estimate_on_grid,
     kde_eval,
+    _sinc_plan,
     sinc_kde_fourier,
 )
 from cfkde.kernels import make_builtin
@@ -296,6 +297,22 @@ def test_sinc_estimate_routes_match_all_pairs(outlier, route):
     assert np.max(np.abs(est.ys - ref)) <= 1e-12 * np.max(np.abs(ref))
     # the repair keeps the provenance
     assert correct_to_density(est).metadata == est.metadata
+
+
+def test_sinc_pair_counts_two_operations():
+    # counted ops / (n M) = 1.23: a sinc pair costs about two counted
+    # transform operations, so the transform route is the cheaper one
+    values = np.random.default_rng(1).normal(size=1000)
+    values[0] = 30.0
+    s = as_sample(values)
+    k = make_builtin("sinc")
+    xs = default_grid(s, 0.3, 512)
+    plan = _sinc_plan(s.values, 0.3, xs)
+    assert 1.0 < plan.ops / (s.n * xs.size) < 2.0
+    est = estimate_on_grid(s, k, 0.3, n_points=512)
+    assert est.metadata["route"] == "transform"
+    ref = _all_pairs(values, k, 0.3, est.xs)
+    assert np.max(np.abs(est.ys - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_sinc_fourier_offset_data():

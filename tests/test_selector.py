@@ -221,7 +221,7 @@ def test_ucv_both_routes_match_oracle(name):
     ref = _pairwise_ucv(x, k, grid) - k.roughness / (x.size * grid)
     plan = selector._transform_plan(x, k, grid)
     _assert_matches(selector._transform_curve(x, k, grid, plan), ref)
-    _assert_matches(selector._pair_curve(x, k, grid, math.inf), ref)
+    _assert_matches(selector._pair_curve(x, k, grid)[0], ref)
 
 
 def test_ucv_custom_kernels_match_oracle():
@@ -254,6 +254,100 @@ def test_ucv_edge_samples_match_oracle(name):
         as_sample(np.append(rng.normal(size=60), 1e4)), k,
         h_grid=np.geomspace(0.05, 2.0, 30))
     assert outlier.metadata["route"] == "pairs"
+
+
+# the moment form of the pair route: each pair once for the whole grid
+
+COMPACT = ["epanechnikov", "uniform"]
+
+
+@pytest.mark.parametrize("name", COMPACT)
+def test_ucv_moment_route_matches_oracle(name):
+    k = make_builtin(name)
+    rng = np.random.default_rng(16)
+    x = _mixture_sample(300, 17)
+    res = _check_against_oracle(as_sample(x), k)
+    assert len(res.criterion_curve) == 60
+    assert res.metadata["route"] == "pairs"
+    # an unsorted grid with a duplicate h
+    grid = [0.4, 0.05, 0.9, 0.2, 0.4, 1.7, 0.11]
+    res = _check_against_oracle(as_sample(x), k, h_grid=grid)
+    assert [h for h, _ in res.criterion_curve] == grid
+    _check_against_oracle(as_sample([0.3, 1.7]), k)
+    _check_against_oracle(as_sample(0.5 * rng.integers(0, 6, size=90)), k)
+    with pytest.warns(UserWarning):
+        _check_against_oracle(as_sample([2.0] * 4), k, h_grid=[0.1, 0.4, 1.3])
+    _check_against_oracle(as_sample(1e6 + rng.normal(size=200)), k)
+    # a scale of 1e-150 reads as degenerate, so its grid is explicit
+    unit = rng.normal(size=200)
+    with pytest.warns(UserWarning):
+        res = _check_against_oracle(as_sample(1e-150 * unit), k,
+                                    h_grid=1e-150 * selector.default_h_grid(1.0, 200))
+    assert res.metadata["route"] == "pairs"
+    res = _check_against_oracle(as_sample(1e150 * unit), k)
+    assert res.metadata["route"] == "pairs"
+
+
+def test_ucv_wide_grid_sums_per_h():
+    # (2 h_max/h_min)^5 overflows on this grid, so the epanechnikov pairs
+    # are summed per h; the uniform kernel's degree 1 keeps the moments
+    x = _mixture_sample(50, 19)
+    grid = [1e-40, 0.3, 1e40]
+    d = np.abs(x[:, None] - x[None, :])[np.triu_indices(x.size, 1)]
+    res = _check_against_oracle(as_sample(x), make_builtin("epanechnikov"), h_grid=grid)
+    assert res.metadata["pairs"] == sum(np.count_nonzero(d <= 2.0 * h) for h in grid)
+    res = _check_against_oracle(as_sample(x), make_builtin("uniform"), h_grid=grid)
+    assert res.metadata["pairs"] == d.size
+
+
+@pytest.mark.parametrize("h", [0.3, 0.1875, 1.0 / 3.0, 1e-3 * math.pi])
+def test_ucv_moment_route_pair_edges(h):
+    # pairs at d = h and d = 2h and one ulp either side of each: the uniform
+    # K jumps at d = h, and the pair window ends at 2 h_max = 2h
+    k = make_builtin("uniform")
+    x = np.array([0.0, np.nextafter(h, 0.0), h, np.nextafter(h, 2.0 * h),
+                  np.nextafter(2.0 * h, 0.0), 2.0 * h, np.nextafter(2.0 * h, 3.0 * h)])
+    res = _check_against_oracle(as_sample(x), k, h_grid=[0.5 * h, h])
+    d = np.abs(x[:, None] - x[None, :])[np.triu_indices(x.size, 1)]
+    assert res.metadata["pairs"] == np.count_nonzero(d <= 2.0 * h) == 20
+
+
+@pytest.mark.parametrize("name", COMPACT)
+def test_kernel_poly_matches_eval_and_selfconv(name):
+    k = make_builtin(name)
+    k_coef, kk_coef = k.poly
+    u = np.linspace(0.0, k.support, 20001)
+    poly = np.polynomial.polynomial.polyval
+    assert np.max(np.abs(poly(u, k_coef) - k.eval(u))) <= 4 * np.spacing(1.0)
+    u = np.linspace(0.0, 2.0 * k.support, 40001)
+    assert np.max(np.abs(poly(u, kk_coef) - k.selfconv(u))) <= 4 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("name", COMPACT)
+def test_ucv_moment_route_skips_kernel_calls(name):
+    k = make_builtin(name)
+    calls = []
+
+    def counting(f):
+        def wrapped(u):
+            calls.append(np.size(u))
+            return f(u)
+        return wrapped
+
+    counted = dataclasses.replace(k, eval=counting(k.eval), selfconv=counting(k.selfconv))
+    x = _mixture_sample(400, 18)
+    res = selector.cv_bandwidth(as_sample(x), counted)
+    assert res.metadata["route"] == "pairs" and calls == []
+    h_max = max(h for h, _ in res.criterion_curve)
+    d = np.abs(x[:, None] - x[None, :])[np.triu_indices(x.size, 1)]
+    assert res.metadata["pairs"] == np.count_nonzero(d <= 2.0 * k.support * h_max)
+    # without the coefficients the route sums per h, with the same curve
+    per_h = selector.cv_bandwidth(as_sample(x), dataclasses.replace(counted, poly=None))
+    assert per_h.metadata["route"] == "pairs" and calls != []
+    assert per_h.metadata["pairs"] == sum(
+        np.count_nonzero(d <= 2.0 * k.support * h) for h, _ in res.criterion_curve)
+    _assert_matches([q for _, q in res.criterion_curve],
+                    np.array([q for _, q in per_h.criterion_curve]))
 
 
 def test_ucv_memory_is_flat_in_n():
