@@ -15,6 +15,10 @@ quantities the exact-risk and bound formulas need:
     cf_phases        (lo, hi): cf is a finite sum of exp(i a t) g(t) with
                      lo <= a <= hi and each g free of oscillation; sets the
                      width of the transform-side quadrature panels
+    tail_terms       (t0, ((c, a, p), ...)): cf(t) = sum c exp(i a t) t^(-p)
+                     exactly for t >= t0 (c complex, a real, p a positive
+                     integer), or None; lets the integrated risk take the
+                     transform's tail past a cutoff exactly (risk.exact_mise)
 
 Variation constants are computed at construction and stored at full
 precision; a constant that comes from a quadrature is stored as its value
@@ -76,6 +80,7 @@ class DensityModel:
     sampler: Optional[Callable]
     support_hint: Tuple[float, float]
     cf_phases: Tuple[float, float] = (0.0, 0.0)
+    tail_terms: Optional[Tuple[float, Tuple[Tuple[complex, float, int], ...]]] = None
 
 
 @dataclass(frozen=True)
@@ -533,6 +538,8 @@ def _make_uniform(a: float = 0.0, b: float = 1.0) -> DensityModel:
         sampler=sampler,
         support_hint=(a, b),
         cf_phases=(a, b),
+        # (exp(i b t) - exp(i a t)) / (i w t) for every t > 0
+        tail_terms=(0.0, ((1.0 / (1j * w), b, 1), (-1.0 / (1j * w), a, 1))),
     )
 
 

@@ -84,6 +84,12 @@ class KernelModel:
         [0, 2 support], lowest degree first.  The pair route of the UCV
         criterion then sums each pair once for the whole bandwidth grid
         (selector._ucv_curve).  None for every other kernel.
+    tail_terms : (u0, ((c, a, p), ...)) or None
+        phi(u) = sum c exp(i a u) u^(-p) exactly for u >= u0 (c complex, a
+        real, p a positive integer); set for epanechnikov and uniform, whose
+        transforms are trigonometric over powers.  With the density's own
+        terms it lets the integrated risk take the tail past a cutoff
+        exactly (risk.exact_mise).  None for every other kernel.
     """
 
     name: str
@@ -103,6 +109,7 @@ class KernelModel:
     support: float = math.inf
     reach: float = math.inf
     poly: Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]] = None
+    tail_terms: Optional[Tuple[float, Tuple[Tuple[complex, float, int], ...]]] = None
 
 
 def scaled_eval(kernel: KernelModel, h: float, x):
@@ -344,6 +351,9 @@ def make_builtin(name: str) -> KernelModel:
             reach=1.0,
             # 0.75 (1 - u^2); 3 (2 - u)^3 (u^2 + 6u + 4)/160
             poly=((0.75, 0.0, -0.75), (0.6, 0.0, -0.75, 0.375, 0.0, -3.0 / 160.0)),
+            # 3 sin u/u^3 - 3 cos u/u^2
+            tail_terms=(0.0, ((1.5 / 1j, 1.0, 3), (-1.5 / 1j, -1.0, 3),
+                              (-1.5, 1.0, 2), (-1.5, -1.0, 2))),
         )
     elif name == "uniform":
         model = KernelModel(
@@ -365,6 +375,8 @@ def make_builtin(name: str) -> KernelModel:
             reach=1.0,
             # 1/2; (2 - u)/4
             poly=((0.5,), (0.5, -0.25)),
+            # sin u/u
+            tail_terms=(0.0, ((0.5 / 1j, 1.0, 1), (-0.5 / 1j, -1.0, 1))),
         )
     elif name == "sinc":
         model = KernelModel(

@@ -18,7 +18,12 @@ closed-form tail (cf_sq_tail, cf_abs_tail) times the kernel's sup-tail
 bounds what is left to within RISK_RTOL of the integral's scale.  Where no
 affordable T meets that (a transform decaying only algebraically, for
 pointwise risk), the oscillatory tail past T is summed over half-periods
-and extrapolated.  Every report carries the accumulated numerical error,
+and extrapolated.  For the integrated risk, when the density and the
+kernel both carry ``tail_terms`` (their transforms are sums of
+c exp(i a t) t^-p past some t0: the uniform density, the uniform and
+Epanechnikov kernels), the tail past T is not bounded but integrated
+exactly, term by term, as c T^(1-p) E_p(-i a T), and T lies only a few
+periods past t0.  Every report carries the accumulated numerical error,
 the cutoff and the node count.  The sinc kernel's integrated risk is a
 closed form.
 """
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.special import digamma
 
 from .charfun import DensityModel, Sample
 from .estimator import kde_eval
@@ -217,6 +223,171 @@ def _sup_tail(kernel: KernelModel) -> Callable:
 
 
 # ---------------------------------------------------------------------------
+# exact oscillatory tails
+
+
+# E_p(-i y) comes from its power series up to |y| = _SERIES_REACH, where the
+# terms are at most e^2 times the value and _SERIES_TERMS of them leave less
+# than 1e-30; past it from the continued fraction, evaluated backward from
+# depth 16 + 320/|y|, where it has converged to within an ulp (checked
+# against mpmath for p <= 12 down to |y| = 1).
+_SERIES_REACH = 2.0
+_SERIES_TERMS = 36
+
+
+def _expint(p, y):
+    """E_p(-i y) = int_1^inf exp(i y s) s^(-p) ds, and a bound on its rounding.
+
+    p holds integers >= 1 and y reals, broadcast together.  y = 0 gives the
+    elementary 1/(p - 1) (divergent for p = 1, which raises); 0 < |y| <= 2
+    the power series, E_p(z) = (-z)^(p-1) (psi(p) - ln z)/(p-1)!
+    - sum_{k != p-1} (-z)^k / ((k - p + 1) k!), whose rounding is counted as
+    a few ulps of the sum of its terms' moduli; larger |y| the continued
+    fraction E_p(z) = e^-z / (z + p - p/(z + p + 2 - 2 (p + 1)/(z + p + 4 - ...)))
+    (DLMF 8.19.17, Numerical Recipes 6.3), correct to a few ulps.
+    """
+    p, y = np.broadcast_arrays(np.asarray(p, dtype=int), np.asarray(y, dtype=float))
+    p, y = p.ravel(), y.ravel()
+    value = np.empty(y.size, dtype=complex)
+    scale = np.empty(y.size)
+    zero = y == 0.0
+    if np.any(zero & (p == 1)):
+        raise ValueError("int_T^inf t^-1 dt diverges")
+    value[zero] = 1.0 / (p[zero] - 1.0)
+    scale[zero] = value[zero].real
+    small = ~zero & (np.abs(y) <= _SERIES_REACH)
+    if small.any():
+        n, ys = p[small], y[small]
+        z = -1j * ys
+        log_z = np.log(np.abs(ys)) - 0.5j * math.pi * np.sign(ys)
+        total = np.where(n > 1, 1.0 / np.maximum(n - 1.0, 1.0),
+                         -log_z - np.euler_gamma)
+        moduli = np.abs(total)
+        term = np.ones(z.size, dtype=complex)
+        for k in range(1, _SERIES_TERMS):
+            term = term * (-z / k)
+            at_pole = k == n - 1
+            piece = np.where(at_pole, term * (digamma(n) - log_z),
+                             -term / np.where(at_pole, 1.0, k - n + 1.0))
+            total = total + piece
+            moduli = moduli + np.abs(piece)
+        value[small] = total
+        scale[small] = moduli
+    big = ~zero & ~small
+    if big.any():
+        n, z = p[big].astype(float), -1j * y[big]
+        depth = 16 + math.ceil(320.0 / float(np.min(np.abs(y[big]))))
+        level = np.arange(depth + 1.0)[:, None]
+        partial_den = z + n + 2.0 * level
+        partial_num = -level * (n - 1.0 + level)
+        tail = partial_den[depth]
+        for i in range(depth, 0, -1):
+            tail = partial_den[i - 1] + partial_num[i] / tail
+        value[big] = np.exp(-z) / tail
+        scale[big] = np.abs(value[big])
+    return value, 16.0 * _EPS * scale
+
+
+class _Terms(NamedTuple):
+    """sum c exp(i a t) t^-p over the rows; slack bounds how far the
+    computed phase a is from the exact one (0 for a model's own terms)."""
+
+    c: np.ndarray
+    a: np.ndarray
+    p: np.ndarray
+    slack: np.ndarray
+
+
+def _terms(tail_terms) -> _Terms:
+    c, a, p = (np.array(v) for v in zip(*tail_terms[1]))
+    return _Terms(c.astype(complex), a.astype(float), p.astype(int), np.zeros(a.size))
+
+
+def _at_scale(x: _Terms, h: float) -> _Terms:
+    """A kernel's terms in t = u/h: c (h t)^-p exp(i a h t)."""
+    a = x.a * h
+    return _Terms(x.c * h ** -x.p.astype(float), a, x.p,
+                  x.slack * h + _EPS * np.abs(a))
+
+
+def _multiply(x: _Terms, y: _Terms) -> _Terms:
+    """Terms of the product of two term sums, equal (a, p) pairs merged."""
+    a = np.add.outer(x.a, y.a).ravel()
+    p = np.add.outer(x.p, y.p).ravel()
+    keys, index = np.unique(a + 1j * p, return_inverse=True)
+    c = np.zeros(keys.size, dtype=complex)
+    np.add.at(c, index, np.multiply.outer(x.c, y.c).ravel())
+    slack = np.zeros(keys.size)
+    np.maximum.at(slack, index, np.add.outer(x.slack, y.slack).ravel() + _EPS * np.abs(a))
+    return _Terms(c, keys.real, keys.imag.astype(int), slack)
+
+
+def _tail_sum(x: _Terms, T: float):
+    """Re sum int_T^inf c exp(i a t) t^-p dt, and a bound on its rounding.
+
+    Each integral is c T^(1-p) E_p(-i a T).  Besides the rounding of E_p
+    and of the products, y = a T may be off by dy = slack T + ulp(y); that
+    moves the integral by dy T^(1-p) |E_(p-1)(-i y)|, where
+    |E_q(-i y)| <= 2/|y| and, for q >= 2, <= 1/(q - 1).
+    """
+    y = x.a * T
+    e, e_err = _expint(x.p, y)
+    weight = x.c * T ** (1.0 - x.p.astype(float))
+    dy = x.slack * T + _EPS * np.abs(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.minimum(2.0 / np.abs(y),
+                           np.where(x.p >= 3, 1.0 / np.maximum(x.p - 2.0, 1.0), np.inf))
+        phase = np.where(dy > 0.0, dy * slope, 0.0)
+    rounding = np.abs(weight) * (e_err + 8.0 * _EPS * np.abs(e) + phase)
+    return float(np.sum(weight * e).real), float(rounding.sum())
+
+
+def _min_gap(phases) -> float:
+    gaps = np.abs(np.subtract.outer(phases, phases))
+    gaps = gaps[gaps > 0.0]
+    return float(gaps.min()) if gaps.size else math.inf
+
+
+def _tail_cutoff(density: DensityModel, kernel: KernelModel, h_min: float):
+    """Cutoff T for the exact tails: two periods of the slowest oscillation
+    of the terms past where both expansions hold, so no term's integral is
+    much larger than the tail it sums to.  None when the models carry no
+    terms or nothing oscillates."""
+    if density.tail_terms is None or kernel.tail_terms is None:
+        return None
+    (t0, d_terms), (u0, k_terms) = density.tail_terms, kernel.tail_terms
+    slow = min(_min_gap([a for _, a, _ in d_terms]),
+               h_min * _min_gap([a for _, a, _ in k_terms]))
+    if not math.isfinite(slow):
+        return None
+    return max(float(t0), float(u0) / h_min) + 4.0 * math.pi / slow
+
+
+def _exact_tails(density: DensityModel, kernel: KernelModel, hs, T: float,
+                 variance: bool) -> np.ndarray:
+    """int_T^inf |f|^2 (1 - phi(ht))^2 dt and int_T^inf |f|^2 phi(ht)^2 dt
+    for every h, each with a bound on its rounding: rows (bias, bias
+    rounding, variance, variance rounding).
+
+    With F the density's terms and P the kernel's at h, the integrands
+    F F* (1 - P)^2 and F F* P^2 are finite sums of c exp(i a t) t^-p, each
+    integrated exactly (``_tail_sum``).
+    """
+    f = _terms(density.tail_terms)
+    mod2 = _multiply(f, f._replace(c=np.conj(f.c), a=-f.a))
+    k = kernel.tail_terms
+    one_minus = _terms((k[0], ((1.0, 0.0, 0),) + tuple((-c, a, p) for c, a, p in k[1])))
+    factors = [_multiply(one_minus, one_minus)]
+    if variance:
+        factors.append(_multiply(_terms(k), _terms(k)))
+    out = np.zeros((4, hs.size))
+    for i, h in enumerate(hs):
+        for j, factor in enumerate(factors):
+            out[2 * j:2 * j + 2, i] = _tail_sum(_multiply(mod2, _at_scale(factor, h)), T)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # integrated risk
 
 
@@ -236,10 +407,15 @@ def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
                   variance: bool = True) -> _SqIntegrals:
     """Both |f|^2-damped integrals of the MISE, for every h in one pass.
 
-    Beyond the cutoff T the kernel factor is at most s = sup_{|u| >= hT}
-    |phi(u)|, so the bias tail lies in [tau (1-s)^2, tau (1+s)^2] and the
-    variance tail in [0, tau s^2], with tau = cf_sq_tail(T): the midpoints
-    are added and the half-widths counted as error.
+    When both models carry tail terms, the tails past T are exact
+    (``_exact_tails``) and T only has to clear a few periods; that T grows
+    like 1/h_min, and past the work budget (h_min below about 3e-5 times
+    the density's scale for the uniform one) the certified T is used.
+    Otherwise T is certified: beyond it the kernel factor is at most
+    s = sup_{|u| >= hT} |phi(u)|, so the bias tail lies in
+    [tau (1-s)^2, tau (1+s)^2] and the variance tail in [0, tau s^2], with
+    tau = cf_sq_tail(T): the midpoints are added and the half-widths
+    counted as error.
     """
     hs = np.atleast_1d(np.asarray(hs, dtype=float))
     total = float(density.cf_sq_integral)
@@ -253,15 +429,18 @@ def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
     parts = 2 if variance else 1
     tol = RISK_RTOL * total
     sup_tail = _sup_tail(kernel)
+    h_min = float(hs.min())
     if density.cf_cutoff is not None:
-        T = float(density.cf_cutoff)
+        T, exact = float(density.cf_cutoff), False
     else:
-        h_min = float(hs.min())
-        T = certified_cutoff(
-            lambda c: 2.0 * float(density.cf_sq_tail(c)) * float(sup_tail(h_min * c)),
-            0.5 * tol, start=0.0625, limit=_cutoff_limit(omega, parts * hs.size))
-    tau = float(density.cf_sq_tail(T))
-    s = sup_tail(hs * T) * np.ones(hs.size)
+        # exact tails while their T fits the work budget, else a certified T
+        limit = _cutoff_limit(omega, parts * hs.size)
+        T = _tail_cutoff(density, kernel, h_min)
+        exact = T is not None and T <= limit
+        if not exact:
+            T = certified_cutoff(
+                lambda c: 2.0 * float(density.cf_sq_tail(c)) * float(sup_tail(h_min * c)),
+                0.5 * tol, start=0.0625, limit=limit)
 
     def integrand(t):
         ft = density.cf(t)
@@ -277,13 +456,22 @@ def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
                                             _decay_breaks(density.cf_sq_tail, T)),
                      tols)
     k = hs.size
+    var, var_error = zeros, zeros
+    if exact:
+        tail = _exact_tails(density, kernel, hs, T, variance)
+        bias = 2.0 * (q.value[:k] + tail[0])
+        bias_error = 2.0 * (q.error[:k] + tail[1])
+        if variance:
+            var = 2.0 * (q.value[k:] + tail[2])
+            var_error = 2.0 * (q.error[k:] + tail[3])
+        return _SqIntegrals(bias, bias_error, var, var_error, zeros, T, q.nodes)
+    tau = float(density.cf_sq_tail(T))
+    s = sup_tail(hs * T) * np.ones(hs.size)
     bias = 2.0 * q.value[:k] + tau * (1.0 + s * s)
     bias_error = 2.0 * q.error[:k] + 2.0 * tau * s
     if variance:
         var = 2.0 * q.value[k:] + 0.5 * tau * s * s
         var_error = 2.0 * q.error[k:] + 0.5 * tau * s * s
-    else:
-        var, var_error = zeros, zeros
     return _SqIntegrals(bias, bias_error, var, var_error, 2.0 * tau * s, T,
                         q.nodes)
 

@@ -41,6 +41,8 @@ __all__ = [
     "default_h_grid",
 ]
 
+# A sample whose standard deviation is at most this share of max |x| is
+# degenerate: its spread is rounding.
 _DEGENERATE_SCALE = 1e-12
 # Largest sup |phi| the transform route of the UCV criterion leaves out
 # past its cutoff u_cut.
@@ -56,6 +58,8 @@ _MOMENT_OPS = 2
 _MOMENT_CHUNK = 1 << 10
 _X12, _W12 = np.polynomial.legendre.leggauss(12)
 _NODES = _X12.size
+# Most panels a transform plan may count: its per-h counts are int64.
+_MAX_PANELS = float(np.iinfo(np.int64).max // _NODES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,6 +281,8 @@ def _transform_plan(x: np.ndarray, k: KernelModel,
     # most a quarter of phi's range at the largest h, up to u_cut/h_min.
     # Each h takes the whole panels that reach u_cut/h; when phi is
     # band-limited, those below it and one partial panel that ends there.
+    # None when there is no cutoff, or when a grid spanning many decades
+    # needs more panels than an int64 counts.
     try:
         u_cut, band_limited = _phi_cutoff(k)
     except ValueError:
@@ -285,7 +291,10 @@ def _transform_plan(x: np.ndarray, k: KernelModel,
     span = float(x[-1] - x[0])
     if span > 0.0:
         width = min(width, 2.0 * math.pi / span)
-    panels = math.ceil(u_cut / (float(grid.min()) * width))
+    panels = u_cut / (float(grid.min()) * width)
+    if not panels < _MAX_PANELS:
+        return None
+    panels = math.ceil(panels)
     stops = u_cut / (grid * width)
     full = np.floor(stops) if band_limited else np.ceil(stops)
     full = np.minimum(full, panels).astype(int)
@@ -456,8 +465,8 @@ def _ucv_curve(x: np.ndarray, k: KernelModel,
     else:
         pair_ops = None
     if plan is None and pair_ops is None:
-        raise ValueError("kernel %r has neither a usable transform cutoff nor a "
-                         "self-convolution" % (k.name,))
+        raise ValueError("kernel %r has neither a transform plan for this grid "
+                         "nor a self-convolution" % (k.name,))
     meta = {"u_cut": None if plan is None else plan.u_cut,
             "panel_width": None if plan is None else plan.width}
     if pair_ops is None or (plan is not None and plan.ops <= pair_ops):
@@ -473,10 +482,10 @@ def _ucv_curve(x: np.ndarray, k: KernelModel,
 def _parametric_curve(sigma: float, k: KernelModel, grid: np.ndarray,
                       n: int) -> np.ndarray:
     # plug-in model for the squared transform modulus: exp(-sigma^2 t^2);
-    # the integrated squared bias of every h comes from one quadrature pass
-    model = make_density("normal", sigma=sigma)
-    bias = _sq_integrals(model, k, grid, variance=False).bias
-    return bias / (2.0 * math.pi) + k.roughness / (n * grid)
+    # the integrated squared bias of every h comes from one quadrature pass,
+    # at unit scale (t -> t/sigma), so any positive sigma is representable
+    bias = _sq_integrals(make_density("normal"), k, grid / sigma, variance=False).bias
+    return bias / (2.0 * math.pi * sigma) + k.roughness / (n * grid)
 
 
 def cv_bandwidth(s: Sample, k: KernelModel,
@@ -518,7 +527,8 @@ def cv_bandwidth(s: Sample, k: KernelModel,
         raise ValueError("unbiased criterion needs at least two points")
     values = np.sort(np.asarray(s.values, dtype=float))
     sigma = s.std() if n >= 2 else 0.0
-    degenerate = not sigma > _DEGENERATE_SCALE
+    scale_floor = _DEGENERATE_SCALE * max(abs(values[0]), abs(values[-1]))
+    degenerate = not sigma > scale_floor
 
     if h_grid is None:
         if degenerate:
@@ -540,7 +550,7 @@ def cv_bandwidth(s: Sample, k: KernelModel,
         method = "ucv"
     else:
         scale = sigma if sigma_hat is None else float(sigma_hat)
-        if not scale > _DEGENERATE_SCALE:
+        if not scale > scale_floor:
             raise ValueError("parametric model needs a positive scale")
         curve = _parametric_curve(scale, k, grid, n)
         method = "cv_parametric"

@@ -11,6 +11,9 @@ from scipy.special import erfc, erfcx, ndtr
 from cfkde.charfun import make_density
 from cfkde.kernels import make_builtin
 from cfkde.risk import (
+    RISK_RTOL,
+    _WORK,
+    _expint,
     exact_bias,
     exact_mise,
     exact_mse,
@@ -240,19 +243,19 @@ def _components(name):
     return tuple(zip(p["weights"], p["means"], p["sigmas"]))
 
 
-def _pdf(name, x):
+def _pdf(name, x, width=1.0):
     if name == "uniform":
-        return np.where((x >= 0.0) & (x <= 1.0), 1.0, 0.0)
+        return np.where((x >= 0.0) & (x <= width), 1.0 / width, 0.0)
     if name == "laplace":
         return 0.5 * np.exp(-np.abs(x))
     return sum(w * np.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
                for w, m, s in _components(name))
 
 
-def _smoothed(name, kname, h, x):
+def _smoothed(name, kname, h, x, width=1.0):
     """(K_h * p)(x): closed forms, else Gauss-Legendre in u split at kinks."""
     if name == "uniform":
-        return _kernel_cdf(kname, x / h) - _kernel_cdf(kname, (x - 1.0) / h)
+        return (_kernel_cdf(kname, x / h) - _kernel_cdf(kname, (x - width) / h)) / width
     if kname == "gaussian" and name == "laplace":
         # 1/4 e^{h^2/2} [e^{-x} erfc(z(x)) + e^{x} erfc(z(-x))], z(y) = (h - y/h)/sqrt 2
         def term(y):
@@ -276,17 +279,18 @@ def _smoothed(name, kname, h, x):
     return total
 
 
-def _x_space_mise(name, kname, h, n):
+def _x_space_mise(name, kname, h, n, width=1.0):
     """int (K_h*p - p)^2 + (R(K)/h - int (K_h*p)^2)/n on x-space panels.
 
     Panels are at most 0.5 wide, with edges at the target's kinks and at
-    kink +- f h, so every piece of the integrand is smooth.
+    kink +- f h, so every piece of the integrand is smooth.  width is that
+    of the uniform target, uniform[0, width].
     """
     reach = 12.0 * h if kname == "gaussian" else h
     lo, hi = {"normal": (-12.0, 12.0), "mixture": (-8.0, 8.0),
-              "uniform": (0.0, 1.0), "laplace": (-36.0, 36.0)}[name]
+              "uniform": (0.0, width), "laplace": (-36.0, 36.0)}[name]
     breaks = {lo - reach, hi + reach}
-    for k in {"uniform": (0.0, 1.0), "laplace": (0.0,)}.get(name, ()):
+    for k in {"uniform": (0.0, width), "laplace": (0.0,)}.get(name, ()):
         breaks.update(k + s * f * h for f in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
                       for s in (-1.0, 0.0, 1.0))
     breaks = sorted(b for b in breaks if lo - reach <= b <= hi + reach)
@@ -298,9 +302,9 @@ def _x_space_mise(name, kname, h, n):
         xs.append((mid[:, None] + half[:, None] * nodes).ravel())
         ws.append(np.outer(half, weights).ravel())
     x, w = np.concatenate(xs), np.concatenate(ws)
-    s = _smoothed(name, kname, h, x)
-    return float(w @ (s - _pdf(name, x)) ** 2) + (ROUGHNESS[kname] / h
-                                                   - float(w @ (s * s))) / n
+    s = _smoothed(name, kname, h, x, width)
+    return float(w @ (s - _pdf(name, x, width)) ** 2) + (ROUGHNESS[kname] / h
+                                                          - float(w @ (s * s))) / n
 
 
 def _series(u, terms):
@@ -338,30 +342,111 @@ def _fejer_mise(kname, h, n):
     return bias + (ROUGHNESS[kname] / h - head) / n
 
 
-def _reference_mise(name, kname, h, n):
+def _reference_mise(name, kname, h, n, width=1.0):
     if name == "fejer":
         return _fejer_mise(kname, h, n)
-    return _x_space_mise(name, kname, h, n)
+    return _x_space_mise(name, kname, h, n, width)
 
 
-def _model(name):
+def _model(name, width=1.0):
+    if name == "uniform":
+        return make_density(name, a=0.0, b=width)
     return make_density(name, **(MIXTURE_PARAMS if name == "mixture" else {}))
 
 
 # three decades of bandwidth, on the lattice 10^(k/10)
 CROSS_H = (10.0 ** -1.9, 10.0 ** -0.9, 10.0 ** 0.1)
+# uniform[0, w] widths, each against every kernel
+UNIFORM_WIDTHS = (1.0, 0.4, 2.5)
+# cells whose transform tails past the cutoff are integrated exactly
+EXACT_TAILS = (("uniform", "epanechnikov"), ("uniform", "uniform"))
 
 
 @pytest.mark.parametrize("kname", ("gaussian", "epanechnikov", "uniform"))
 @pytest.mark.parametrize("name", ("normal", "mixture", "uniform", "laplace", "fejer"))
 def test_exact_mise_cross_check_matrix(name, kname):
-    density, kernel = _model(name), make_builtin(kname)
-    for h in CROSS_H:
+    kernel = make_builtin(kname)
+    for width in (UNIFORM_WIDTHS if name == "uniform" else (1.0,)):
+        density = _model(name, width)
+        for h in CROSS_H:
+            rep = exact_mise(density, kernel, h, 100)
+            ref = _reference_mise(name, kname, h, 100, width)
+            if (name, kname) in EXACT_TAILS:
+                assert not rep.degraded and rep.nodes <= 50_000, (width, h, rep)
+                assert abs(rep.value - ref) <= rep.quad_error + 1e-13, (width, h, rep, ref)
+            else:
+                assert rep.degraded or abs(rep.value - ref) <= rep.quad_error + 1e-12, (
+                    width, h, rep, ref)
+            assert rep.cutoff > 0.0 and rep.nodes > 0
+
+
+@pytest.mark.parametrize("kname", ("epanechnikov", "uniform"))
+def test_exact_tails_over_the_bandwidth_lattice(kname):
+    # every lattice h in [0.01, 10]: cheap, certified to RISK_RTOL of the
+    # integral's scale (int |f|^2/(2 pi) = 1 for uniform[0, 1]), and right
+    density, kernel = make_density("uniform"), make_builtin(kname)
+    for k in range(-20, 11):
+        h = 10.0 ** (k / 10.0)
         rep = exact_mise(density, kernel, h, 100)
-        ref = _reference_mise(name, kname, h, 100)
-        assert rep.degraded or abs(rep.value - ref) <= rep.quad_error + 1e-12, (
-            h, rep, ref)
-        assert rep.cutoff > 0.0 and rep.nodes > 0
+        ref = _reference_mise("uniform", kname, h, 100)
+        assert rep.nodes <= 50_000 and not rep.degraded, (h, rep)
+        assert rep.quad_error <= RISK_RTOL * density.cf_sq_integral / (2.0 * math.pi)
+        assert abs(rep.value - ref) <= rep.quad_error + 1e-13, (h, rep, ref)
+
+
+def test_exact_tails_keep_the_work_budget():
+    # the exact tails' T grows like 1/h: at h = 1e-5 it would need 3.6M
+    # nodes, so the certified cutoff takes over within the budget
+    d, k = make_density("uniform"), make_builtin("epanechnikov")
+    rep = exact_mise(d, k, 1e-5, 100)
+    assert 2 * rep.nodes <= _WORK and rep.cutoff < 2.0 * math.pi / 1e-5
+    assert abs(rep.value - _reference_mise("uniform", "epanechnikov", 1e-5, 100)) <= rep.quad_error
+    rep = exact_mise(d, k, 1e-4, 100)
+    assert rep.cutoff == pytest.approx(2.0 * math.pi / 1e-4) and not rep.degraded
+
+
+@pytest.mark.parametrize("kname", ("epanechnikov", "uniform"))
+@pytest.mark.parametrize("h", (0.5, 0.5 * (1.0 + 1e-9), 0.5 * (1.0 - 1e-9)))
+def test_exact_tails_near_cancelling_frequencies(kname, h):
+    # uniform[0, 1] at h = 0.5 makes the phase 1 - 2h of |f|^2 phi^2 exactly
+    # 0 (the elementary E_p(0)); a hair either side it is about 1e-9, where
+    # E_p comes from its power series
+    rep = exact_mise(make_density("uniform"), make_builtin(kname), h, 100)
+    ref = _reference_mise("uniform", kname, h, 100)
+    assert not rep.degraded
+    assert abs(rep.value - ref) <= rep.quad_error + 1e-13, (rep, ref)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_expint_matches_mpmath(p):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for y in (0.0, 1e-12, 1e-3, 0.5, 2.0, 30.0, 1e4):
+        if p == 1 and y == 0.0:
+            continue
+        for sign in (1.0, -1.0):
+            value, rounding = _expint(p, sign * y)
+            exact = complex(mpmath.expint(p, mpmath.mpc(0.0, -sign * y)))
+            assert abs(value[0] - exact) <= rounding[0], (p, sign * y)
+            assert abs(value[0] - exact) <= 1e-14 * abs(exact), (p, sign * y)
+    with pytest.raises(ValueError):
+        _expint(1, 0.0)
+
+
+@pytest.mark.parametrize("model", [
+    make_density("uniform"), make_density("uniform", a=-0.5, b=2.0),
+    make_builtin("epanechnikov"), make_builtin("uniform")], ids=lambda m: m.name)
+def test_tail_terms_reproduce_the_transform(model):
+    # the sum is compared in units of the terms' moduli, the scale of its
+    # rounding (the transform itself crosses zero); both sides also round the
+    # phase a t, by about an ulp of it each
+    t0, terms = model.tail_terms
+    t = t0 + np.logspace(-2.0, 4.0, 2001)
+    pieces = np.array([c * np.exp(1j * a * t) * t ** -float(p) for c, a, p in terms])
+    total = pieces.sum(axis=0)
+    phase = 2.2e-16 * max(abs(a) for _, a, _ in terms) * t
+    assert np.all(np.abs(total - model.cf(t))
+                  <= (1e-15 + 2.0 * phase) * np.abs(pieces).sum(axis=0))
 
 
 def test_uniform_uniform_mise_pinned():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -278,9 +279,10 @@ def test_ucv_moment_route_matches_oracle(name):
     with pytest.warns(UserWarning):
         _check_against_oracle(as_sample([2.0] * 4), k, h_grid=[0.1, 0.4, 1.3])
     _check_against_oracle(as_sample(1e6 + rng.normal(size=200)), k)
-    # a scale of 1e-150 reads as degenerate, so its grid is explicit
+    # a scale of 1e-150 is a spread like any other, relative to max |x|
     unit = rng.normal(size=200)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = _check_against_oracle(as_sample(1e-150 * unit), k,
                                     h_grid=1e-150 * selector.default_h_grid(1.0, 200))
     assert res.metadata["route"] == "pairs"
@@ -288,16 +290,24 @@ def test_ucv_moment_route_matches_oracle(name):
     assert res.metadata["route"] == "pairs"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ucv_wide_grid_sums_per_h():
     # (2 h_max/h_min)^5 overflows on this grid, so the epanechnikov pairs
-    # are summed per h; the uniform kernel's degree 1 keeps the moments
+    # are summed per h; the uniform kernel's degree 1 keeps the moments.
+    # The transform route would need about 1e82 panels: it has no plan
     x = _mixture_sample(50, 19)
     grid = [1e-40, 0.3, 1e40]
+    assert selector._transform_plan(np.sort(x), make_builtin("epanechnikov"),
+                                    np.array(grid)) is None
     d = np.abs(x[:, None] - x[None, :])[np.triu_indices(x.size, 1)]
     res = _check_against_oracle(as_sample(x), make_builtin("epanechnikov"), h_grid=grid)
     assert res.metadata["pairs"] == sum(np.count_nonzero(d <= 2.0 * h) for h in grid)
     res = _check_against_oracle(as_sample(x), make_builtin("uniform"), h_grid=grid)
     assert res.metadata["pairs"] == d.size
+    # with neither route usable the grid is refused
+    generic = dataclasses.replace(GAUSS, selfconv=None)
+    with pytest.raises(ValueError, match="transform plan"):
+        selector.cv_bandwidth(as_sample(x), generic, h_grid=grid)
 
 
 @pytest.mark.parametrize("h", [0.3, 0.1875, 1.0 / 3.0, 1e-3 * math.pi])
@@ -383,6 +393,22 @@ def test_cv_degenerate_sample_paths():
     with pytest.raises(ValueError):
         selector.cv_bandwidth(s, GAUSS, h_grid=[0.1, 0.5],
                               q_estimator="parametric")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["gaussian", "epanechnikov"])
+def test_ucv_tiny_scale_is_not_degenerate(name):
+    # degeneracy is judged against max |x|: a normal sample scaled by 1e-150
+    # gets the unscaled sample's choice, scaled, from its own default grid
+    k = make_builtin(name)
+    x = np.random.default_rng(21).normal(size=200)
+    res = selector.cv_bandwidth(as_sample(x), k)
+    tiny = selector.cv_bandwidth(as_sample(1e-150 * x), k)
+    assert tiny.h == pytest.approx(1e-150 * res.h, rel=1e-12)
+    # the parametric plug-in is computed at unit scale, so it scales too
+    res = selector.cv_bandwidth(as_sample(x), k, q_estimator="parametric")
+    tiny = selector.cv_bandwidth(as_sample(1e-150 * x), k, q_estimator="parametric")
+    assert tiny.h == pytest.approx(1e-150 * res.h, rel=1e-12)
 
 
 def test_cv_validation():
