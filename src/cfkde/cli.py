@@ -9,6 +9,7 @@ written atomically. Exit codes: 0 success, 2 usage or configuration error,
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -86,7 +87,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="print the resolved configuration and exit")
 
 
+@functools.cache
 def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    # built once per process: parse_args keeps no state in the parsers
     parser = argparse.ArgumentParser(
         prog="cfkde",
         description="Kernel density estimation with exact transform-side "
@@ -282,22 +285,28 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_sample(path: str):
-    values = []
+    # the first CSV column; blank cells are skipped, and a non-numeric cell
+    # is tolerated only on line 1, as a header
     with open(path) as fh:
-        for i, line in enumerate(fh):
-            cell = line.strip().split(",")[0].strip()
-            if not cell:
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if i == 0:
-                    continue  # tolerate a single header line
-                raise ValueError(
-                    "non-numeric value %r on line %d of %s" % (cell, i + 1, path)
-                )
-    if not values:
+        cells = [line.split(",", 1)[0].strip() for line in fh]
+    if cells and not _is_number(cells[0]):
+        cells[0] = ""
+    try:
+        values = np.array([c for c in cells if c], dtype=float)
+    except ValueError:
+        i = next(i for i, c in enumerate(cells) if c and not _is_number(c))
+        raise ValueError("non-numeric value %r on line %d of %s"
+                         % (cells[i], i + 1, path)) from None
+    if not values.size:
         raise ValueError("no data in %s" % path)
     return as_sample(values)
 

@@ -4,16 +4,12 @@ The estimate at x is the average of scaled kernels centered at the data,
 f_h(x) = (n h)^(-1) sum_j K((x - X_j)/h).  It is computed by one of two
 exact routes:
 
-* pairs (kde_eval): each point sums only the data inside the kernel's reach,
-  |x - X_j| <= reach h with reach = KernelModel.reach, found by two binary
-  searches in the sorted sample.  The reach is the support of a compact
-  kernel (the window is widened by a few ulps, so the sum is the all-pairs
-  sum), sqrt(106 ln 2) ~ 8.572 for the gaussian (the terms left out move the
-  estimate by at most 2^-53 K(0)/h) and inf for the sinc kernel and for
-  kernel_from_functions kernels, where it is the all-pairs sum.  The pairs
-  are evaluated in blocks of at most _BLOCK, so memory stays flat; time is
-  O(M log n + pairs), pairs being the data within reach summed over the M
-  points.
+* pairs (kde_eval): each point sums only the data within the kernel's reach,
+  |x - X_j| <= KernelModel.reach * h: the all-pairs sum for a compact kernel
+  (whose window is widened by a few ulps) and for an infinite reach, within
+  2^-53 K(0)/h of it for the gaussian.  The points are sorted once and the
+  data summed over their runs of points in cache-sized dense blocks; time is
+  O(M log M + M log n + n + pairs), memory O(n + M).
 * transform (sinc_kde_fourier, sinc kernel only): the estimate's transform
   is the empirical characteristic function cut off at 1/h, so the curve is
   (1/pi) int_0^{1/h} Re[exp(-i t x) f_n(t)] dt on 12-node Gauss-Legendre
@@ -56,10 +52,10 @@ __all__ = [
 _MASS_TOL = 1e-9
 # Pairs per block of the reach sum, and (x, t) pairs per block of the
 # transform route's curve, which keeps memory flat in n and M.
-_BLOCK = 1 << 18
+_BLOCK = 1 << 15
 _X12, _W12 = np.polynomial.legendre.leggauss(12)
-# Counted operations per sinc pair: np.sinc is a sine, a product and a
-# division, about 41 ns against 17-24 ns per counted transform operation.
+# Counted operations per sinc pair: where the routes cost about the same, a
+# pair takes 1.6-1.8 counted transform operations (22-33 ns against 16-20).
 _SINC_PAIR_OPS = 2
 
 
@@ -133,34 +129,38 @@ def _window(data: np.ndarray, reach: float, x: np.ndarray) -> Tuple[np.ndarray, 
 def kde_eval(sample: Sample, kernel: KernelModel, h: float, x):
     """Evaluate the estimate at the points x by summing the data within reach.
 
-    Each point sums K((x - X_j)/h) over the data of the sorted sample with
-    |x - X_j| <= kernel.reach * h (all of them when the reach is inf), in
-    blocks of at most _BLOCK pairs.  Returns a float for scalar x, an
-    ndarray otherwise.
+    Each point sums K((x - X_j)/h) over the data within kernel.reach * h of
+    it (all when the reach is inf), datum by datum over the sorted points in
+    blocks of at most _BLOCK pairs.  Returns a float for scalar x, else an array.
     """
     _check_h(h)
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    data = sample.values
-    lo, hi = _window(data, kernel.reach * h, x_arr)
-    # pair p of point i is datum lo[i] + p - starts[i]
-    starts = np.concatenate(([0], np.cumsum(hi - lo)))
-    shift = lo - starts[:-1]
-    total = int(starts[-1])
-    out = np.zeros(x_arr.size)
-    for p0 in range(0, total, _BLOCK):
-        p1 = min(p0 + _BLOCK, total)
-        r0 = int(np.searchsorted(starts, p0, side="right")) - 1
-        r1 = int(np.searchsorted(starts, p1, side="left"))
-        counts = (np.minimum(starts[r0 + 1:r1 + 1], p1)
-                  - np.maximum(starts[r0:r1], p0))
-        rows = np.repeat(np.arange(r1 - r0), counts)
-        idx = np.arange(p0, p1) + np.repeat(shift[r0:r1], counts)
-        vals = kernel.eval((x_arr[r0:r1][rows] - data[idx]) / h)
-        out[r0:r1] += np.bincount(rows, weights=vals, minlength=r1 - r0)
-    out /= data.size * h
-    # a NaN point has an empty window; its estimate stays undefined
-    out[np.isnan(x_arr)] = np.nan
+    order = np.argsort(x_arr, kind="stable")
+    pts = x_arr[order]
+    # point i sums values[plo[i]:phi[i]]; both rise with i, so only values[a:b]
+    # reach a point, and datum j of data = values[a:b] meets pts[lo[j]:hi[j]]
+    plo, phi = _window(sample.values, kernel.reach * h, pts)
+    a, b = (int(plo[0]), int(phi[-1])) if pts.size else (0, 0)
+    data, steps = sample.values[a:b], np.arange(pts.size + 1)
+    lo, hi = (np.repeat(steps, np.diff(np.concatenate(([a], e, [b])))) for e in (phi, plo))
+    count, acc, r0, end = hi - lo, np.zeros(pts.size), 0, b - a
+    while r0 < end:
+        # data r0:r1 times their longest run, <= _BLOCK pairs; shorter runs are padded with
+        # points beyond reach (K < 2^-53 K(0) there), a longer run is split into chunks
+        widest = np.maximum.accumulate(count[r0:r0 + 1 + _BLOCK // max(1, int(count[r0]))])
+        r1 = r0 + max(1, int(np.sum(widest * np.arange(1, widest.size + 1) <= _BLOCK)))
+        width = int(widest[r1 - r0 - 1])
+        start = np.minimum(lo[r0:r1], pts.size - width)
+        for c0 in range(start[0], start[0] + width, _BLOCK):
+            cols = (start - start[0])[:, None] + steps[:min(_BLOCK, start[0] + width - c0)]
+            u = (pts[c0:][cols] - data[r0:r1, None]) / h
+            part = np.bincount(cols.ravel(), weights=kernel.eval(u).ravel())
+            acc[c0:c0 + part.size] += part
+        r0 = r1
+    out = np.empty(x_arr.size)
+    out[order] = acc / (sample.n * h)
+    out[np.isnan(x_arr)] = np.nan  # undefined at a NaN point
     return float(out[0]) if scalar else out
 
 

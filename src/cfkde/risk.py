@@ -508,8 +508,11 @@ def exact_mise(density: DensityModel, kernel: KernelModel, h: float,
         raise ValueError("n must be at least 1")
     r = _sq_integrals(density, kernel, h)
     two_pi = 2.0 * math.pi
-    value = float(r.bias[0] / two_pi + (kernel.roughness / h - r.var[0] / two_pi) / n)
-    quad_error = float((r.bias_error[0] + r.var_error[0] / n) / two_pi)
+    bias, rough, var = r.bias[0] / two_pi, kernel.roughness / h, r.var[0] / two_pi
+    value = float(bias + (rough - var) / n)
+    # the combination's own rounding: a few ulps of the terms it combines
+    quad_error = float((r.bias_error[0] + r.var_error[0] / n) / two_pi
+                       + 4.0 * _EPS * (abs(bias) + (rough + abs(var)) / n))
     return RiskReport(value=value, quad_error=quad_error,
                       truncation=float(r.truncation[0]) / two_pi,
                       degraded=bool(_degraded(value, quad_error)),

@@ -4,11 +4,12 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from cfkde.cli import main
+from cfkde.cli import _read_sample, build_parser, main
 
 
 def _write_sample(path, values):
@@ -387,3 +388,80 @@ def test_output_dir_env_default(tmp_path, monkeypatch):
     rc = main(["risk", "--density", "normal", "--h-grid", "0.5", "--n", "10"])
     assert rc == 0
     assert os.path.exists(str(tmp_path / "risk.csv"))
+
+
+def _dump(capsys, argv):
+    assert main(argv + ["--dump-config"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_parser_built_once_and_calls_stay_independent(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": "epanechnikov", "h": 0.7, "grid_size": 64}))
+    risk = ["risk", "--density", "normal", "--h-grid", "0.5", "--n", "10"]
+    first = _dump(capsys, risk + ["--param", "mu=1", "--param", "sigma=2", "--kernel", "uniform"])
+    assert first["density_params"] == {"mu": 1.0, "sigma": 2.0}
+    assert first["kernel"] == "uniform"
+    from_cfg = _dump(capsys, ["estimate", "--input", "x.csv", "--config", str(cfg)])
+    assert (from_cfg["kernel"], from_cfg["h"], from_cfg["grid_size"]) == ("epanechnikov", 0.7, 64)
+    # nothing from the calls before: no params, no kernel, no config values
+    again = _dump(capsys, risk + ["--param", "sigma=3"])
+    assert again["density_params"] == {"sigma": 3.0} and again["kernel"] == "gaussian"
+    plain = _dump(capsys, ["estimate", "--input", "x.csv", "--h", "0.2"])
+    assert (plain["kernel"], plain["h"], plain["grid_size"]) == ("gaussian", 0.2, 512)
+    assert _dump(capsys, risk)["density_params"] is None
+    # a failed parse leaves the next call unaffected
+    assert main(["select", "--input", "x.csv"]) == 2
+    capsys.readouterr()
+    sel = _dump(capsys, ["select", "--input", "x.csv", "--method", "ucv"])
+    assert sel["method"] == "ucv" and sel["format"] == "json"
+
+
+# ---------------------------------------------------------------------------
+# sample CSV rules
+
+
+def _sample_file(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    return str(path)
+
+
+def test_read_sample_uses_the_first_column(tmp_path):
+    s = _read_sample(_sample_file(tmp_path, "x,y\n3.5,9\n-1,8\n2e-3,x\n"))
+    assert s.values.tolist() == [-1.0, 2e-3, 3.5]
+
+
+def test_read_sample_skips_blank_lines(tmp_path):
+    s = _read_sample(_sample_file(tmp_path, "\n1\n  \n\n2\n,7\n"))
+    assert s.values.tolist() == [1.0, 2.0]
+
+
+def test_read_sample_header_only_on_line_one(tmp_path):
+    assert _read_sample(_sample_file(tmp_path, "value\n1\n2\n")).n == 2
+    # a header after a blank first line is on line 2: not tolerated
+    with pytest.raises(ValueError, match="'value' on line 2"):
+        _read_sample(_sample_file(tmp_path, "\nvalue\n1\n"))
+
+
+def test_read_sample_names_the_bad_line_and_cell(tmp_path):
+    path = _sample_file(tmp_path, "x\n1\n\n2\nabc,3\n4\n")
+    with pytest.raises(ValueError, match="'abc' on line 5 of " + re.escape(path)):
+        _read_sample(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "x\n"])
+def test_read_sample_without_data(tmp_path, text):
+    with pytest.raises(ValueError, match="no data"):
+        _read_sample(_sample_file(tmp_path, text))
+
+
+def test_estimate_two_column_csv_with_header(tmp_path, capsys):
+    inp = _sample_file(tmp_path, "x,w\n" + "".join("%r,1\n" % v for v in np.linspace(-1, 1, 30).tolist()))
+    out = str(tmp_path / "e.csv")
+    assert main(["estimate", "--input", inp, "--h", "0.4", "--output", out]) == 0
+    assert json.load(open(str(tmp_path / "e.json")))["n"] == 30
+    bad = _sample_file(tmp_path, "1\n2\nthree\n")
+    assert main(["estimate", "--input", bad, "--h", "0.4", "--output", out]) == 2
+    assert "'three' on line 3" in capsys.readouterr().err

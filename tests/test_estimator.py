@@ -18,7 +18,7 @@ from cfkde.estimator import (
     _sinc_plan,
     sinc_kde_fourier,
 )
-from cfkde.kernels import make_builtin
+from cfkde.kernels import kernel_from_functions, make_builtin
 from cfkde.risk import mc_mise
 
 
@@ -212,8 +212,18 @@ def test_correction_improves_ise():
 _RNG_DATA = np.random.default_rng(77).normal(size=300)
 
 
+def _clustered(seed):
+    # clusters of very different sizes and spreads plus far stragglers, in
+    # random order, so the runs of points within reach vary from one to hundreds
+    rng = np.random.default_rng(seed)
+    return rng.permutation(np.concatenate([
+        rng.normal(0.0, 0.01, 400), rng.normal(3.0, 0.5, 150),
+        rng.normal(-2.0, 1e-4, 50), rng.uniform(-30.0, 30.0, 10)]))
+
+
 @pytest.mark.parametrize("name", ["gaussian", "epanechnikov", "uniform"])
-@pytest.mark.parametrize("case", ["outside", "single", "tied", "offset", "unsorted"])
+@pytest.mark.parametrize("case", ["outside", "single", "tied", "offset", "unsorted",
+                                  "clustered"])
 def test_reach_sum_matches_all_pairs(name, case):
     h = 0.3
     values, x = _RNG_DATA, np.linspace(-4.0, 4.0, 401)
@@ -230,7 +240,40 @@ def test_reach_sum_matches_all_pairs(name, case):
         x = 1e6 + x
     elif case == "unsorted":
         x = np.random.default_rng(3).permutation(x)
+    elif case == "clustered":
+        # non-uniform points: the data themselves
+        values = x = _clustered(4)
     _assert_reach_sum(values, name, h, x)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "epanechnikov", "sinc"])
+def test_nan_points_stay_nan(name):
+    values = _clustered(5)
+    x = values.copy()
+    x[::7] = np.nan
+    got = kde_eval(as_sample(values), make_builtin(name), 0.05, x)
+    nan = np.isnan(x)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], _assert_reach_sum(values, name, 0.05, x[~nan]))
+
+
+def test_runs_wider_than_a_block_keep_memory_flat():
+    # every datum reaches all 2^17 points, four blocks' worth: the columns
+    # are split, so the pair blocks stay small next to the O(M) arrays
+    tri = kernel_from_functions("triangular", lambda u: max(0.0, 1.0 - abs(u)),
+                                lambda t: np.sinc(t / (2.0 * math.pi)) ** 2)
+    values, x = np.array([0.0, 0.3, 7.0]), np.linspace(-50.0, 50.0, 1 << 17)
+    for k in (make_builtin("sinc"), tri):
+        assert k.reach == math.inf
+        tracemalloc.start()
+        try:
+            got = kde_eval(as_sample(values), k, 0.5, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+        ref = _all_pairs(values, k, 0.5, x[::997])
+        assert np.max(np.abs(got[::997] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("name", ["gaussian", "epanechnikov", "uniform"])
@@ -300,8 +343,9 @@ def test_sinc_estimate_routes_match_all_pairs(outlier, route):
 
 
 def test_sinc_pair_counts_two_operations():
-    # counted ops / (n M) = 1.23: a sinc pair costs about two counted
-    # transform operations, so the transform route is the cheaper one
+    # counted ops / (n M) = 1.23: where the routes cost about the same, a sinc
+    # pair takes 1.6-1.8 counted transform operations (rounded to two), so
+    # the transform route is the cheaper one
     values = np.random.default_rng(1).normal(size=1000)
     values[0] = 30.0
     s = as_sample(values)

@@ -1,6 +1,7 @@
 """Tests for the exact risk routines against independent closed forms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cfkde.risk import (
     RISK_RTOL,
     _WORK,
     _expint,
+    _sq_integrals,
     exact_bias,
     exact_mise,
     exact_mse,
@@ -392,6 +394,26 @@ def test_exact_tails_over_the_bandwidth_lattice(kname):
         assert rep.nodes <= 50_000 and not rep.degraded, (h, rep)
         assert rep.quad_error <= RISK_RTOL * density.cf_sq_integral / (2.0 * math.pi)
         assert abs(rep.value - ref) <= rep.quad_error + 1e-13, (h, rep, ref)
+
+
+def test_exact_mise_counts_the_rounding_of_its_combination():
+    # uniform[0, 1] x epanechnikov: bias/(2 pi) + (R(K)/h - var/(2 pi))/n
+    # rounds by up to an ulp of 0.47 at h = 10^-1.9.  quad_error holds that
+    # rounding on top of the integrals' own errors (the combination redone in
+    # exact arithmetic from the same floats), and against the x-space
+    # reference it needs no allowance beyond the reference's final rounding
+    density, kernel, n = make_density("uniform"), make_builtin("epanechnikov"), 100
+    two_pi = Fraction(2.0 * math.pi)
+    for k in range(-20, 11):
+        h = 10.0 ** (k / 10.0)
+        rep = exact_mise(density, kernel, h, n)
+        r = _sq_integrals(density, kernel, h)
+        exact = (Fraction(r.bias[0]) / two_pi
+                 + (Fraction(kernel.roughness) / Fraction(h) - Fraction(r.var[0]) / two_pi) / n)
+        integrals = (r.bias_error[0] + r.var_error[0] / n) / (2.0 * math.pi)
+        assert abs(Fraction(rep.value) - exact) <= Fraction(rep.quad_error) - Fraction(integrals)
+        ref = _reference_mise("uniform", "epanechnikov", h, n)
+        assert abs(rep.value - ref) <= rep.quad_error + 0.5 * np.spacing(ref), (h, rep, ref)
 
 
 def test_exact_tails_keep_the_work_budget():
