@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .charfun import DensityModel
 from .kernels import KernelModel
@@ -39,7 +38,8 @@ __all__ = [
     "amise_conventional",
 ]
 
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
+# Tolerance of R(p'') in amise_conventional.
+_RPP_EPSABS, _RPP_EPSREL = 1e-12, 1e-11
 
 
 @dataclass(frozen=True)
@@ -534,9 +534,10 @@ def amise_conventional(density: DensityModel, kernel: KernelModel,
     h     = { R(K)/mu2^2 }^(1/5) R(p'')^(-1/5) n^(-1/5)
     amise = (5/4) { mu2^2 R(K)^4 }^(1/5) R(p'')^(1/5) n^(-4/5)
 
-    R(p'') is computed by quadrature of the model's analytic second
-    derivative; densities without one raise, and so does a quadrature whose
-    error estimate exceeds its tolerance (epsabs + epsrel |R(p'')|).
+    R(p'') is integrated from the model's analytic second derivative over
+    its support_hint, on Gauss-Legendre panels (risk.gauss_panels);
+    densities without one raise, and so does a quadrature whose error
+    estimate exceeds its tolerance (epsabs + epsrel |R(p'')|).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -550,13 +551,14 @@ def amise_conventional(density: DensityModel, kernel: KernelModel,
             "density %r has no analytic derivatives; the asymptotic rule "
             "is unavailable" % density.name
         )
-    lo, hi = density.support_hint
-    rpp, err = integrate.quad(
-        lambda x: float(density.pdf_deriv(2, x)) ** 2, lo, hi, **_QUAD_KW
-    )
-    if not err <= _QUAD_KW["epsabs"] + _QUAD_KW["epsrel"] * abs(rpp):
+    # 16 panels over support_hint, bisected where they miss their share of
+    # epsabs (576 nodes for the unit normal)
+    q = gauss_panels(lambda x: density.pdf_deriv(2, x) ** 2,
+                     np.linspace(*density.support_hint, 17), _RPP_EPSABS)
+    rpp, err = float(q.value[0]), float(q.error[0])
+    if not err <= _RPP_EPSABS + _RPP_EPSREL * abs(rpp):
         raise ValueError(
-            "R(p'') of density %r is not resolved: quad error estimate %.3g "
+            "R(p'') of density %r is not resolved: error estimate %.3g "
             "for the value %.6g" % (density.name, err, rpp)
         )
     h = ((kernel.roughness / kernel.mu2 ** 2) ** 0.2 * rpp ** -0.2

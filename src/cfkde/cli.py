@@ -10,11 +10,14 @@ written atomically. Exit codes: 0 success, 2 usage or configuration error,
 import argparse
 import dataclasses
 import functools
+import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+import warnings
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -37,6 +40,13 @@ from .selector import (
 __all__ = ["RunConfig", "main"]
 
 _OUTPUT_DIR_ENV = "CFKDE_OUTPUT_DIR"
+# numpy's loadtxt reads a file it opens itself in blocks, but an open handle
+# line by line, about 0.1 us a line slower; opening the file again costs about
+# 50 us, and the two break even near 12 KiB (600 lines of 17-digit values), so
+# a larger sample file is handed to it by name
+_READ_BY_NAME = 12 << 10
+# names that loadtxt, unlike open(), would decompress
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,7 +284,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_text(header, rows) -> str:
+def _csv_text(header, rows, row_format=None) -> str:
+    # row_format, such as "%r,%r\n" for rows of Python floats, formats all the
+    # rows in one % operation; otherwise each cell goes through _cell
+    if row_format is not None:
+        return (",".join(header) + "\n"
+                + (row_format * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
@@ -293,19 +308,44 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _read_sample(path: str):
-    # the first CSV column; blank cells are skipped, and a non-numeric cell
-    # is tolerated only on line 1, as a header
-    with open(path) as fh:
-        cells = [line.split(",", 1)[0].strip() for line in fh]
+def _scan_sample(lines, path: str) -> np.ndarray:
+    # the sample rules: the first CSV column; blank cells are skipped, and a
+    # non-numeric cell is tolerated only on line 1, as a header
+    cells = [line.split(",", 1)[0].strip() for line in lines]
     if cells and not _is_number(cells[0]):
         cells[0] = ""
     try:
-        values = np.array([c for c in cells if c], dtype=float)
+        return np.array([c for c in cells if c], dtype=float)
     except ValueError:
         i = next(i for i, c in enumerate(cells) if c and not _is_number(c))
         raise ValueError("non-numeric value %r on line %d of %s"
                          % (cells[i], i + 1, path)) from None
+
+
+def _read_sample(path: str):
+    # numpy's C parser reads the first column.  It rounds as float() does and
+    # refuses every file in which _scan_sample skips or rejects a cell other
+    # than a header on line 1 (a blank first cell, a line of only whitespace,
+    # Python-only syntax such as 1_000, a bad cell); then, and only then, the
+    # scan reads the file again.
+    with open(path) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if not fh.seekable():
+            # a pipe: the scan may have to read it again
+            fh = io.StringIO(fh.read())
+        header = not _is_number(fh.readline().split(",", 1)[0].strip())
+        fh.seek(0)
+        by_name = size > _READ_BY_NAME and not path.endswith(_COMPRESSED)
+        try:
+            with warnings.catch_warnings():
+                # an empty file is reported below, as by the scan
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                values = np.loadtxt(path if by_name else fh, skiprows=int(header),
+                                    delimiter=",", usecols=0, comments=None, ndmin=1)
+        except ValueError:
+            fh.seek(0)
+            values = _scan_sample(fh, path)
     if not values.size:
         raise ValueError("no data in %s" % path)
     return as_sample(values)
@@ -376,8 +416,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
     est = estimate_on_grid(sample, kernel, h, n_points=cfg.grid_size,
                            correct=cfg.correct)
     out = _output_path(cfg)
-    rows = list(zip((float(x) for x in est.xs), (float(y) for y in est.ys)))
-    _write_atomic(out, _csv_text(("x", "y"), rows))
+    rows = np.column_stack((est.xs, est.ys)).tolist()
+    _write_atomic(out, _csv_text(("x", "y"), rows, "%r,%r\n"))
     sidecar = os.path.splitext(out)[0] + ".json"
     meta = {
         "command": "estimate", "input_path": cfg.input_path,

@@ -36,7 +36,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .charfun import Sample, ecf_panel_sums
+from .charfun import _BLOCK, Sample, ecf_panel_sums
 from .kernels import KernelModel
 
 __all__ = [
@@ -50,9 +50,6 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-9
-# Pairs per block of the reach sum, and (x, t) pairs per block of the
-# transform route's curve, which keeps memory flat in n and M.
-_BLOCK = 1 << 15
 _X12, _W12 = np.polynomial.legendre.leggauss(12)
 # Counted operations per sinc pair: where the routes cost about the same, a
 # pair takes 1.6-1.8 counted transform operations (22-33 ns against 16-20).

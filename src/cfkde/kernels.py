@@ -136,7 +136,13 @@ def scaled_eval(kernel: KernelModel, h: float, x):
 # built-in kernels
 
 def _gauss_eval(x):
-    return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / _SQRT_2PI
+    # exp(-x^2/2)/sqrt(2 pi) in place on the one new array x*x, bit for bit
+    # the out-of-place arithmetic; a scalar x gives a scalar
+    u = np.square(np.asarray(x, dtype=float))
+    u *= -0.5
+    u = np.exp(u, out=u if u.ndim else None)
+    u /= _SQRT_2PI
+    return u
 
 
 def _gauss_cf(t):

@@ -25,7 +25,8 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import _power_minimum, amise_conventional
-from .charfun import Sample, ecf_sq_unbiased, ecf_sq_unbiased_panels, make_density
+from .charfun import (_BLOCK, Sample, ecf_sq_unbiased, ecf_sq_unbiased_panels,
+                      make_density)
 from .estimator import _window
 from .kernels import KernelModel, make_builtin
 from .risk import _sq_integrals, certified_cutoff
@@ -47,8 +48,6 @@ _DEGENERATE_SCALE = 1e-12
 # Largest sup |phi| the transform route of the UCV criterion leaves out
 # past its cutoff u_cut.
 _PHI_TOL = 1e-14
-# Pairs per block of the pair route, which keeps its memory flat in n.
-_BLOCK = 1 << 18
 # Counted operations per pair of the pair route's moment form: binning,
 # powers and bin sums take about 20-40 ns per pair at n >= 632, against
 # 9-23 ns per counted operation of the transform route.

@@ -5,11 +5,16 @@ import json
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
 
+from cfkde import cli
+from cfkde.charfun import as_sample
 from cfkde.cli import _read_sample, build_parser, main
+from cfkde.estimator import estimate_on_grid
+from cfkde.kernels import make_builtin
 
 
 def _write_sample(path, values):
@@ -451,10 +456,122 @@ def test_read_sample_names_the_bad_line_and_cell(tmp_path):
         _read_sample(path)
 
 
-@pytest.mark.parametrize("text", ["", "\n\n", "x\n"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n\n", "x\n", "x\n\n", "  \n\t\n"])
 def test_read_sample_without_data(tmp_path, text):
     with pytest.raises(ValueError, match="no data"):
         _read_sample(_sample_file(tmp_path, text))
+
+
+def _spy_scan(monkeypatch):
+    # records the files that fall back to the line scan
+    scanned = []
+    scan = cli._scan_sample
+
+    def spy(lines, path):
+        scanned.append(path)
+        return scan(lines, path)
+
+    monkeypatch.setattr(cli, "_scan_sample", spy)
+    return scanned
+
+
+# 60 cells are read through the open file, 3000 by name
+@pytest.mark.parametrize("count", [60, 3000])
+def test_read_sample_parses_cells_as_float_does(tmp_path, monkeypatch, count):
+    scanned = _spy_scan(monkeypatch)
+    # the raw values in file order, the non-finite ones included
+    monkeypatch.setattr(cli, "as_sample", lambda values: values)
+    rng = np.random.default_rng(count)
+    v = rng.normal(size=count) * 10.0 ** rng.integers(-12, 13, count)
+    cells = [("%r", "%.6g", "%.25e")[i % 3] % x for i, x in enumerate(v.tolist())]
+    cells[1::7] = [" %s\t" % c for c in cells[1::7]]
+    cells += ["inf", "-inf", "nan", "-0.0", " 5e-324", "1e400"]
+    text = "x,w\r\n" + "".join("%s,1\r\n%s" % (c, "\r\n" * (i % 5 == 0))
+                               for i, c in enumerate(cells))
+    path = tmp_path / "cells.csv"
+    path.write_bytes(text.encode())
+    assert (os.path.getsize(path) > cli._READ_BY_NAME) == (count > 1000)
+    got = _read_sample(str(path))
+    assert scanned == []
+    ref = np.array([float(c) for c in cells])
+    assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("count", [60, 3000])
+def test_read_sample_parser_and_scan_agree(tmp_path, monkeypatch, count):
+    # the same values, once clean and once in files only the scan reads
+    scanned = _spy_scan(monkeypatch)
+    v = np.random.default_rng(5).normal(size=count).tolist()
+    v[count // 2] = 1000.0
+    cells = ["%r" % x for x in v]
+    clean = _sample_file(tmp_path, "x\n" + "".join(c + "\n" for c in cells))
+    a = _read_sample(clean).values
+    assert scanned == []
+    comma = cells[:3] + [",5"] + cells[3:]
+    b = _read_sample(_sample_file(tmp_path, "x\n" + "".join(c + "\n" for c in comma))).values
+    under = cells[:count // 2] + ["1_000"] + cells[count // 2 + 1:]
+    c = _read_sample(_sample_file(tmp_path, "".join(c + "\n" for c in under))).values
+    assert len(scanned) == 2
+    assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist() == c.view(np.uint64).tolist()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("text", ["x\n1\n2\n", "1\n,5\n2\n"])
+def test_read_sample_from_a_pipe(tmp_path, text):
+    # a pipe cannot be read twice: the scan still gets the whole file
+    fifo = str(tmp_path / "pipe.csv")
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        assert _read_sample(fifo).values.tolist() == [1.0, 2.0]
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_read_sample_takes_a_compressed_suffix_literally(tmp_path):
+    # np.loadtxt would gunzip a file it opens by a .gz name; open() does not
+    path = tmp_path / "big.csv.gz"
+    path.write_text("x\n" + "".join("%r\n" % (i / 7.0) for i in range(2000)))
+    assert os.path.getsize(path) > cli._READ_BY_NAME
+    assert _read_sample(str(path)).n == 2000
+
+
+def _old_csv_text(header, rows):
+    # the per-cell formatter the estimate CSV was written with before its
+    # row format: the reference for its bytes
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return repr(float(value))
+        return str(value)
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid,kernel", [(512, "gaussian"), (2048, "epanechnikov")])
+def test_estimate_csv_bytes_match_the_per_cell_formatter(tmp_path, grid, kernel):
+    values = np.random.default_rng(grid).normal(size=700)
+    inp = _write_sample(tmp_path / "s.csv", values)
+    out = tmp_path / "e.csv"
+    assert main(["estimate", "--input", inp, "--kernel", kernel, "--h", "0.3",
+                 "--grid-size", str(grid), "--output", str(out)]) == 0
+    est = estimate_on_grid(as_sample(values), make_builtin(kernel), 0.3, n_points=grid)
+    rows = list(zip((float(x) for x in est.xs), (float(y) for y in est.ys)))
+    assert out.read_bytes() == _old_csv_text(("x", "y"), rows).encode()
 
 
 def test_estimate_two_column_csv_with_header(tmp_path, capsys):

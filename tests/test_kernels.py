@@ -170,6 +170,25 @@ def test_scaled_eval():
         scaled_eval(k, -1.0, x)
 
 
+def test_gaussian_eval_bit_identical_and_leaves_input():
+    # the in-place evaluation against the out-of-place formula, bit for bit
+    k = make_builtin("gaussian")
+    rng = np.random.default_rng(7)
+    u = np.concatenate((rng.normal(scale=4.0, size=4096),
+                        [0.0, -0.0, 8.57, -8.57, np.inf, -np.inf, np.nan]))
+    before = u.copy()
+    ref = np.exp(-0.5 * u ** 2) / math.sqrt(2.0 * math.pi)
+    got = k.eval(u)
+    assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+    assert u.view(np.uint64).tolist() == before.view(np.uint64).tolist()
+    block = u[:4096].reshape(64, 64)
+    assert np.array_equal(k.eval(block), ref[:4096].reshape(64, 64))
+    for x in (0.3, np.float64(-8.57), np.array(1.5)):
+        y = k.eval(x)
+        assert np.ndim(y) == 0
+        assert y == np.exp(-0.5 * np.asarray(x) ** 2) / math.sqrt(2.0 * math.pi)
+
+
 def test_kernel_from_functions_triangular():
     def tri(x):
         x = np.asarray(x, dtype=float)
