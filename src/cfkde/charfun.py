@@ -20,9 +20,11 @@ quantities the exact-risk and bound formulas need:
                      integer), or None; lets the integrated risk take the
                      transform's tail past a cutoff exactly (risk.exact_mise)
 
-Variation constants are computed at construction and stored at full
-precision; a constant that comes from a quadrature is stored as its value
-plus the error estimate, so that bounds built on it stay upper bounds.
+Constants are computed at construction and stored at full precision, each
+as an upper value, so that bounds built on them stay upper bounds.  The
+normal and mixture V_m are increments plus a rounding bound: the sum of
+|p^(m)| increments between the sign changes of p^(m+1), plus a bound on the
+rounding of those values; a_p and B are a quadrature value plus its error.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.special import erfc, eval_hermitenorm, polygamma, sici, wofz
 
 from .kernels import KernelModel
@@ -55,6 +57,7 @@ BUILTIN_DENSITIES = ("normal", "mixture", "uniform", "laplace", "fejer")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
+_EPS = float(np.finfo(float).eps)
 # Elements per temporary array of the blocked sums here, in estimator and in
 # selector: 256 KiB, which stays in a core's L2 cache.
 _BLOCK = 1 << 15
@@ -275,52 +278,76 @@ def one_minus_cf_bound(kernel: KernelModel, t, alpha: Optional[float] = None):
 # ---------------------------------------------------------------------------
 # built-in densities
 
-def _abs_integral_by_lobes(fun, lo: float, hi: float,
-                           scale: float) -> Tuple[float, float]:
-    """Integrate |fun| over [lo, hi], with panel edges at the sign changes of fun.
-
-    Each lobe is smooth and single-signed, so Gauss-Legendre panels at most
-    scale wide resolve it; returns (value, error estimate).
-    """
-    from .risk import gauss_panels, panel_edges
-
-    grid = np.linspace(lo, hi, 8193)
-    vals = np.asarray(fun(grid), dtype=float)
-    cuts = [float(x) for x in grid[vals == 0.0]] + [
-        optimize.brentq(lambda x: float(fun(x)), grid[i], grid[i + 1], xtol=1e-13)
-        for i in np.where(vals[:-1] * vals[1:] < 0.0)[0]
-    ]
-    rough = float(np.trapezoid(np.abs(vals), grid))
-    q = gauss_panels(lambda x: np.abs(fun(x)),
-                     panel_edges(lo, hi, 2.0 * math.pi / scale, cuts),
-                     1e-13 * max(rough, 1e-300))
-    return float(q.value[0]), float(q.error[0])
+def _hermite(u, kmax: int, sign: float = -1.0) -> np.ndarray:
+    """phi(u) He_k(u), k <= kmax, on a new first axis; with sign = +1, u >= 0:
+    phi(u) A_k(u), He_k with positive coefficients, bounding every term."""
+    h = np.empty((kmax + 1,) + np.shape(u))
+    h[0] = np.exp(-0.5 * u * u) / _SQRT_2PI
+    h[1:2] = u * h[0]
+    for k in range(1, kmax):
+        h[k + 1] = u * h[k] + sign * k * h[k - 1]
+    return h
 
 
-_NORMAL_ABS_HERMITE: Dict[int, float] = {}
+def _derivs(w, mus, sig, x, kmax: int, bound: bool = False):
+    """p^(k)(x), k <= kmax, of the normal mixture, one weight mat-vec per order
+    over (components x points); with bound, also a bound on their rounding:
+    the recurrence's, the exponent's, the sum's, and u's times d/du."""
+    mus, sig, order = mus[:, None], sig[:, None], np.arange(kmax + 1)[:, None]
+    u = (x - mus) / sig
+    coef = (w * (-1.0) ** order / sig[:, 0] ** (order + 1))[:, None, :]
+    h = _hermite(u, kmax + bound)
+    p = np.matmul(coef, h[:kmax + 1])[:, 0]
+    if not bound:
+        return p
+    shift = np.abs(u) + (np.abs(x) + np.abs(mus)) / sig
+    terms = ((3 * order[:, :, None] + 2 + w.size + u * u) * _hermite(np.abs(u), kmax, 1.0)
+             + shift * np.abs(h[1:]))
+    return p, _EPS * np.matmul(np.abs(coef), terms)[:, 0]
 
 
-def _abs_hermite_integral(j: int) -> float:
-    """int over R of |phi(u) He_j(u)| du for the standard normal phi.
+def _newton(fun, a, b, fa, fb) -> np.ndarray:
+    """Roots in the brackets (a, b) of fun, which goes from fa to fb there, by
+    safeguarded Newton from the secant point; fun(x, j) gives f and f' for the
+    brackets j.  A root is done once |f/f'| or its bracket is a few ulps, so
+    only the sign of an f above the rounding is read."""
+    j, tol = np.arange(np.size(a)), 4.0 * _EPS * (np.abs(a) + np.abs(b))
+    x = a - fa * (b - a) / (fb - fa)
+    root, sign_a = x.copy(), np.sign(fa)
+    for _ in range(100):
+        if not j.size:
+            break
+        f, fp = fun(x, j)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / fp
+        root[j] = x
+        go = ~((f == 0.0) | (np.abs(step) <= tol) | (b - a <= tol))
+        j, x, a, b, sign_a, tol, f, step = (
+            v[go] for v in (j, x, a, b, sign_a, tol, f, step))
+        left = np.sign(f) == sign_a
+        a, b = np.where(left, x, a), np.where(left, b, x)
+        x = x - step
+        x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+    return root
 
-    An upper estimate: the quadrature value plus its error estimate; past
-    |u| = 14 the integrand is below 1e-30.
-    """
-    if j in _NORMAL_ABS_HERMITE:
-        return _NORMAL_ABS_HERMITE[j]
-    if j == 0:
-        val = 1.0
-    else:
-        roots = np.polynomial.hermite_e.hermeroots([0.0] * j + [1.0])
-        pts = sorted(float(r) for r in np.real(roots) if 0.0 < float(np.real(r)) < 14.0)
 
-        def f(u):
-            return abs(math.exp(-0.5 * u * u) / _SQRT_2PI * eval_hermitenorm(j, u))
+def _variation(w, mus, sig, cuts) -> Dict[int, float]:
+    """V_m = int |p^(m+1)| as the sum of |p^(m)| increments between cuts[m],
+    every sign change of p^(m+1), sorted, past which p^(m) runs to 0; plus a
+    bound on its rounding (a cut d off its root costs |p^(m+2)| d^2, less)."""
+    sizes = [c.size for c in cuts]
+    k = np.repeat(np.arange(len(cuts)), sizes)[None]
+    val, err = (np.take_along_axis(v, k, 0)[0] for v in _derivs(
+        w, mus, sig, np.concatenate(cuts), len(cuts) - 1, bound=True))
+    stops = np.cumsum(sizes)[:-1]
+    # each value enters two increments; then the differences and the sum
+    return {m: float(np.sum(np.abs(np.diff(v, prepend=0.0, append=0.0))))
+            * (1.0 + (v.size + 2) * _EPS) + 2.0 * float(np.sum(e))
+            for m, (v, e) in enumerate(zip(np.split(val, stops), np.split(err, stops)))}
 
-        val_half, err_half = integrate.quad(f, 0.0, 14.0, points=pts, limit=300)
-        val = 2.0 * (val_half + err_half)
-    _NORMAL_ABS_HERMITE[j] = val
-    return val
+
+# V_m of the standard normal for m < 7, filled once per process
+_NORMAL_VARIATION: Dict[int, float] = {}
 
 
 def _make_normal(sigma: float = 1.0, mu: float = 0.0) -> DensityModel:
@@ -341,9 +368,13 @@ def _make_normal(sigma: float = 1.0, mu: float = 0.0) -> DensityModel:
         base = np.exp(-0.5 * u * u) / _SQRT_2PI
         return (-1.0) ** order * base * eval_hermitenorm(order, u) / s ** (order + 1)
 
-    variation = {
-        m: _abs_hermite_integral(m + 1) / s ** (m + 1) for m in range(7)
-    }
+    if not _NORMAL_VARIATION:  # the extrema of p^(m) are the roots of He_(m+1)
+        _NORMAL_VARIATION.update(_variation(np.ones(1), np.zeros(1), np.ones(1), [
+            np.sort(np.real(np.polynomial.hermite_e.hermeroots([0.0] * m + [1.0])))
+            for m in range(1, 8)]))
+    # the scaling rounds by at most m + 2 ulps, and stays an upper value
+    variation = {m: v / s ** (m + 1) * (1.0 + (m + 3) * _EPS)
+                 for m, v in _NORMAL_VARIATION.items()}
 
     def cf_sq_tail(T):
         return (_SQRT_PI / s) * float(erfc(s * max(T, 0.0)))
@@ -400,23 +431,44 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
 
     def pdf_deriv(order, x):
         x = np.asarray(x, dtype=float)
-        u = (x[..., None] - mus) / sig
-        base = np.exp(-0.5 * u * u) / _SQRT_2PI
-        herm = eval_hermitenorm(order, u)
-        return (-1.0) ** order * np.sum(w * base * herm / sig ** (order + 1), axis=-1)
+        return _derivs(w, mus, sig, x.ravel(), order)[order].reshape(x.shape)
 
     lo = float(np.min(mus - 10.0 * sig))
     hi = float(np.max(mus + 10.0 * sig))
     s_min = float(np.min(sig))
 
-    variation = {}
-    for m in range(7):
-        val, err = _abs_integral_by_lobes(
-            lambda x, m=m: pdf_deriv(m + 1, x), lo, hi, s_min
-        )
-        # a constant with a large error estimate is not stored at all
-        if err < 1e-7 * max(1.0, val):
-            variation[m] = val + err
+    # V_m = int |p^(m+1)| for m < 7 from the increments of p^(m) between the
+    # sign changes of p^(m+1); past lo and hi every component's p^(m+1) has
+    # the sign of its Gaussian tail, so the tails add |p^(m)(lo)|, |p^(m)(hi)|
+    grid = np.linspace(lo, hi, 8193)
+    # a component narrower than 64 cells gets 64 points per sigma of its own;
+    # past 10 sigma of every component, p^(m) is below exp(-50) of its scale
+    narrow = sig < 64.0 * (grid[1] - grid[0])
+    grid = np.unique(np.concatenate([grid] + [np.linspace(m - 10.0 * s, m + 10.0 * s, 1281)
+                                              for m, s in zip(mus[narrow], sig[narrow])]))
+    p = _derivs(w, mus, sig, grid, 8)
+    sgn = np.sign(p)
+    k, i = np.nonzero((sgn[:, :-1] * sgn[:, 1:] < 0.0) & (np.arange(9)[:, None] > 0))
+
+    def newton(k, a, b, fa, fb):  # roots of p^(k) in the brackets (a, b)
+        return _newton(lambda x, j: np.take_along_axis(
+            _derivs(w, mus, sig, x, 9), k[j] + np.array([[0], [1]]), 0), a, b, fa, fb)
+
+    roots = newton(k, grid[i], grid[i + 1], p[k, i], p[k, i + 1])
+    # Rolle guard: two roots of p^(m+1) in one cell put a root of p^(m+2)
+    # between them; where p^(m+1) keeps its sign over the cell but not at
+    # that root, the cell holds such a pair, bracketed on either side of it
+    g = np.flatnonzero((k >= 2) & (sgn[k - 1, i] * sgn[k - 1, i + 1] > 0.0))
+    mid = _derivs(w, mus, sig, roots[g], 7)[k[g] - 1, np.arange(g.size)]
+    split = mid * sgn[k[g] - 1, i[g]] < 0.0
+    kk, ig, rg, mid = k[g[split]] - 1, i[g[split]], roots[g[split]], mid[split]
+    pair = newton(np.tile(kk, 2), np.append(grid[ig], rg), np.append(rg, grid[ig + 1]),
+                  np.append(p[kk, ig], mid), np.append(mid, p[kk, ig + 1]))
+    k, roots = np.concatenate((k, kk, kk)), np.concatenate((roots, pair))
+    # a grid point where p^(m+1) is exactly 0 stays a cut
+    variation = _variation(w, mus, sig, [
+        np.sort(np.concatenate(([lo, hi], roots[k == m + 1], grid[sgn[m + 1] == 0.0])))
+        for m in range(7)])
 
     # sup p: dense grid then a local polish
     grid = np.linspace(lo, hi, 4001)
@@ -443,8 +495,22 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
         return np.stack((np.where(t <= a_end, mod, 0.0),
                          np.exp(gamma * t * t) * mod))
 
+    # |cf| has a kink wherever cf = 0, at a local minimum of |cf|; the minima
+    # are where d|cf|^2/dt = 2 Re(cf' conj(cf)) turns from - to +, found on
+    # 32 points per period 2 pi/ptp(mus) of |cf|^2, and become panel breaks
+    def slope(t, _=None):
+        z = 1j * mus[:, None] - (sig * sig)[:, None] * t
+        e = w[:, None] * np.exp(1j * mus[:, None] * t - 0.5 * (sig[:, None] * t) ** 2)
+        f, f1, f2 = e.sum(0), (z * e).sum(0), ((z * z - (sig * sig)[:, None]) * e).sum(0)
+        return (f1 * f.conj()).real, (f2 * f.conj()).real + (f1 * f1.conj()).real
+
+    ts = np.linspace(0.0, b_end, math.ceil(16.0 * b_end * float(np.ptp(mus)) / math.pi) + 1)
+    d = np.concatenate([slope(c)[0] for c in np.array_split(ts, 1 + ts.size // _BLOCK)])
+    i = np.flatnonzero((d[:-1] < 0.0) & (d[1:] > 0.0))
+    kinks = _newton(slope, ts[i], ts[i + 1], d[i], d[i + 1])
+
     q = gauss_panels(setup_integrands,
-                     panel_edges(0.0, b_end, float(np.ptp(mus)), [a_end]),
+                     panel_edges(0.0, b_end, float(np.ptp(mus)), [a_end, *kinks]),
                      np.full(2, 1e-13 / s_min))
     # both enter upper bounds, so each carries its error estimate
     a_p = float(q.value[0] + q.error[0]) / math.pi

@@ -109,9 +109,18 @@ def panel_edges(lo: float, hi: float, omega: float,
     """
     points = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
     width = 2.0 * math.pi / omega if omega > 0.0 else math.inf
-    pieces = [np.linspace(a, b, max(1, math.ceil((b - a) / width)) + 1)[:-1]
-              for a, b in zip(points[:-1], points[1:])]
-    return np.concatenate(pieces + [np.array([hi], dtype=float)])
+    # piece (a, b) in c panels has the edges a + j (b - a)/c, j < c, which is
+    # np.linspace(a, b, c + 1)[:-1] bit for bit; a last row of one edge is hi
+    rows, counts, first = [], [], 0
+    for a, b in zip(points[:-1], points[1:]):
+        c = max(1, math.ceil((b - a) / width))
+        rows.append((a, (b - a) / c, first))
+        counts.append(c)
+        first += c
+    rows.append((hi, 0.0, first))
+    counts.append(1)
+    start, step, first = np.repeat(np.array(rows).T, counts, axis=1)
+    return (np.arange(start.size) - first) * step + start
 
 
 def gauss_panels(fun: Callable, edges, tol) -> Quadrature:

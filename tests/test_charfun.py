@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+import scipy.integrate
 from scipy import integrate
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
+from cfkde import charfun
 from cfkde.charfun import (
     BUILTIN_DENSITIES,
     as_sample,
@@ -19,6 +21,7 @@ from cfkde.charfun import (
     one_minus_cf_bound,
 )
 from cfkde.kernels import make_builtin
+from cfkde.risk import gauss_panels, panel_edges
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -115,6 +118,122 @@ def test_symmetric_mixture_variation():
                             points=[-2.5, -1.5, -0.5, 0.0, 0.5, 1.5, 2.5],
                             limit=500)
     assert_allclose(d.variation[2], ref, rtol=1e-5)
+
+
+def test_mixture_variation_finds_root_pairs_inside_a_cell():
+    # p' has two roots 4e-4 apart near x = 1.558, inside one cell of the
+    # 8193-point grid, where p' keeps its sign at both ends; without them V0
+    # would read 2.1e-12 low.  The reference sums |p| increments between
+    # the roots of p' found at 30 digits.
+    mpmath = pytest.importorskip("mpmath")
+    w = 0.4697793450578794 + 1e-8
+    d = make_density("mixture", weights=(1.0 - w, w), means=(0.0, 2.2),
+                     sigmas=(1.0, 1.0))
+    mpmath.mp.dps = 30
+    ws, ms = (1 - mpmath.mpf(w), mpmath.mpf(w)), (0, mpmath.mpf("2.2"))
+
+    def p(x):
+        return sum(a * mpmath.npdf(x, m, 1) for a, m in zip(ws, ms))
+
+    def dp(x):
+        return sum(-a * (x - m) * mpmath.npdf(x, m, 1) for a, m in zip(ws, ms))
+
+    roots = [mpmath.findroot(dp, (a, b), solver="anderson")
+             for a, b in ((0.2, 0.4), (1.5, 1.55825), (1.55825, 1.6))]
+    vals = [0] + [p(r) for r in roots] + [0]
+    exact = float(sum(abs(b - a) for a, b in zip(vals[:-1], vals[1:])))
+    assert exact == pytest.approx(0.466131250705963, rel=1e-14)
+    assert exact <= d.variation[0] <= exact * (1.0 + 1e-12)
+
+
+def test_mixture_variation_resolves_a_narrow_component():
+    # the 8193-point grid over +-10 of the wide sigma has cells 24 narrow
+    # sigmas wide; the narrow component gets points of its own.  The total
+    # variation of a sum lies within TV(f) -+ TV(g).
+    d = make_density("mixture", weights=(0.5, 0.5), means=(0.0, 0.0),
+                     sigmas=(0.001, 10.0))
+    for m in range(7):
+        narrow, wide = (make_density("normal", sigma=s).variation[m] for s in (0.001, 10.0))
+        assert 0.5 * (narrow - wide) <= d.variation[m] <= 0.5 * (narrow + wide) * (1.0 + 1e-13)
+
+
+def _abs_integral_by_lobes(fun, lo, hi, scale):
+    # the lobe quadrature the mixture's V_m came from before they were
+    # summed from increments: brentq cuts at the grid's sign changes, then
+    # Gauss-Legendre panels; returns (value, error estimate)
+    grid = np.linspace(lo, hi, 8193)
+    vals = np.asarray(fun(grid), dtype=float)
+    cuts = [float(x) for x in grid[vals == 0.0]] + [
+        brentq(lambda x: float(fun(x)), grid[i], grid[i + 1], xtol=1e-13)
+        for i in np.where(vals[:-1] * vals[1:] < 0.0)[0]
+    ]
+    rough = float(np.trapezoid(np.abs(vals), grid))
+    q = gauss_panels(lambda x: np.abs(fun(x)),
+                     panel_edges(lo, hi, 2.0 * math.pi / scale, cuts),
+                     1e-13 * max(rough, 1e-300))
+    return float(q.value[0]), float(q.error[0])
+
+
+def test_asymmetric_mixture_variation_against_lobe_quadrature():
+    sig = (0.3, 1.0, 0.6)
+    d = make_density("mixture", weights=(0.2, 0.5, 0.3), means=(-2.0, 0.1, 2.5),
+                     sigmas=sig)
+    lo, hi = d.support_hint
+    for m in range(7):
+        ref, err = _abs_integral_by_lobes(lambda x: d.pdf_deriv(m + 1, x), lo, hi,
+                                          min(sig))
+        assert err <= 1e-12 * ref
+        assert ref <= d.variation[m] <= ref * (1.0 + 1e-12)
+
+
+def _abs_cf_constants(d, kinks):
+    # a_p = pi^-1 int_0^(30/s) |cf| and B = 2 int_0^(40/s) exp(gamma t^2)|cf|
+    # by adaptive quadrature, with the minima of |cf| as break points
+    alpha, gamma, _ = d.supersmooth
+    s_min = min(d.params["sigmas"])
+
+    def quad(f, end):
+        points = [t for t in kinks if t < end]
+        return integrate.quad(f, 0.0, end, points=points, epsabs=1e-300,
+                              epsrel=1e-13, limit=5000)[0]
+
+    def mod(t):
+        return abs(complex(d.cf(t)))
+
+    return (quad(mod, 30.0 / s_min) / math.pi,
+            2.0 * quad(lambda t: math.exp(gamma * t * t) * mod(t), 40.0 / s_min))
+
+
+def test_mixture_a_p_and_b_against_adaptive_quadrature():
+    # the symmetric mixture's |cf| = |cos 1.5 t| exp(-t^2/8) has a kink at
+    # every zero of the cosine; the asymmetric one dips to 8e-4 near t = 2
+    sym = make_density("mixture", weights=(0.5, 0.5), means=(-1.5, 1.5),
+                       sigmas=(0.5, 0.5))
+    asym = make_density("mixture", weights=(0.2, 0.5, 0.3), means=(-2.0, 0.1, 2.5),
+                        sigmas=(0.3, 1.0, 0.6))
+    t = np.linspace(0.0, 140.0, 140001)
+    m = np.abs(asym.cf(t))
+    dips = t[1:-1][(m[1:-1] < m[:-2]) & (m[1:-1] < m[2:])]
+    for d, kinks in ((sym, (2 * np.arange(40) + 1) * math.pi / 3.0), (asym, dips)):
+        a_ref, b_ref = _abs_cf_constants(d, kinks)
+        assert a_ref * (1.0 - 1e-13) <= d.a_p <= a_ref * (1.0 + 1e-12)
+        assert b_ref * (1.0 - 1e-13) <= d.supersmooth[2] <= b_ref * (1.0 + 1e-12)
+
+
+def test_model_setup_calls_no_scipy_integrate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.integrate called during model set-up")
+
+    for name in dir(scipy.integrate):
+        if callable(getattr(scipy.integrate, name)) and not name.startswith("_"):
+            monkeypatch.setattr(scipy.integrate, name, refuse)
+    # the normal's per-process table is rebuilt, not read
+    monkeypatch.setattr(charfun, "_NORMAL_VARIATION", {})
+    make_density("normal", sigma=1.3)
+    assert len(charfun._NORMAL_VARIATION) == 7
+    make_density("mixture", weights=(0.2, 0.5, 0.3), means=(-2.0, 0.1, 2.5),
+                 sigmas=(0.3, 1.0, 0.6))
+    make_density("mixture", weights=(0.5, 0.5), means=(-1.5, 1.5), sigmas=(0.5, 0.5))
 
 
 def test_uniform_laplace_fejer_variation():

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,11 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 # ---------------------------------------------------------------------------
 # estimate
 
@@ -45,7 +51,7 @@ def test_estimate_single_point_peak(tmp_path):
     peak = max(range(len(ys)), key=ys.__getitem__)
     assert xs[peak] == 0.0
     assert ys[peak] == pytest.approx(0.398942, abs=1e-6)
-    meta = json.load(open(str(tmp_path / "est.json")))
+    meta = _read_json(str(tmp_path / "est.json"))
     assert meta["n"] == 1 and meta["kernel"] == "gaussian"
 
 
@@ -68,7 +74,7 @@ def test_estimate_sinc_corrected_is_density(tmp_path):
     ys = np.array([float(r["y"]) for r in rows])
     assert abs(np.trapezoid(ys, xs) - 1.0) <= 1e-6
     assert ys.min() >= 0.0
-    meta = json.load(open(str(tmp_path / "c.json")))
+    meta = _read_json(str(tmp_path / "c.json"))
     assert meta["corrected"] is True
 
 
@@ -87,7 +93,7 @@ def test_estimate_with_selector_method(tmp_path):
     rc = main(["estimate", "--input", inp, "--method", "rot-normal",
                "--output", out])
     assert rc == 0
-    meta = json.load(open(str(tmp_path / "m.json")))
+    meta = _read_json(str(tmp_path / "m.json"))
     assert meta["bandwidth_method"] == "rot_normal"
     assert meta["h"] > 0.0
 
@@ -117,7 +123,7 @@ def test_estimate_sidecar_provenance(tmp_path, kernel, route):
     rc = main(["estimate", "--input", inp, "--kernel", kernel, "--h", "0.25",
                "--output", out])
     assert rc == 0
-    meta = json.load(open(str(tmp_path / "p.json")))
+    meta = _read_json(str(tmp_path / "p.json"))
     assert meta["route"] == route
     assert {"h", "xi", "mass", "grid_size", "bandwidth_method"} <= set(meta)
     if route == "pairs":
@@ -184,7 +190,7 @@ def test_risk_mc_columns_and_determinism(tmp_path):
             "--mc", "25", "--seed", "7"]
     assert main(args + ["--output", out1]) == 0
     assert main(args + ["--output", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
     row = _read_csv(out1)[0]
     assert "mc_mise" in row and "mc_se" in row
     assert abs(float(row["mc_mise"]) - float(row["exact_mise"])) \
@@ -207,7 +213,7 @@ def test_risk_provenance_columns(tmp_path):
     rc = main(["risk", "--density", "normal", "--h-grid", "0.3", "--n", "100",
                "--format", "json", "--output", out_json])
     assert rc == 0
-    entry = json.load(open(out_json))[0]
+    entry = _read_json(out_json)[0]
     assert entry["degraded"] is False and entry["nodes"] > 0
 
 
@@ -295,7 +301,7 @@ def test_select_rot_normal_constant(tmp_path):
     rc = main(["select", "--input", inp, "--method", "rot-normal",
                "--output", out])
     assert rc == 0
-    res = json.load(open(out))
+    res = _read_json(out)
     sigma = float(np.std(data, ddof=1))
     assert res["h"] / sigma * 80 ** 0.2 == pytest.approx(1.0592, abs=5e-4)
     assert res["metadata"]["constant"] == pytest.approx(1.0592, abs=5e-4)
@@ -313,7 +319,7 @@ def test_select_ucv_matches_library_argmin(tmp_path):
     out = str(tmp_path / "sel.json")
     rc = main(["select", "--input", inp, "--method", "ucv", "--output", out])
     assert rc == 0
-    res = json.load(open(out))
+    res = _read_json(out)
     oracle = cv_bandwidth(as_sample(data), make_builtin("gaussian"))
     assert res["h"] == pytest.approx(oracle.h, rel=1e-12)
     curve = res["criterion_curve"]
@@ -335,7 +341,7 @@ def test_plan_matches_linear_scan(tmp_path, capsys):
     rc = main(["plan", "--target", "mise", "--v2", "1.5100", "--eps", "0.01",
                "--output", str(tmp_path / "p.json")])
     assert rc == 0
-    res = json.load(open(str(tmp_path / "p.json")))
+    res = _read_json(str(tmp_path / "p.json"))
     c, r = res["constant"], res["rate"]
     n0 = res["n0"]
     scan = next(n for n in range(1, 10 ** 5) if c * n ** -r <= 0.01)
@@ -578,7 +584,7 @@ def test_estimate_two_column_csv_with_header(tmp_path, capsys):
     inp = _sample_file(tmp_path, "x,w\n" + "".join("%r,1\n" % v for v in np.linspace(-1, 1, 30).tolist()))
     out = str(tmp_path / "e.csv")
     assert main(["estimate", "--input", inp, "--h", "0.4", "--output", out]) == 0
-    assert json.load(open(str(tmp_path / "e.json")))["n"] == 30
+    assert _read_json(str(tmp_path / "e.json"))["n"] == 30
     bad = _sample_file(tmp_path, "1\n2\nthree\n")
     assert main(["estimate", "--input", bad, "--h", "0.4", "--output", out]) == 2
     assert "'three' on line 3" in capsys.readouterr().err

@@ -508,3 +508,27 @@ def test_gauss_panels_error_bounds_an_oscillatory_integral():
     assert abs(q.value[1] - exact_poly) <= q.error[1] + 1e-15
     assert np.all(q.error <= 1e-12) and q.nodes > 0
 
+
+
+def _panel_edges_by_linspace(lo, hi, omega, breaks=()):
+    # the per-piece np.linspace build that panel_edges replaced
+    points = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
+    width = 2.0 * math.pi / omega if omega > 0.0 else math.inf
+    pieces = [np.linspace(a, b, max(1, math.ceil((b - a) / width)) + 1)[:-1]
+              for a, b in zip(points[:-1], points[1:])]
+    return np.concatenate(pieces + [np.array([hi], dtype=float)])
+
+
+def test_panel_edges_bit_identical_to_the_linspace_build():
+    from cfkde.risk import panel_edges
+
+    rng = np.random.default_rng(12)
+    cases = [(0.0, 5.0, 3.0, ()), (0.0, 80.0, 3.0, (60.0,)), (0.0, 1.0, 0.0, ()),
+             (-3.0, 7.0, 0.0, (1.0, 2.0, 2.0, -5.0, 7.0, math.nan)),
+             (0.0, 80.0, 3.0, tuple(rng.uniform(0.0, 80.0, 15))),
+             (0.0, 1e5, 1.3, tuple(rng.uniform(0.0, 1e5, 40))),
+             (-0.3, 0.7, 1e4, (0.0, -0.0, 1e-300)), (2.0, 2.0, 1.0, ())]
+    for lo, hi, omega, breaks in cases:
+        new, old = panel_edges(lo, hi, omega, breaks), _panel_edges_by_linspace(lo, hi, omega, breaks)
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
