@@ -9,17 +9,12 @@ to certify a target accuracy.
 """
 
 from .bounds import (
+    SPECS,
     BoundResult,
+    BoundSpec,
     amise_conventional,
-    conventional_maxmse_bound,
-    conventional_mise_bound,
-    lemma1_mse_bound,
-    lemma2_mise_bound,
-    lemma5_maxmse_bound,
-    lemma5_mise_bound,
-    nonsmooth_mise_bound,
-    sinc_maxmse_bound,
-    sinc_mise_bound,
+    bound,
+    bound_table,
 )
 from .charfun import (
     BUILTIN_DENSITIES,
@@ -71,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundResult",
+    "BoundSpec",
     "BUILTIN_DENSITIES",
     "BUILTIN_KERNELS",
     "CorrectionInfeasibleError",
@@ -79,13 +75,14 @@ __all__ = [
     "KernelModel",
     "PlanRequest",
     "RiskReport",
+    "SPECS",
     "Sample",
     "SelectorResult",
     "amise_conventional",
     "as_sample",
+    "bound",
     "bound_rule",
-    "conventional_maxmse_bound",
-    "conventional_mise_bound",
+    "bound_table",
     "correct_to_density",
     "cv_bandwidth",
     "default_grid",
@@ -101,19 +98,12 @@ __all__ = [
     "integrated_sq_bias",
     "kde_eval",
     "kernel_from_functions",
-    "lemma1_mse_bound",
-    "lemma2_mise_bound",
-    "lemma5_maxmse_bound",
-    "lemma5_mise_bound",
     "make_builtin",
     "make_density",
     "mc_mise",
-    "nonsmooth_mise_bound",
     "plan_bound_constant",
     "plan_sample_size",
     "rule_of_thumb_normal",
     "sinc_exact_mise",
     "sinc_kde_fourier",
-    "sinc_maxmse_bound",
-    "sinc_mise_bound",
 ]

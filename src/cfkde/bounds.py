@@ -1,40 +1,45 @@
 """Non-asymptotic upper bounds on the risk of kernel density estimates.
 
-Each bound couples a bandwidth recipe, either a fixed h or a sequence
-h_n = h0 * n^(-1/(power)), with an explicit constant built from kernel
-functionals (mu1, mu2, roughness, A(K)) and Fourier-side density
-constants (derivative variations V_m, sup bound a, supersmooth
-certificate, band limit).  Results record which hypotheses were
-machine-checked; an unsatisfied hypothesis yields an inapplicable result
-rather than an error, so bound tables over (bound x density) grids can
-render gaps honestly.  Where the bound has the shape
-c1 * h0^p + c2 / h0, the closed-form minimizer over h0 is attached.
+Every bound is one BoundSpec in SPECS, in the row order of ``cfkde bounds``.
+A spec names the risk kind, whether the bound is for the sinc kernel, its
+hypotheses (the kernel's first), the bandwidth recipe
+
+    "h"         a fixed bandwidth h
+    "power"     h_n = h0 n^(-1/(p+1))
+    "root"      h_n = h0 / sqrt(n)
+    "root_log"  h_n = h0 / (sqrt(n) log n)
+    "log"       h_n = (log(h0 n) / gamma)^(-1/alpha), from the supersmooth
+                certificate (alpha, gamma, B)
+
+and the bound: either the power form (c1 h0^p + c2/h0) n^(-p/(p+1)) / divisor,
+whose closed-form minimizer over h0 is attached, or a value function.  The
+constants come from kernel functionals (mu1, mu2, roughness, A(K)) and
+Fourier-side density constants (derivative variations V_m, sup bound a,
+supersmooth certificate, band limit).  ``bound`` evaluates one spec and
+records which hypotheses were machine-checked; an unsatisfied hypothesis
+yields an inapplicable result rather than an error, so bound tables over
+(bound x density) grids, ``bound_table``, can render gaps honestly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .charfun import DensityModel
-from .kernels import KernelModel
+from .kernels import KernelModel, make_builtin
 from .risk import (RISK_RTOL, _decay_breaks, _sup_tail, certified_cutoff,
                    gauss_panels, integrated_sq_bias, panel_edges)
 
 __all__ = [
     "BoundResult",
-    "lemma1_mse_bound",
-    "lemma2_mise_bound",
-    "lemma5_mise_bound",
-    "lemma5_maxmse_bound",
-    "conventional_mise_bound",
-    "conventional_maxmse_bound",
-    "nonsmooth_mise_bound",
-    "sinc_mise_bound",
-    "sinc_maxmse_bound",
+    "BoundSpec",
+    "SPECS",
+    "bound",
+    "bound_table",
     "amise_conventional",
 ]
 
@@ -68,18 +73,57 @@ class BoundResult:
         return all(ok for _, ok in self.assumptions_checked)
 
 
-def _check_hn(h0: float, n: int) -> None:
-    if h0 <= 0:
-        raise ValueError("h0 must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+class _Case(NamedTuple):
+    # the inputs of one evaluation; v is the V_order the spec reads, or 2a
+    # under the unimodal fallback (flagged by fallback)
+    density: DensityModel
+    kernel: Optional[KernelModel]
+    n: int
+    h: Optional[float]
+    h0: Optional[float]
+    v: Optional[float]
+    fallback: bool
 
 
-def _check_fixed(h: float, n: int) -> None:
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+@dataclass(frozen=True)
+class BoundSpec:
+    """One risk bound: its hypotheses, bandwidth recipe and formula.
+
+    kernel_hypotheses are (name, predicate of the kernel) pairs, checked
+    before the (name, predicate of the case) pairs in hypotheses.  order is
+    the k of the variation V_k = int |p^(k+1)| the bound reads ("m" for the
+    caller's m).  A power-form bound gives p(m), coefficients(kernel, v, a,
+    m) -> (c1, c2) with v = V_order and a = sup p, and its divisor; any
+    other bound gives value(case) and its rate.
+    """
+
+    theorem_id: str
+    kind: str
+    sinc: bool
+    recipe: str
+    kernel_hypotheses: Tuple[Tuple[str, Callable[[KernelModel], bool]], ...] = ()
+    hypotheses: Tuple[Tuple[str, Callable[[_Case], bool]], ...] = ()
+    order: Union[int, str, None] = None
+    p: Optional[Callable[[Optional[int]], float]] = None
+    coefficients: Optional[Callable[..., Tuple[float, float]]] = None
+    divisor: float = 1.0
+    value: Optional[Callable[[_Case], float]] = None
+    rate: Optional[float] = None
+
+    def power_form(self, kernel: Optional[KernelModel], v: float,
+                   a: Optional[float] = None,
+                   m: Optional[int] = None) -> Tuple[float, float, float, float]:
+        """(c1, c2, p, rate) of the power form for the constants v and a.
+
+        Raises ValueError naming the first kernel hypothesis that fails.
+        """
+        for name, ok in self.kernel_hypotheses:
+            if kernel is None or not ok(kernel):
+                raise ValueError("%s needs a kernel that satisfies %s"
+                                 % (self.theorem_id, name))
+        c1, c2 = self.coefficients(kernel, v, a, m)
+        p = self.p(m)
+        return c1, c2, p, p / (p + 1.0)
 
 
 def _power_minimum(c1: float, c2: float, p: float) -> Tuple[float, float]:
@@ -121,410 +165,230 @@ def _abs_bias_factor(density: DensityModel, kernel: KernelModel,
     return float(q.value[0] + q.error[0]) / math.pi + tail(T)
 
 
-def lemma1_mse_bound(density: DensityModel, kernel: KernelModel, h: float,
-                     n: int) -> BoundResult:
-    """Fixed-bandwidth bound on sup_x MSE for a conventional kernel.
-
-    sup-MSE <= {(2 pi)^(-1) int |f| |1 - phi(ht)| dt}^2 + 2 a A(K)/(n h),
-    where a bounds the density and A(K) = (2 pi)^(-1) int |phi|.  Needs
-    both transforms absolutely integrable and the density bounded.
-    """
-    _check_fixed(h, n)
-    checks = [
-        ("kernel_is_density", bool(kernel.is_density)),
-        ("kernel_cf_absolutely_integrable", math.isfinite(kernel.a_value)),
-        ("density_sup_bound_available", density.sup_bound is not None),
-        ("density_cf_absolutely_integrable", density.cf_abs_tail is not None),
-    ]
-    bound = None
-    if all(ok for _, ok in checks):
-        first = _abs_bias_factor(density, kernel, h)
-        bound = first ** 2 + 2.0 * density.sup_bound * kernel.a_value / (n * h)
-    return BoundResult("lemma1", "max_mse", n=n, h_used=float(h), h0=None,
-                       rate=None, bound=bound,
-                       assumptions_checked=tuple(checks))
+def _log_n(n: int) -> float:
+    return math.log(n) if n > 1 else 1.0
 
 
-def lemma2_mise_bound(density: DensityModel, kernel: KernelModel, h: float,
-                      n: int) -> BoundResult:
-    """Fixed-bandwidth MISE bound for a conventional kernel.
-
-    MISE <= (2 pi)^(-1) int |f|^2 |1 - phi(ht)|^2 dt + R(K)/(n h); the
-    second term is (2 pi n h)^(-1) int |phi|^2 by Parseval.
-    """
-    _check_fixed(h, n)
-    checks = [("kernel_is_density", bool(kernel.is_density))]
-    bound = None
-    if all(ok for _, ok in checks):
-        bias_part = integrated_sq_bias(density, kernel, h)
-        bound = bias_part.value + kernel.roughness / (n * h)
-    return BoundResult("lemma2", "mise", n=n, h_used=float(h), h0=None,
-                       rate=None, bound=bound,
-                       assumptions_checked=tuple(checks))
+def _lemma1(c: _Case) -> float:
+    return (_abs_bias_factor(c.density, c.kernel, c.h) ** 2
+            + 2.0 * c.density.sup_bound * c.kernel.a_value / (c.n * c.h))
 
 
-def lemma5_mise_bound(density: DensityModel, h: float, n: int) -> BoundResult:
-    """Fixed-bandwidth MISE bound for the sinc-kernel estimate.
+def _thm5(c: _Case) -> float:
+    # a unimodal density bounded by a substitutes max(2 sqrt(2) a^(3/2), a^2)
+    # for the middle factor
+    log_n = _log_n(c.n)
+    if c.fallback:
+        a = c.density.sup_bound
+        mid = max(2.0 * math.sqrt(2.0) * a ** 1.5, a * a)
+    else:
+        mid = max(c.v ** 1.5, c.v * c.v)
+    mu1 = c.kernel.mu1
+    c1 = (4.0 * math.sqrt(2.0) / math.pi) * max(math.sqrt(mu1), mu1) * mid
+    bracket = c1 * max(math.sqrt(c.h0), c.h0) + c.kernel.roughness / (c.h0 * log_n)
+    return bracket * log_n ** 2 / math.sqrt(c.n)
 
-    MISE <= (2 pi)^(-1) { int_{|t| >= 1/h} |f|^2 dt + 2/(n h) }; exact up
-    to the closed-form tail the density model carries.
-    """
-    _check_fixed(h, n)
-    tail = float(density.cf_sq_tail(1.0 / h))
-    bound = (tail + 2.0 / (n * h)) / (2.0 * math.pi)
-    return BoundResult("lemma5_mise", "mise", n=n, h_used=float(h), h0=None,
-                       rate=None, bound=bound, assumptions_checked=())
+
+def _thm9(c: _Case) -> float:
+    alpha, gamma, big_b = c.density.supersmooth
+    log_hn = math.log(c.h0 * c.n)
+    return (2.0 * gamma ** (-1.0 / alpha) * log_hn ** (1.0 / alpha)
+            + big_b / c.h0) / (2.0 * math.pi * c.n)
 
 
-def lemma5_maxmse_bound(density: DensityModel, h: float,
-                        n: int) -> BoundResult:
-    """Fixed-bandwidth bound on sup_x MSE for the sinc-kernel estimate.
+def _thm10(c: _Case) -> float:
+    alpha, gamma, big_b = c.density.supersmooth
+    log_hn = math.log(c.h0 * c.n)
+    return ((2.0 * c.density.a_p / (math.pi * gamma ** (1.0 / alpha)))
+            * log_hn ** (1.0 / alpha)
+            + big_b ** 2 / (4.0 * math.pi ** 2 * c.n * c.h0)) / c.n
 
-    sup-MSE <= {(2 pi)^(-1) int_{|t| >= 1/h} |f| dt}^2 + 2 A(p)/(pi n h),
-    with A(p) = (2 pi)^(-1) int |f|.
-    """
-    _check_fixed(h, n)
-    checks = [
+
+_K_DENSITY = ("kernel_is_density", lambda k: bool(k.is_density))
+_K_ZERO_MEAN = ("kernel_zero_mean", lambda k: bool(k.zero_mean))
+_K_MU1 = ("kernel_mu1_available", lambda k: k.mu1 is not None)
+_K_MU2 = ("kernel_mu2_available", lambda k: k.mu2 is not None)
+_K_CF_ABS = ("kernel_cf_absolutely_integrable", lambda k: math.isfinite(k.a_value))
+_SUP = ("density_sup_bound_available", lambda c: c.density.sup_bound is not None)
+_VARIATION = ("derivative_variation_available", lambda c: c.v is not None)
+_TOTAL_VARIATION = ("total_variation_available", lambda c: c.v is not None)
+_ASSERTED = ("smoothness_class_user_asserted", lambda c: True)
+_SUPERSMOOTH = (
+    ("supersmooth_certificate_available", lambda c: c.density.supersmooth is not None),
+    ("h0_n_log_positive", lambda c: c.h0 * c.n > 1.0),
+)
+_BAND = (
+    ("density_band_limited", lambda c: c.density.cf_cutoff is not None),
+    ("h_within_band",
+     lambda c: c.density.cf_cutoff is not None and c.h <= 1.0 / c.density.cf_cutoff),
+)
+
+SPECS = {spec.theorem_id: spec for spec in (
+    # sup-MSE <= {(2 pi)^(-1) int |f| |1 - phi(ht)| dt}^2 + 2 a A(K)/(n h)
+    BoundSpec("lemma1", "max_mse", False, "h", (_K_DENSITY, _K_CF_ABS), (
+        _SUP, ("density_cf_absolutely_integrable",
+               lambda c: c.density.cf_abs_tail is not None)), value=_lemma1),
+    # MISE <= (2 pi)^(-1) int |f|^2 |1 - phi(ht)|^2 dt + R(K)/(n h)
+    BoundSpec("lemma2", "mise", False, "h", (_K_DENSITY,), value=lambda c: (
+        integrated_sq_bias(c.density, c.kernel, c.h).value
+        + c.kernel.roughness / (c.n * c.h))),
+    # MISE <= (2 pi)^(-1) {int_{|t| >= 1/h} |f|^2 dt + 2/(n h)}
+    BoundSpec("lemma5_mise", "mise", True, "h", value=lambda c: (
+        float(c.density.cf_sq_tail(1.0 / c.h)) + 2.0 / (c.n * c.h)) / (2.0 * math.pi)),
+    # sup-MSE <= {(2 pi)^(-1) int_{|t| >= 1/h} |f| dt}^2 + 2 A(p)/(pi n h)
+    BoundSpec("lemma5_maxmse", "max_mse", True, "h", (), (
         ("density_cf_absolutely_integrable",
-         density.cf_abs_tail is not None and density.a_p is not None),
-    ]
-    bound = None
-    if all(ok for _, ok in checks):
-        first = float(density.cf_abs_tail(1.0 / h)) / (2.0 * math.pi)
-        bound = first ** 2 + 2.0 * density.a_p / (math.pi * n * h)
-    return BoundResult("lemma5_maxmse", "max_mse", n=n, h_used=float(h),
-                       h0=None, rate=None, bound=bound,
-                       assumptions_checked=tuple(checks))
+         lambda c: c.density.cf_abs_tail is not None and c.density.a_p is not None),),
+        value=lambda c: (float(c.density.cf_abs_tail(1.0 / c.h)) / (2.0 * math.pi)) ** 2
+        + 2.0 * c.density.a_p / (math.pi * c.n * c.h)),
+    # {(3/(10 pi)) mu2^2 V2^(5/3) h0^4 + R(K)/h0} n^(-4/5)
+    BoundSpec("thm1", "mise", False, "power", (_K_DENSITY, _K_ZERO_MEAN, _K_MU2),
+              (_VARIATION, _ASSERTED), order=2, p=lambda m: 4.0,
+              coefficients=lambda k, v, a, m: (
+                  (3.0 / (10.0 * math.pi)) * k.mu2 ** 2 * v ** (5.0 / 3.0), k.roughness)),
+    # {(4/(3 pi)) mu1^2 V1^(3/2) h0^2 + R(K)/h0} n^(-2/3)
+    BoundSpec("thm2", "mise", False, "power", (_K_DENSITY, _K_MU1),
+              (_VARIATION, _ASSERTED), order=1, p=lambda m: 2.0,
+              coefficients=lambda k, v, a, m: (
+                  (4.0 / (3.0 * math.pi)) * k.mu1 ** 2 * v ** 1.5, k.roughness)),
+    # {(4/(9 pi^2)) mu2^2 V3^(3/2) h0^4 + 2 a A(K)/h0} n^(-4/5)
+    BoundSpec("thm3", "max_mse", False, "power",
+              (_K_DENSITY, _K_ZERO_MEAN, _K_MU2, _K_CF_ABS),
+              (_SUP, _VARIATION, _ASSERTED), order=3, p=lambda m: 4.0,
+              coefficients=lambda k, v, a, m: (
+                  (4.0 / (9.0 * math.pi ** 2)) * k.mu2 ** 2 * v ** 1.5, 2.0 * a * k.a_value)),
+    # {(9/(4 pi^2)) mu1^2 V2^(4/3) h0^2 + 2 a A(K)/h0} n^(-2/3)
+    BoundSpec("thm4", "max_mse", False, "power", (_K_DENSITY, _K_MU1, _K_CF_ABS),
+              (_SUP, _VARIATION, _ASSERTED), order=2, p=lambda m: 2.0,
+              coefficients=lambda k, v, a, m: (
+                  (9.0 / (4.0 * math.pi ** 2)) * k.mu1 ** 2 * v ** (4.0 / 3.0),
+                  2.0 * a * k.a_value)),
+    # (log^2 n / sqrt(n)) {(4 sqrt(2)/pi) max(sqrt(mu1), mu1) max(V^(3/2), V^2)
+    #                      max(sqrt(h0), h0) + R(K)/(h0 log n)}, for n >= 16
+    BoundSpec("thm5", "mise", False, "root_log", (_K_DENSITY, _K_MU1), (
+        _TOTAL_VARIATION, ("n_at_least_16", lambda c: c.n >= 16)),
+        order=0, value=_thm5, rate=0.5),
+    # (V^2 h0 + 1/h0) / (pi sqrt(n)), minimized at h0 = 1/V to 2 V/(pi sqrt(n))
+    BoundSpec("thm6", "mise", True, "root", (), (_TOTAL_VARIATION,), order=0,
+              p=lambda m: 1.0, coefficients=lambda k, v, a, m: (v * v, 1.0),
+              divisor=math.pi),
+    # (2 pi)^(-1) {(4(m+1)/(2m+1)) V_m^((2m+1)/(m+1)) h0^(2m) + 2/h0} n^(-2m/(2m+1))
+    BoundSpec("thm7", "mise", True, "power", (), (_VARIATION, _ASSERTED), order="m",
+              p=lambda m: 2.0 * m, coefficients=lambda k, v, a, m: (
+                  (4.0 * (m + 1.0) / (2.0 * m + 1.0)) * v ** ((2.0 * m + 1.0) / (m + 1.0)),
+                  2.0), divisor=2.0 * math.pi),
+    # pi^(-2) {((m+1)/m)^2 V_m^(2m/(m+1)) h0^(2(m-1))
+    #          + 2 (V_m^(1/(m+1)) + V_m^(m/(m+1))/m)/h0} n^(-2(m-1)/(2m-1))
+    BoundSpec("thm8", "max_mse", True, "power", (), (_VARIATION, _ASSERTED), order="m",
+              p=lambda m: 2.0 * (m - 1.0), coefficients=lambda k, v, a, m: (
+                  ((m + 1.0) / m) ** 2 * v ** (2.0 * m / (m + 1.0)),
+                  2.0 * (v ** (1.0 / (m + 1.0)) + v ** (m / (m + 1.0)) / m)),
+              divisor=math.pi ** 2),
+    # (2 pi n)^(-1) {2 gamma^(-1/alpha) log(h0 n)^(1/alpha) + B/h0}
+    BoundSpec("thm9", "mise", True, "log", (), _SUPERSMOOTH, value=_thm9, rate=1.0),
+    # n^(-1) {(2 A(p)/(pi gamma^(1/alpha))) log(h0 n)^(1/alpha) + B^2/(4 pi^2 n h0)}
+    BoundSpec("thm10", "max_mse", True, "log", (), _SUPERSMOOTH + (
+        ("density_cf_absolutely_integrable", lambda c: c.density.a_p is not None),),
+        value=_thm10, rate=1.0),
+    # 1/(pi n h) for h <= 1/tau, where the estimate is unbiased
+    BoundSpec("thm11", "mise", True, "h", (), _BAND,
+              value=lambda c: 1.0 / (math.pi * c.n * c.h), rate=1.0),
+    # 2 tau/(pi^2 n h) for h <= 1/tau
+    BoundSpec("thm11_maxmse", "max_mse", True, "h", (), _BAND,
+              value=lambda c: 2.0 * c.density.cf_cutoff / (math.pi ** 2 * c.n * c.h),
+              rate=1.0),
+)}
 
 
-def conventional_mise_bound(density: DensityModel, kernel: KernelModel,
-                            m: int, h0: float, n: int) -> BoundResult:
-    """MISE bound for an m-times differentiable target, conventional kernel.
+def _bandwidth(recipe: str, c: _Case, p: Optional[float]) -> float:
+    if recipe == "h":
+        return float(c.h)
+    if recipe == "power":
+        return c.h0 * c.n ** (-1.0 / (p + 1.0))
+    if recipe == "root":
+        return c.h0 / math.sqrt(c.n)
+    if recipe == "root_log":
+        return c.h0 / (math.sqrt(c.n) * _log_n(c.n))
+    alpha, gamma, _ = c.density.supersmooth
+    return (math.log(c.h0 * c.n) / gamma) ** (-1.0 / alpha)
 
-    m = 2 uses h_n = h0 n^(-1/5) and needs a zero-mean kernel with a
-    second moment plus the variation V2 of p'':
-        { (3/(10 pi)) mu2^2 V2^(5/3) h0^4 + R(K)/h0 } n^(-4/5).
-    m = 1 uses h_n = h0 n^(-1/3) and needs mu1 plus the variation V1 of p':
-        { (4/(3 pi)) mu1^2 V1^(3/2) h0^2 + R(K)/h0 } n^(-2/3).
-    The closed-form minimizer over h0 is attached as optimal.
+
+def bound(theorem_id: str, density: DensityModel, kernel: Optional[KernelModel],
+          n: int, *, h: Optional[float] = None, h0: Optional[float] = None,
+          m: Optional[int] = None) -> BoundResult:
+    """Evaluate the bound SPECS[theorem_id] at sample size n.
+
+    The fixed-bandwidth bounds (recipe "h") need h, the others h0; thm7 and
+    thm8 also need the smoothness order m >= 1.  kernel is the kernel of
+    the conventional bounds; the sinc-kernel bounds do not read it.  When
+    the density carries no total variation V but is unimodal and bounded
+    by a, thm5 and thm6 fall back on V = 2a and report the ids
+    thm5_unimodal and thm6_unimodal.  Raises ValueError for an unknown id,
+    a missing input, an h or h0 that is not finite and positive, and a
+    bound that overflows.
     """
-    if m not in (1, 2):
-        raise ValueError("m must be 1 or 2")
-    _check_hn(h0, n)
-    v = density.variation.get(m)
-    checks = [
-        ("kernel_is_density", bool(kernel.is_density)),
-        ("derivative_variation_available", v is not None),
-        ("smoothness_class_user_asserted", True),
-    ]
-    if m == 2:
-        checks.insert(1, ("kernel_zero_mean", bool(kernel.zero_mean)))
-        checks.insert(2, ("kernel_mu2_available", kernel.mu2 is not None))
-        rate = 4.0 / 5.0
-        power = 5
-    else:
-        checks.insert(1, ("kernel_mu1_available", kernel.mu1 is not None))
-        rate = 2.0 / 3.0
-        power = 3
-    h_used = h0 * n ** (-1.0 / power)
-    theorem_id = "thm1" if m == 2 else "thm2"
-    bound = None
-    optimal = None
-    if all(ok for _, ok in checks):
-        if m == 2:
-            c1 = (3.0 / (10.0 * math.pi)) * kernel.mu2 ** 2 * v ** (5.0 / 3.0)
-            p = 4.0
-        else:
-            c1 = (4.0 / (3.0 * math.pi)) * kernel.mu1 ** 2 * v ** 1.5
-            p = 2.0
-        c2 = kernel.roughness
-        scale = n ** (-rate)
-        bound = (c1 * h0 ** p + c2 / h0) * scale
-        h_star, m_star = _power_minimum(c1, c2, p)
-        optimal = (float(h_star), float(m_star * scale))
-    return BoundResult(theorem_id, "mise", n=n, h_used=float(h_used),
-                       h0=float(h0), rate=rate, bound=bound,
-                       assumptions_checked=tuple(checks), optimal=optimal)
-
-
-def conventional_maxmse_bound(density: DensityModel, kernel: KernelModel,
-                              m: int, h0: float, n: int) -> BoundResult:
-    """sup-MSE bound for an m-times differentiable target, conventional kernel.
-
-    m = 3 uses h_n = h0 n^(-1/5) and needs a zero-mean kernel, the
-    variation V3 of p''', a bound a on the density, and A(K):
-        { (4/(9 pi^2)) mu2^2 V3^(3/2) h0^4 + 2 a A(K)/h0 } n^(-4/5).
-    m = 2 uses h_n = h0 n^(-1/3) with V2 and mu1 instead:
-        { (9/(4 pi^2)) mu1^2 V2^(4/3) h0^2 + 2 a A(K)/h0 } n^(-2/3).
-    """
-    if m not in (2, 3):
-        raise ValueError("m must be 2 or 3")
-    _check_hn(h0, n)
-    v = density.variation.get(m)
-    checks = [
-        ("kernel_is_density", bool(kernel.is_density)),
-        ("kernel_cf_absolutely_integrable", math.isfinite(kernel.a_value)),
-        ("density_sup_bound_available", density.sup_bound is not None),
-        ("derivative_variation_available", v is not None),
-        ("smoothness_class_user_asserted", True),
-    ]
-    if m == 3:
-        checks.insert(1, ("kernel_zero_mean", bool(kernel.zero_mean)))
-        checks.insert(2, ("kernel_mu2_available", kernel.mu2 is not None))
-        rate = 4.0 / 5.0
-        power = 5
-    else:
-        checks.insert(1, ("kernel_mu1_available", kernel.mu1 is not None))
-        rate = 2.0 / 3.0
-        power = 3
-    h_used = h0 * n ** (-1.0 / power)
-    theorem_id = "thm3" if m == 3 else "thm4"
-    bound = None
-    optimal = None
-    if all(ok for _, ok in checks):
-        if m == 3:
-            c1 = (4.0 / (9.0 * math.pi ** 2)) * kernel.mu2 ** 2 * v ** 1.5
-            p = 4.0
-        else:
-            c1 = (9.0 / (4.0 * math.pi ** 2)) * kernel.mu1 ** 2 * v ** (4.0 / 3.0)
-            p = 2.0
-        c2 = 2.0 * density.sup_bound * kernel.a_value
-        scale = n ** (-rate)
-        bound = (c1 * h0 ** p + c2 / h0) * scale
-        h_star, m_star = _power_minimum(c1, c2, p)
-        optimal = (float(h_star), float(m_star * scale))
-    return BoundResult(theorem_id, "max_mse", n=n, h_used=float(h_used),
-                       h0=float(h0), rate=rate, bound=bound,
-                       assumptions_checked=tuple(checks), optimal=optimal)
-
-
-def nonsmooth_mise_bound(density: DensityModel, kernel: KernelModel,
-                         h0: float, n: int) -> BoundResult:
-    """MISE bound for a bounded-variation target, conventional kernel.
-
-    Uses h_n = h0 / (sqrt(n) log n) and needs n >= 16.  With V the total
-    variation of the density,
-
-        (log^2 n / sqrt(n)) [ (4 sqrt(2)/pi) max(sqrt(mu1), mu1)
-                              * max(V^(3/2), V^2) * max(sqrt(h0), h0)
-                              + R(K)/(h0 log n) ].
-
-    When V is unavailable, a unimodal density bounded by a falls back to
-    the substitution max(2 sqrt(2) a^(3/2), a^2) for the middle factor.
-    """
-    _check_hn(h0, n)
-    v0 = density.variation.get(0)
-    fallback = v0 is None and density.unimodal and density.sup_bound is not None
-    checks = [
-        ("kernel_is_density", bool(kernel.is_density)),
-        ("kernel_mu1_available", kernel.mu1 is not None),
-        ("total_variation_available", v0 is not None or fallback),
-        ("n_at_least_16", n >= 16),
-    ]
-    theorem_id = "thm5_unimodal" if fallback else "thm5"
-    log_n = math.log(n) if n > 1 else 1.0
-    h_used = h0 / (math.sqrt(n) * log_n)
-    bound = None
-    if all(ok for _, ok in checks):
-        if fallback:
-            a = density.sup_bound
-            mid = max(2.0 * math.sqrt(2.0) * a ** 1.5, a * a)
-        else:
-            mid = max(v0 ** 1.5, v0 * v0)
-        mu_factor = max(math.sqrt(kernel.mu1), kernel.mu1)
-        c1 = (4.0 * math.sqrt(2.0) / math.pi) * mu_factor * mid
-        bracket = c1 * max(math.sqrt(h0), h0) + kernel.roughness / (h0 * log_n)
-        bound = bracket * log_n ** 2 / math.sqrt(n)
-    return BoundResult(theorem_id, "mise", n=n, h_used=float(h_used),
-                       h0=float(h0), rate=0.5, bound=bound,
-                       assumptions_checked=tuple(checks))
-
-
-def _require_h0(h0: Optional[float], regime: str) -> float:
-    if h0 is None:
-        raise ValueError("regime %r needs h0" % regime)
-    return float(h0)
-
-
-def _supersmooth_checks(density: DensityModel, h0: float,
-                        n: int) -> List[Tuple[str, bool]]:
-    return [
-        ("supersmooth_certificate_available", density.supersmooth is not None),
-        ("h0_n_log_positive", h0 * n > 1.0),
-    ]
-
-
-def sinc_mise_bound(density: DensityModel, regime: str, n: int,
-                    h0: Optional[float] = None, h: Optional[float] = None,
-                    m: Optional[int] = None) -> BoundResult:
-    """MISE bound for the sinc-kernel estimate, by smoothness regime.
-
-    nonsmooth   h_n = h0/sqrt(n); needs the total variation V (or, as a
-                fallback, a unimodal density bounded by a with V = 2a):
-                (V^2 h0 + 1/h0) / (pi sqrt(n)), minimized at h0 = 1/V
-                with value 2 V / (pi sqrt(n)).
-    smooth      h_n = h0 n^(-1/(2m+1)); needs the variation V_m of the
-                m-th derivative:  (2 pi)^(-1) { (4(m+1)/(2m+1))
-                V_m^((2m+1)/(m+1)) h0^(2m) + 2/h0 } n^(-2m/(2m+1)).
-    supersmooth h_n = {log(h0 n)/gamma}^(-1/alpha); needs the
-                (alpha, gamma, B) certificate and h0 n > 1:
-                (2 pi n)^(-1) { 2 gamma^(-1/alpha) log(h0 n)^(1/alpha)
-                + B/h0 }.
-    bandlimited fixed h <= 1/tau; the estimate is unbiased and
-                MISE <= 1/(pi n h).
-    """
+    spec = SPECS.get(theorem_id)
+    if spec is None:
+        raise ValueError("unknown bound %r" % (theorem_id,))
     if n < 1:
         raise ValueError("n must be at least 1")
-    if regime == "nonsmooth":
-        h0 = _require_h0(h0, regime)
-        _check_hn(h0, n)
-        v0 = density.variation.get(0)
-        fallback = (v0 is None and density.unimodal
-                    and density.sup_bound is not None)
-        checks = [("total_variation_available", v0 is not None or fallback)]
-        theorem_id = "thm6_unimodal" if fallback else "thm6"
-        h_used = h0 / math.sqrt(n)
-        bound = None
-        optimal = None
-        if all(ok for _, ok in checks):
-            v = 2.0 * density.sup_bound if fallback else v0
-            scale = 1.0 / (math.pi * math.sqrt(n))
-            bound = (v * v * h0 + 1.0 / h0) * scale
-            h_star, m_star = _power_minimum(v * v, 1.0, 1.0)
-            optimal = (float(h_star), float(m_star * scale))
-        return BoundResult(theorem_id, "mise", n=n, h_used=float(h_used),
-                           h0=h0, rate=0.5, bound=bound,
-                           assumptions_checked=tuple(checks), optimal=optimal)
-    if regime == "smooth":
-        if m is None or m < 1:
-            raise ValueError("smooth regime needs an order m >= 1")
-        h0 = _require_h0(h0, regime)
-        _check_hn(h0, n)
-        vm = density.variation.get(m)
-        checks = [("derivative_variation_available", vm is not None),
-                  ("smoothness_class_user_asserted", True)]
-        rate = 2.0 * m / (2.0 * m + 1.0)
-        h_used = h0 * n ** (-1.0 / (2.0 * m + 1.0))
-        bound = None
-        optimal = None
-        if all(ok for _, ok in checks):
-            c1 = (4.0 * (m + 1.0) / (2.0 * m + 1.0)) * vm ** ((2.0 * m + 1.0) / (m + 1.0))
-            c2 = 2.0
-            p = 2.0 * m
-            scale = n ** (-rate) / (2.0 * math.pi)
-            bound = (c1 * h0 ** p + c2 / h0) * scale
-            h_star, m_star = _power_minimum(c1, c2, p)
-            optimal = (float(h_star), float(m_star * scale))
-        return BoundResult("thm7", "mise", n=n, h_used=float(h_used), h0=h0,
-                           rate=rate, bound=bound,
-                           assumptions_checked=tuple(checks), optimal=optimal)
-    if regime == "supersmooth":
-        h0 = _require_h0(h0, regime)
-        _check_hn(h0, n)
-        checks = _supersmooth_checks(density, h0, n)
-        bound = None
-        h_used = None
-        if all(ok for _, ok in checks):
-            alpha, gamma, big_b = density.supersmooth
-            log_hn = math.log(h0 * n)
-            h_used = (log_hn / gamma) ** (-1.0 / alpha)
-            bound = (2.0 * gamma ** (-1.0 / alpha) * log_hn ** (1.0 / alpha)
-                     + big_b / h0) / (2.0 * math.pi * n)
-        return BoundResult("thm9", "mise", n=n, h_used=h_used, h0=h0,
-                           rate=1.0, bound=bound,
-                           assumptions_checked=tuple(checks))
-    if regime == "bandlimited":
-        if h is None:
-            raise ValueError("regime 'bandlimited' needs a fixed h")
-        _check_fixed(h, n)
-        tau = density.cf_cutoff
-        checks = [
-            ("density_band_limited", tau is not None),
-            ("h_within_band", tau is not None and h <= 1.0 / tau),
-        ]
-        bound = None
-        if all(ok for _, ok in checks):
-            bound = 1.0 / (math.pi * n * h)
-        return BoundResult("thm11", "mise", n=n, h_used=float(h), h0=None,
-                           rate=1.0, bound=bound,
-                           assumptions_checked=tuple(checks))
-    raise ValueError("unknown regime %r" % regime)
+    for name, width in (("h", h), ("h0", h0)):
+        if width is not None and not (math.isfinite(width) and width > 0.0):
+            raise ValueError("%s must be finite and positive, not %r" % (name, width))
+    fixed = spec.recipe == "h"
+    if (h if fixed else h0) is None:
+        raise ValueError("%s needs %s" % (theorem_id, "h" if fixed else "h0"))
+    if spec.order == "m" and (m is None or m < 1):
+        raise ValueError("%s needs an order m >= 1" % theorem_id)
+    if kernel is None and not spec.sinc:
+        raise ValueError("%s needs a kernel" % theorem_id)
+    order = m if spec.order == "m" else spec.order
+    v = None if order is None else density.variation.get(order)
+    fallback = (order == 0 and v is None and density.unimodal
+                and density.sup_bound is not None)
+    if fallback:
+        # a unimodal density bounded by a has total variation 2a
+        v = 2.0 * density.sup_bound
+    case = _Case(density, kernel, n, h, h0, v, fallback)
+    checks = tuple([(name, bool(ok(kernel))) for name, ok in spec.kernel_hypotheses]
+                   + [(name, bool(ok(case))) for name, ok in spec.hypotheses])
+    applicable = all(ok for _, ok in checks)
+    p = None if spec.p is None else spec.p(m)
+    rate = spec.rate if p is None else p / (p + 1.0)
+    # the log recipe reads the supersmooth certificate, which may be missing
+    h_used = _bandwidth(spec.recipe, case, p) if applicable or spec.recipe != "log" else None
+    upper = optimal = None
+    if applicable:
+        try:
+            if p is None:
+                upper = spec.value(case)
+            else:
+                c1, c2 = spec.coefficients(kernel, v, density.sup_bound, m)
+                # with h_n = h0/sqrt(n), n^(-1/2) is taken as 1/sqrt(n) too
+                scale = (1.0 / (spec.divisor * math.sqrt(n)) if spec.recipe == "root"
+                         else n ** -rate / spec.divisor)
+                upper = (c1 * h0 ** p + c2 / h0) * scale
+                if p > 0.0:
+                    h_star, m_star = _power_minimum(c1, c2, p)
+                    optimal = (float(h_star), float(m_star * scale))
+        except OverflowError:
+            upper = math.inf
+        if not math.isfinite(upper):
+            raise ValueError("%s overflows at n=%d, h=%r, h0=%r" % (theorem_id, n, h, h0))
+    return BoundResult(spec.theorem_id + ("_unimodal" if fallback else ""), spec.kind,
+                       n=n, h_used=h_used, h0=None if fixed else float(h0),
+                       rate=rate, bound=upper, assumptions_checked=checks,
+                       optimal=optimal)
 
 
-def sinc_maxmse_bound(density: DensityModel, regime: str, n: int,
-                      h0: Optional[float] = None, h: Optional[float] = None,
-                      m: Optional[int] = None) -> BoundResult:
-    """sup-MSE bound for the sinc-kernel estimate, by smoothness regime.
-
-    smooth      h_n = h0 n^(-1/(2m-1)); needs the variation V_m:
-                pi^(-2) { ((m+1)/m)^2 V_m^(2m/(m+1)) h0^(2(m-1))
-                + 2 (V_m^(1/(m+1)) + V_m^(m/(m+1))/m)/h0 } n^(-2(m-1)/(2m-1)).
-                The closed-form minimizer exists for m >= 2.
-    supersmooth needs the (alpha, gamma, B) certificate, A(p), h0 n > 1:
-                n^(-1) { (2 A(p)/(pi gamma^(1/alpha))) log(h0 n)^(1/alpha)
-                + B^2/(4 pi^2 n h0) }.
-    bandlimited fixed h <= 1/tau:  sup-MSE <= 2 tau/(pi^2 n h).
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if regime == "smooth":
-        if m is None or m < 1:
-            raise ValueError("smooth regime needs an order m >= 1")
-        h0 = _require_h0(h0, regime)
-        _check_hn(h0, n)
-        vm = density.variation.get(m)
-        checks = [("derivative_variation_available", vm is not None),
-                  ("smoothness_class_user_asserted", True)]
-        rate = 2.0 * (m - 1.0) / (2.0 * m - 1.0)
-        h_used = h0 * n ** (-1.0 / (2.0 * m - 1.0))
-        bound = None
-        optimal = None
-        if all(ok for _, ok in checks):
-            c1 = ((m + 1.0) / m) ** 2 * vm ** (2.0 * m / (m + 1.0))
-            c2 = 2.0 * (vm ** (1.0 / (m + 1.0)) + vm ** (m / (m + 1.0)) / m)
-            p = 2.0 * (m - 1.0)
-            scale = n ** (-rate) / math.pi ** 2
-            bound = (c1 * h0 ** p + c2 / h0) * scale
-            if m >= 2:
-                h_star, m_star = _power_minimum(c1, c2, p)
-                optimal = (float(h_star), float(m_star * scale))
-        return BoundResult("thm8", "max_mse", n=n, h_used=float(h_used),
-                           h0=h0, rate=rate, bound=bound,
-                           assumptions_checked=tuple(checks), optimal=optimal)
-    if regime == "supersmooth":
-        h0 = _require_h0(h0, regime)
-        _check_hn(h0, n)
-        checks = _supersmooth_checks(density, h0, n)
-        checks.append(("density_cf_absolutely_integrable",
-                       density.a_p is not None))
-        bound = None
-        h_used = None
-        if all(ok for _, ok in checks):
-            alpha, gamma, big_b = density.supersmooth
-            log_hn = math.log(h0 * n)
-            h_used = (log_hn / gamma) ** (-1.0 / alpha)
-            bound = ((2.0 * density.a_p / (math.pi * gamma ** (1.0 / alpha)))
-                     * log_hn ** (1.0 / alpha)
-                     + big_b ** 2 / (4.0 * math.pi ** 2 * n * h0)) / n
-        return BoundResult("thm10", "max_mse", n=n, h_used=h_used, h0=h0,
-                           rate=1.0, bound=bound,
-                           assumptions_checked=tuple(checks))
-    if regime == "bandlimited":
-        if h is None:
-            raise ValueError("regime 'bandlimited' needs a fixed h")
-        _check_fixed(h, n)
-        tau = density.cf_cutoff
-        checks = [
-            ("density_band_limited", tau is not None),
-            ("h_within_band", tau is not None and h <= 1.0 / tau),
-        ]
-        bound = None
-        if all(ok for _, ok in checks):
-            bound = 2.0 * tau / (math.pi ** 2 * n * h)
-        return BoundResult("thm11_maxmse", "max_mse", n=n, h_used=float(h),
-                           h0=None, rate=1.0, bound=bound,
-                           assumptions_checked=tuple(checks))
-    raise ValueError("unknown regime %r" % regime)
+def bound_table(density: DensityModel, kernel: KernelModel, n: int, h: float,
+                h0: float, m: int) -> Iterator[Tuple[BoundResult, KernelModel]]:
+    """Every bound of SPECS in order, each with the kernel it is evaluated
+    with: the sinc kernel for the sinc-kernel bounds, else kernel."""
+    sinc = make_builtin("sinc")
+    for spec in SPECS.values():
+        used = sinc if spec.sinc else kernel
+        yield bound(spec.theorem_id, density, used, n, h=h, h0=h0, m=m), used
 
 
 def amise_conventional(density: DensityModel, kernel: KernelModel,

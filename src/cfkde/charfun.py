@@ -9,8 +9,8 @@ quantities the exact-risk and bound formulas need:
     a_p              (2 pi)^(-1) int |cf|, None when int |cf| diverges
     supersmooth      (alpha, gamma, B) with B = int exp(gamma |t|^alpha)|cf| < inf
     cf_cutoff        tau with cf = 0 for |t| > tau (band-limited case)
-    cf_sq_integral   int |cf|^2
-    cf_sq_tail(T)    int_{|t| >= T} |cf|^2, exact or near-exact
+    cf_sq_tail(T)    int_{|t| >= T} |cf|^2, exact or near-exact; T = 0 gives
+                     int |cf|^2
     cf_abs_tail(T)   int_{|t| >= T} |cf|, None when divergent
     cf_phases        (lo, hi): cf is a finite sum of exp(i a t) g(t) with
                      lo <= a <= hi and each g free of oscillation; sets the
@@ -77,7 +77,6 @@ class DensityModel:
     supersmooth: Optional[Tuple[float, float, float]]
     cf_cutoff: Optional[float]
     unimodal: bool
-    cf_sq_integral: float
     cf_sq_tail: Callable
     cf_abs_tail: Optional[Callable]
     pdf_deriv: Optional[Callable]
@@ -396,7 +395,6 @@ def _make_normal(sigma: float = 1.0, mu: float = 0.0) -> DensityModel:
         supersmooth=(2.0, s * s / 4.0, 2.0 * _SQRT_PI / s),
         cf_cutoff=None,
         unimodal=True,
-        cf_sq_integral=_SQRT_PI / s,
         cf_sq_tail=cf_sq_tail,
         cf_abs_tail=cf_abs_tail,
         pdf_deriv=pdf_deriv,
@@ -558,7 +556,6 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
         supersmooth=(2.0, gamma, b_const),
         cf_cutoff=None,
         unimodal=False,
-        cf_sq_integral=cf_sq_int,
         cf_sq_tail=cf_sq_tail,
         cf_abs_tail=cf_abs_tail,
         pdf_deriv=pdf_deriv,
@@ -605,7 +602,6 @@ def _make_uniform(a: float = 0.0, b: float = 1.0) -> DensityModel:
         supersmooth=None,
         cf_cutoff=None,
         unimodal=True,
-        cf_sq_integral=2.0 * math.pi / w,
         cf_sq_tail=cf_sq_tail,
         cf_abs_tail=None,
         pdf_deriv=None,
@@ -654,7 +650,6 @@ def _make_laplace(scale: float = 1.0, mu: float = 0.0) -> DensityModel:
         supersmooth=None,
         cf_cutoff=None,
         unimodal=True,
-        cf_sq_integral=0.5 * math.pi / b,
         cf_sq_tail=cf_sq_tail,
         cf_abs_tail=cf_abs_tail,
         pdf_deriv=None,
@@ -742,7 +737,6 @@ def _make_fejer() -> DensityModel:
         supersmooth=(1.0, 1.0, 2.0 * (math.e - 2.0)),
         cf_cutoff=1.0,
         unimodal=False,
-        cf_sq_integral=2.0 / 3.0,
         cf_sq_tail=cf_sq_tail,
         cf_abs_tail=cf_abs_tail,
         pdf_deriv=None,

@@ -247,6 +247,8 @@ def _require(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
         parser.error("estimate requires --h or --method")
     if cfg.h is not None and not math.isfinite(cfg.h):
         parser.error("--h must be finite")
+    if cfg.h0 is not None and not math.isfinite(cfg.h0):
+        parser.error("--h0 must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -460,31 +462,12 @@ def cmd_risk(cfg: RunConfig) -> int:
 
 def _bound_table(density: DensityModel, kernel: KernelModel,
                  cfg: RunConfig):
-    sinc = make_builtin("sinc")
     h = cfg.h if cfg.h is not None else 0.5
-    n, h0, m = cfg.n, cfg.h0, cfg.m
-    entries = [
-        (bounds.lemma1_mse_bound(density, kernel, h, n), kernel),
-        (bounds.lemma2_mise_bound(density, kernel, h, n), kernel),
-        (bounds.lemma5_mise_bound(density, h, n), sinc),
-        (bounds.lemma5_maxmse_bound(density, h, n), sinc),
-        (bounds.conventional_mise_bound(density, kernel, 2, h0, n), kernel),
-        (bounds.conventional_mise_bound(density, kernel, 1, h0, n), kernel),
-        (bounds.conventional_maxmse_bound(density, kernel, 3, h0, n), kernel),
-        (bounds.conventional_maxmse_bound(density, kernel, 2, h0, n), kernel),
-        (bounds.nonsmooth_mise_bound(density, kernel, h0, n), kernel),
-        (bounds.sinc_mise_bound(density, "nonsmooth", n, h0=h0), sinc),
-        (bounds.sinc_mise_bound(density, "smooth", n, h0=h0, m=m), sinc),
-        (bounds.sinc_maxmse_bound(density, "smooth", n, h0=h0, m=m), sinc),
-        (bounds.sinc_mise_bound(density, "supersmooth", n, h0=h0), sinc),
-        (bounds.sinc_maxmse_bound(density, "supersmooth", n, h0=h0), sinc),
-        (bounds.sinc_mise_bound(density, "bandlimited", n, h=h), sinc),
-        (bounds.sinc_maxmse_bound(density, "bandlimited", n, h=h), sinc),
-    ]
+    n = cfg.n
     lo, hi = density.support_hint
     xs = np.linspace(lo, hi, 9)
     rows = []
-    for res, k_used in entries:
+    for res, k_used in bounds.bound_table(density, kernel, n, h, cfg.h0, cfg.m):
         exact = None
         if res.bound is not None:
             try:

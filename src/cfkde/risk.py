@@ -427,7 +427,7 @@ def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
     counted as error.
     """
     hs = np.atleast_1d(np.asarray(hs, dtype=float))
-    total = float(density.cf_sq_integral)
+    total = float(density.cf_sq_tail(0.0))
     zeros = np.zeros(hs.size)
     if kernel.is_sinc:
         # phi is the indicator of [-1, 1]: both integrals are tails of |f|^2
@@ -540,7 +540,7 @@ def sinc_exact_mise(density: DensityModel, h: float, n: int) -> RiskReport:
         raise ValueError("n must be at least 1")
     cutoff = 1.0 / h
     tail = float(density.cf_sq_tail(cutoff))
-    head = density.cf_sq_integral - tail
+    head = float(density.cf_sq_tail(0.0)) - tail
     value = (tail + (2.0 * cutoff - head) / n) / (2.0 * math.pi)
     return RiskReport(value=float(value), quad_error=0.0, truncation=0.0,
                       degraded=False, cutoff=cutoff, nodes=0)

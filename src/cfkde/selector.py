@@ -24,7 +24,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import _power_minimum, amise_conventional
+from .bounds import SPECS, _power_minimum, amise_conventional
 from .charfun import (_BLOCK, Sample, ecf_sq_unbiased, ecf_sq_unbiased_panels,
                       make_density)
 from .estimator import _window
@@ -188,8 +188,6 @@ def bound_rule(kind: str, constants, k: KernelModel, n: int) -> SelectorResult:
     -------
     SelectorResult
     """
-    if not k.is_density:
-        raise ValueError("bound_rule requires a density kernel")
     if n < 1:
         raise ValueError("n must be at least 1")
     if kind == "mise_thm1":
@@ -199,30 +197,25 @@ def bound_rule(kind: str, constants, k: KernelModel, n: int) -> SelectorResult:
             else float(constants)
         if not v2 > 0.0:
             raise ValueError("v2 must be positive")
-        if k.mu2 is None:
-            raise ValueError("kernel lacks a second moment")
-        h0 = ((5.0 * math.pi / 6.0) * k.roughness / k.mu2 ** 2) ** 0.2 \
-            * v2 ** (-1.0 / 3.0)
-        h = h0 * n ** -0.2
-        meta = {"n": n, "kernel": k.name, "v2": v2, "h0": h0}
+        c1, c2, p, _ = SPECS["thm1"].power_form(k, v2)
+        meta = {"n": n, "kernel": k.name, "v2": v2}
     elif kind == "maxmse_thm3":
         if not isinstance(constants, (tuple, list)) or len(constants) != 2:
             raise ValueError("maxmse_thm3 needs the pair (v3, a)")
         v3, a = float(constants[0]), float(constants[1])
         if not (v3 > 0.0 and a > 0.0):
             raise ValueError("v3 and a must be positive")
-        if k.mu2 is None:
-            raise ValueError("kernel lacks a second moment")
-        if not math.isfinite(k.a_value):
-            raise ValueError("kernel transform is not absolutely integrable")
+        c1, c2, p, _ = SPECS["thm3"].power_form(k, v3, a)
         # the transform-integral factor enters here without its 1/(2 pi)
         # normalization, matching the published plug-in recipe
-        h0 = ((9.0 * math.pi ** 2 / 8.0) * (2.0 * math.pi * k.a_value) * a
-              / k.mu2 ** 2) ** 0.2 * v3 ** -0.3
-        h = h0 * n ** -0.2
-        meta = {"n": n, "kernel": k.name, "v3": v3, "a": a, "h0": h0}
+        c2 *= 2.0 * math.pi
+        meta = {"n": n, "kernel": k.name, "v3": v3, "a": a}
     else:
         raise ValueError("unknown bound rule kind: %r" % (kind,))
+    h0 = _power_minimum(c1, c2, p)[0]
+    meta["h0"] = h0
+    # the recipe of both bounds, h_n = h0 n^(-1/(p+1))
+    h = h0 * n ** (-1.0 / (p + 1.0))
     return SelectorResult(method=kind, h=h, criterion_curve=None,
                           metadata=meta)
 
@@ -563,6 +556,15 @@ def cv_bandwidth(s: Sample, k: KernelModel,
                           criterion_curve=pairs, metadata=meta)
 
 
+def _positive(x: Optional[float]) -> bool:
+    return x is not None and x > 0.0
+
+
+# the bound whose minimum over h0 certifies each (target, regime)
+_PLAN_SPECS = {("mise", None): "thm1", ("max_mse", None): "thm3",
+               ("mise", "nonsmooth"): "thm6", ("mise", "smooth"): "thm7"}
+
+
 def plan_bound_constant(req: PlanRequest,
                         k: Optional[KernelModel] = None) -> Tuple[float, float]:
     """Constant and rate of the minimized bound used for planning.
@@ -585,48 +587,39 @@ def plan_bound_constant(req: PlanRequest,
     if not req.epsilon > 0.0:
         raise ValueError("epsilon must be positive")
 
+    a = m = None
     if req.regime is None:
-        if k is None or not k.is_density:
-            raise ValueError("conventional planning needs a density kernel")
+        if k is None:
+            raise ValueError("conventional planning needs a kernel")
         if req.target == "mise":
-            if req.v2 is None or not req.v2 > 0.0:
+            if not _positive(req.v2):
                 raise ValueError("mise planning needs the constant v2")
-            if k.mu2 is None or not k.zero_mean:
-                raise ValueError("kernel lacks the required moments")
-            c1 = 0.3 / math.pi * k.mu2 ** 2 * req.v2 ** (5.0 / 3.0)
-            _, cmin = _power_minimum(c1, k.roughness, 4.0)
-            return cmin, 0.8
-        if req.v3 is None or req.a is None or not (req.v3 > 0.0 and req.a > 0.0):
-            raise ValueError("max_mse planning needs the pair (v3, a)")
-        if k.mu2 is None or not k.zero_mean:
-            raise ValueError("kernel lacks the required moments")
-        if not math.isfinite(k.a_value):
-            raise ValueError("kernel transform is not absolutely integrable")
-        c1 = 4.0 / (9.0 * math.pi ** 2) * k.mu2 ** 2 * req.v3 ** 1.5
-        _, cmin = _power_minimum(c1, 2.0 * req.a * k.a_value, 4.0)
-        return cmin, 0.8
-
-    if req.regime == "nonsmooth":
+            v = req.v2
+        else:
+            if not (_positive(req.v3) and _positive(req.a)):
+                raise ValueError("max_mse planning needs the pair (v3, a)")
+            v, a = req.v3, req.a
+    elif req.regime in ("nonsmooth", "smooth"):
         if req.target != "mise":
-            raise ValueError("the nonsmooth route certifies mise only")
-        if req.variation is not None and req.variation > 0.0:
-            return 2.0 * req.variation / math.pi, 0.5
-        if req.a is not None and req.a > 0.0:
-            return 4.0 * req.a / math.pi, 0.5
-        raise ValueError("nonsmooth planning needs variation or a")
-    if req.regime == "smooth":
-        if req.target != "mise":
-            raise ValueError("the smooth route certifies mise only")
-        if req.m is None or req.m < 1:
-            raise ValueError("smooth planning needs m >= 1")
-        if req.vm is None or not req.vm > 0.0:
-            raise ValueError("smooth planning needs the constant vm")
-        m = float(req.m)
-        cmin = ((4.0 * (m + 1.0)) ** (1.0 / (2.0 * m + 1.0))
-                * ((2.0 * m + 1.0) / m) ** (2.0 * m / (2.0 * m + 1.0))
-                * req.vm ** (1.0 / (m + 1.0))) / (2.0 * math.pi)
-        return cmin, 2.0 * m / (2.0 * m + 1.0)
-    raise ValueError("unknown regime: %r" % (req.regime,))
+            raise ValueError("the %s route certifies mise only" % req.regime)
+        if req.regime == "smooth":
+            if req.m is None or req.m < 1:
+                raise ValueError("smooth planning needs m >= 1")
+            if not _positive(req.vm):
+                raise ValueError("smooth planning needs the constant vm")
+            v, m = req.vm, req.m
+        elif _positive(req.variation):
+            v = req.variation
+        elif _positive(req.a):
+            # a unimodal density bounded by a has total variation 2a
+            v = 2.0 * req.a
+        else:
+            raise ValueError("nonsmooth planning needs variation or a")
+    else:
+        raise ValueError("unknown regime: %r" % (req.regime,))
+    spec = SPECS[_PLAN_SPECS[req.target, req.regime]]
+    c1, c2, p, rate = spec.power_form(k, v, a, m)
+    return _power_minimum(c1, c2, p)[1] / spec.divisor, rate
 
 
 def plan_sample_size(req: PlanRequest,

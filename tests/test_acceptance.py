@@ -60,7 +60,7 @@ def test_criterion_1_reference_constants():
         rot = selector.rule_of_thumb_normal(1.0, 1)
         assert rot.h == pytest.approx(1.0592, abs=5e-4)
         # minimized bound over minimized asymptotic risk
-        res = bounds.conventional_mise_bound(NORMAL, GAUSS, 2, 1.0, 100)
+        res = bounds.bound("thm1", NORMAL, GAUSS, 100, h0=1.0)
         _, amise_value = bounds.amise_conventional(NORMAL, GAUSS, 100)
         assert res.optimal[1] / amise_value == pytest.approx(1.2911, abs=1e-3)
 
@@ -86,28 +86,6 @@ def test_criterion_2_exact_risk_validity():
     _report(2, "exact risk vs oracle and Monte Carlo", body)
 
 
-def _dominance_entries(density, kernel, n, h, h0, m):
-    sinc = SINC
-    return [
-        (bounds.lemma1_mse_bound(density, kernel, h, n), kernel),
-        (bounds.lemma2_mise_bound(density, kernel, h, n), kernel),
-        (bounds.lemma5_mise_bound(density, h, n), sinc),
-        (bounds.lemma5_maxmse_bound(density, h, n), sinc),
-        (bounds.conventional_mise_bound(density, kernel, 2, h0, n), kernel),
-        (bounds.conventional_mise_bound(density, kernel, 1, h0, n), kernel),
-        (bounds.conventional_maxmse_bound(density, kernel, 3, h0, n), kernel),
-        (bounds.conventional_maxmse_bound(density, kernel, 2, h0, n), kernel),
-        (bounds.nonsmooth_mise_bound(density, kernel, h0, n), kernel),
-        (bounds.sinc_mise_bound(density, "nonsmooth", n, h0=h0), sinc),
-        (bounds.sinc_mise_bound(density, "smooth", n, h0=h0, m=m), sinc),
-        (bounds.sinc_maxmse_bound(density, "smooth", n, h0=h0, m=m), sinc),
-        (bounds.sinc_mise_bound(density, "supersmooth", n, h0=h0), sinc),
-        (bounds.sinc_maxmse_bound(density, "supersmooth", n, h0=h0), sinc),
-        (bounds.sinc_mise_bound(density, "bandlimited", n, h=h), sinc),
-        (bounds.sinc_maxmse_bound(density, "bandlimited", n, h=h), sinc),
-    ]
-
-
 def test_criterion_3_dominance_suite():
     def body():
         checked = 0
@@ -115,7 +93,7 @@ def test_criterion_3_dominance_suite():
             lo, hi = density.support_hint
             xs = np.linspace(max(lo, -12.0), min(hi, 12.0), 5)
             for n in (16, 50, 200, 1000):
-                for res, k_used in _dominance_entries(
+                for res, k_used in bounds.bound_table(
                     density, GAUSS, n, 0.5, 1.0, 2
                 ):
                     if not res.applicable:
@@ -162,57 +140,50 @@ def test_criterion_4_corollary_minimizers():
         n = 200
         for sigma in (0.7, 1.0, 1.6):
             d = make_density("normal", sigma=sigma)
-            res = bounds.conventional_mise_bound(d, GAUSS, 2, 1.0, n)
+            res = bounds.bound("thm1", d, GAUSS, n, h0=1.0)
             check(res, 0.3 / math.pi * GAUSS.mu2 ** 2
                   * d.variation[2] ** (5.0 / 3.0),
                   GAUSS.roughness, 4.0, n ** -0.8,
-                  lambda h0, d=d: bounds.conventional_mise_bound(
-                      d, GAUSS, 2, h0, n).bound)
-            res = bounds.conventional_maxmse_bound(d, GAUSS, 3, 1.0, n)
+                  lambda h0, d=d: bounds.bound("thm1", d, GAUSS, n, h0=h0).bound)
+            res = bounds.bound("thm3", d, GAUSS, n, h0=1.0)
             check(res, 4.0 / (9.0 * math.pi ** 2) * GAUSS.mu2 ** 2
                   * d.variation[3] ** 1.5,
                   2.0 * d.sup_bound * GAUSS.a_value, 4.0, n ** -0.8,
-                  lambda h0, d=d: bounds.conventional_maxmse_bound(
-                      d, GAUSS, 3, h0, n).bound)
-            res = bounds.conventional_maxmse_bound(d, GAUSS, 2, 1.0, n)
+                  lambda h0, d=d: bounds.bound("thm3", d, GAUSS, n, h0=h0).bound)
+            res = bounds.bound("thm4", d, GAUSS, n, h0=1.0)
             check(res, 9.0 / (4.0 * math.pi ** 2) * GAUSS.mu1 ** 2
                   * d.variation[2] ** (4.0 / 3.0),
                   2.0 * d.sup_bound * GAUSS.a_value, 2.0, n ** (-2.0 / 3.0),
-                  lambda h0, d=d: bounds.conventional_maxmse_bound(
-                      d, GAUSS, 2, h0, n).bound)
+                  lambda h0, d=d: bounds.bound("thm4", d, GAUSS, n, h0=h0).bound)
         for scale in (0.6, 1.2, 2.5):
             d = make_density("laplace", scale=scale)
-            res = bounds.conventional_mise_bound(d, GAUSS, 1, 1.0, n)
+            res = bounds.bound("thm2", d, GAUSS, n, h0=1.0)
             check(res, 4.0 / (3.0 * math.pi) * GAUSS.mu1 ** 2
                   * d.variation[1] ** 1.5,
                   GAUSS.roughness, 2.0, n ** (-2.0 / 3.0),
-                  lambda h0, d=d: bounds.conventional_mise_bound(
-                      d, GAUSS, 1, h0, n).bound)
+                  lambda h0, d=d: bounds.bound("thm2", d, GAUSS, n, h0=h0).bound)
         for width in (1.0, 2.5, 0.4):
             d = make_density("uniform", a=0.0, b=width)
-            res = bounds.sinc_mise_bound(d, "nonsmooth", n, h0=1.0)
+            res = bounds.bound("thm6", d, SINC, n, h0=1.0)
             v = d.variation[0]
             check(res, v * v, 1.0, 1.0, 1.0 / (math.pi * math.sqrt(n)),
-                  lambda h0, d=d: bounds.sinc_mise_bound(
-                      d, "nonsmooth", n, h0=h0).bound)
+                  lambda h0, d=d: bounds.bound("thm6", d, SINC, n, h0=h0).bound)
         for m in (1, 2, 3):
-            res = bounds.sinc_mise_bound(NORMAL, "smooth", n, h0=1.0, m=m)
+            res = bounds.bound("thm7", NORMAL, SINC, n, h0=1.0, m=m)
             vm = NORMAL.variation[m]
             check(res, 4.0 * (m + 1.0) / (2.0 * m + 1.0)
                   * vm ** ((2.0 * m + 1.0) / (m + 1.0)),
                   2.0, 2.0 * m,
                   n ** (-2.0 * m / (2.0 * m + 1.0)) / (2.0 * math.pi),
-                  lambda h0, m=m: bounds.sinc_mise_bound(
-                      NORMAL, "smooth", n, h0=h0, m=m).bound)
+                  lambda h0, m=m: bounds.bound("thm7", NORMAL, SINC, n, h0=h0, m=m).bound)
         for m in (2, 3, 4):
-            res = bounds.sinc_maxmse_bound(NORMAL, "smooth", n, h0=1.0, m=m)
+            res = bounds.bound("thm8", NORMAL, SINC, n, h0=1.0, m=m)
             vm = NORMAL.variation[m]
             check(res, ((m + 1.0) / m) ** 2 * vm ** (2.0 * m / (m + 1.0)),
                   2.0 * (vm ** (1.0 / (m + 1.0)) + vm ** (m / (m + 1.0)) / m),
                   2.0 * (m - 1.0),
                   n ** (-2.0 * (m - 1.0) / (2.0 * m - 1.0)) / math.pi ** 2,
-                  lambda h0, m=m: bounds.sinc_maxmse_bound(
-                      NORMAL, "smooth", n, h0=h0, m=m).bound)
+                  lambda h0, m=m: bounds.bound("thm8", NORMAL, SINC, n, h0=h0, m=m).bound)
 
     _report(4, "closed-form minimizers vs numeric minimization", body)
 
@@ -284,24 +255,19 @@ def test_criterion_7_planner_guarantees():
         stub3 = dataclasses.replace(NORMAL, variation={3: v3}, sup_bound=a)
         cases = [
             (selector.PlanRequest(target="mise", epsilon=0.01, v2=v2), GAUSS,
-             lambda n: bounds.conventional_mise_bound(
-                 stub2, GAUSS, 2, 1.0, n).optimal[1]),
+             lambda n: bounds.bound("thm1", stub2, GAUSS, n, h0=1.0).optimal[1]),
             (selector.PlanRequest(target="mise", epsilon=0.002, v2=v2), GAUSS,
-             lambda n: bounds.conventional_mise_bound(
-                 stub2, GAUSS, 2, 1.0, n).optimal[1]),
+             lambda n: bounds.bound("thm1", stub2, GAUSS, n, h0=1.0).optimal[1]),
             (selector.PlanRequest(target="max_mse", epsilon=0.01, v3=v3,
                                   a=a), GAUSS,
-             lambda n: bounds.conventional_maxmse_bound(
-                 stub3, GAUSS, 3, 1.0, n).optimal[1]),
+             lambda n: bounds.bound("thm3", stub3, GAUSS, n, h0=1.0).optimal[1]),
             (selector.PlanRequest(target="mise", epsilon=0.1, variation=2.0,
                                   regime="nonsmooth"), None,
-             lambda n: bounds.sinc_mise_bound(
-                 UNIFORM, "nonsmooth", n, h0=1.0).optimal[1]),
+             lambda n: bounds.bound("thm6", UNIFORM, SINC, n, h0=1.0).optimal[1]),
             (selector.PlanRequest(target="mise", epsilon=0.02,
                                   vm=NORMAL.variation[2], m=2,
                                   regime="smooth"), None,
-             lambda n: bounds.sinc_mise_bound(
-                 NORMAL, "smooth", n, h0=1.0, m=2).optimal[1]),
+             lambda n: bounds.bound("thm7", NORMAL, SINC, n, h0=1.0, m=2).optimal[1]),
         ]
         for req, kernel, direct in cases:
             n0 = selector.plan_sample_size(req, kernel)
@@ -314,18 +280,13 @@ def test_criterion_7_planner_guarantees():
 def test_criterion_8_rate_structure():
     def body():
         makers = [
-            lambda n: bounds.conventional_mise_bound(NORMAL, GAUSS, 2, 0.9, n),
-            lambda n: bounds.conventional_mise_bound(
-                make_density("laplace"), GAUSS, 1, 0.9, n),
-            lambda n: bounds.conventional_maxmse_bound(
-                NORMAL, GAUSS, 3, 0.9, n),
-            lambda n: bounds.conventional_maxmse_bound(
-                NORMAL, GAUSS, 2, 0.9, n),
-            lambda n: bounds.sinc_mise_bound(UNIFORM, "nonsmooth", n, h0=0.7),
-            lambda n: bounds.sinc_mise_bound(NORMAL, "smooth", n, h0=0.8,
-                                             m=2),
-            lambda n: bounds.sinc_maxmse_bound(NORMAL, "smooth", n, h0=0.8,
-                                               m=2),
+            lambda n: bounds.bound("thm1", NORMAL, GAUSS, n, h0=0.9),
+            lambda n: bounds.bound("thm2", make_density("laplace"), GAUSS, n, h0=0.9),
+            lambda n: bounds.bound("thm3", NORMAL, GAUSS, n, h0=0.9),
+            lambda n: bounds.bound("thm4", NORMAL, GAUSS, n, h0=0.9),
+            lambda n: bounds.bound("thm6", UNIFORM, SINC, n, h0=0.7),
+            lambda n: bounds.bound("thm7", NORMAL, SINC, n, h0=0.8, m=2),
+            lambda n: bounds.bound("thm8", NORMAL, SINC, n, h0=0.8, m=2),
         ]
         for make in makers:
             products = [make(n).bound * n ** make(n).rate
@@ -336,7 +297,7 @@ def test_criterion_8_rate_structure():
         h0 = 0.8
         v = UNIFORM.variation[0]
         for n in (16, 100, 10 ** 4):
-            res = bounds.nonsmooth_mise_bound(UNIFORM, GAUSS, h0, n)
+            res = bounds.bound("thm5", UNIFORM, GAUSS, n, h0=h0)
             log_n = math.log(n)
             bracket = ((4.0 * math.sqrt(2.0) / math.pi)
                        * max(math.sqrt(GAUSS.mu1), GAUSS.mu1)

@@ -1,5 +1,6 @@
 """Tests for the risk upper bounds and their closed-form minimizers."""
 
+import csv
 import dataclasses
 import math
 import warnings
@@ -11,6 +12,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from cfkde import bounds
 from cfkde.charfun import make_density
+from cfkde.cli import main
 from cfkde.kernels import KernelModel, make_builtin
 from cfkde.risk import exact_mise, exact_mse, integrated_sq_bias, sinc_exact_mise
 
@@ -39,7 +41,7 @@ def _slope_root(c1, c2, p):
 
 
 def test_lemma1_dominates_pointwise_mse():
-    res = bounds.lemma1_mse_bound(NORMAL, GAUSS, 0.3, 50)
+    res = bounds.bound("lemma1", NORMAL, GAUSS, 50, h=0.3)
     assert res.applicable and res.kind == "max_mse"
     for x in (0.0, 0.5, 2.0):
         assert res.bound >= exact_mse(NORMAL, GAUSS, 0.3, 50, x).value
@@ -55,14 +57,14 @@ def test_lemma1_flat_transform_stub_inapplicable():
         mu1=0.0, mu2=0.0, roughness=1.0, a_value=math.inf,
         is_density=True, is_sinc=False, zero_mean=True,
     )
-    res = bounds.lemma1_mse_bound(NORMAL, stub, 0.5, 10)
+    res = bounds.bound("lemma1", NORMAL, stub, 10, h=0.5)
     assert not res.applicable
     assert res.bound is None
     assert ("kernel_cf_absolutely_integrable", False) in res.assumptions_checked
 
 
 def _lemma1_factor(density, kernel, h, n=50):
-    res = bounds.lemma1_mse_bound(density, kernel, h, n)
+    res = bounds.bound("lemma1", density, kernel, n, h=h)
     second = 2.0 * density.sup_bound * kernel.a_value / (n * h)
     return math.sqrt(res.bound - second)
 
@@ -100,8 +102,8 @@ def test_lemma1_factor_never_below_tight_integral():
 def test_lemma1_second_term_scaling():
     # isolate the (n h)^(-1) term by differencing in n, then double h
     def second_term(h, n):
-        b1 = bounds.lemma1_mse_bound(NORMAL, GAUSS, h, n).bound
-        b2 = bounds.lemma1_mse_bound(NORMAL, GAUSS, h, 2 * n).bound
+        b1 = bounds.bound("lemma1", NORMAL, GAUSS, n, h=h).bound
+        b2 = bounds.bound("lemma1", NORMAL, GAUSS, 2 * n, h=h).bound
         return 2.0 * (b1 - b2)
 
     s1 = second_term(0.4, 50)
@@ -112,14 +114,14 @@ def test_lemma1_second_term_scaling():
 
 
 def test_lemma1_uniform_density_inapplicable():
-    res = bounds.lemma1_mse_bound(UNIFORM, GAUSS, 0.3, 50)
+    res = bounds.bound("lemma1", UNIFORM, GAUSS, 50, h=0.3)
     assert not res.applicable and res.bound is None
 
 
 def test_lemma2_dominates_exact_mise_grid():
     for h in (0.1, 0.3, 1.0):
         for n in (10, 100):
-            res = bounds.lemma2_mise_bound(NORMAL, GAUSS, h, n)
+            res = bounds.bound("lemma2", NORMAL, GAUSS, n, h=h)
             assert res.applicable
             assert res.bound >= exact_mise(NORMAL, GAUSS, h, n).value
 
@@ -127,15 +129,15 @@ def test_lemma2_dominates_exact_mise_grid():
 def test_lemma2_variance_term_is_roughness():
     # by Parseval the n-dependent part must be exactly R(K)/(n h)
     h, n = 0.37, 25
-    b1 = bounds.lemma2_mise_bound(NORMAL, GAUSS, h, n).bound
-    b2 = bounds.lemma2_mise_bound(NORMAL, GAUSS, h, 2 * n).bound
+    b1 = bounds.bound("lemma2", NORMAL, GAUSS, n, h=h).bound
+    b2 = bounds.bound("lemma2", NORMAL, GAUSS, 2 * n, h=h).bound
     quad_r = 0.5 / math.sqrt(math.pi)  # int phi^2 / (2 pi) for the gaussian
     assert 2.0 * (b1 - b2) == pytest.approx(quad_r / (n * h), rel=1e-10)
 
 
 def test_lemma2_large_n_is_bias_only():
     h = 0.5
-    res = bounds.lemma2_mise_bound(NORMAL, GAUSS, h, 10 ** 12)
+    res = bounds.bound("lemma2", NORMAL, GAUSS, 10 ** 12, h=h)
     assert res.bound == pytest.approx(
         integrated_sq_bias(NORMAL, GAUSS, h).value, rel=1e-6
     )
@@ -143,7 +145,7 @@ def test_lemma2_large_n_is_bias_only():
 
 def test_lemma5_mise_closed_form():
     h, n = 0.6, 40
-    res = bounds.lemma5_mise_bound(NORMAL, h, n)
+    res = bounds.bound("lemma5_mise", NORMAL, SINC, n, h=h)
     expected = (NORMAL.cf_sq_tail(1.0 / h) + 2.0 / (n * h)) / (2.0 * math.pi)
     assert res.bound == pytest.approx(expected, rel=1e-12)
     assert res.bound >= sinc_exact_mise(NORMAL, h, n).value
@@ -151,13 +153,13 @@ def test_lemma5_mise_closed_form():
 
 def test_lemma5_maxmse_values_and_gate():
     h, n = 0.6, 40
-    res = bounds.lemma5_maxmse_bound(NORMAL, h, n)
+    res = bounds.bound("lemma5_maxmse", NORMAL, SINC, n, h=h)
     first = NORMAL.cf_abs_tail(1.0 / h) / (2.0 * math.pi)
     expected = first ** 2 + 2.0 * NORMAL.a_p / (math.pi * n * h)
     assert res.bound == pytest.approx(expected, rel=1e-12)
     for x in (-1.0, 0.0, 1.5):
         assert res.bound >= exact_mse(NORMAL, SINC, h, n, x).value
-    assert not bounds.lemma5_maxmse_bound(UNIFORM, h, n).applicable
+    assert not bounds.bound("lemma5_maxmse", UNIFORM, SINC, n, h=h).applicable
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +167,24 @@ def test_lemma5_maxmse_values_and_gate():
 
 
 def test_thm1_corollary_constant():
-    res = bounds.conventional_mise_bound(NORMAL, GAUSS, 2, 1.0, 100)
+    res = bounds.bound("thm1", NORMAL, GAUSS, 100, h0=1.0)
     assert res.optimal[0] == pytest.approx(0.8203757, rel=1e-6)
     # degree-1 homogeneity in the target scale
-    res2 = bounds.conventional_mise_bound(
-        make_density("normal", sigma=2.0), GAUSS, 2, 1.0, 100
-    )
+    res2 = bounds.bound("thm1", make_density("normal", sigma=2.0), GAUSS, 100, h0=1.0)
     assert res2.optimal[0] == pytest.approx(2.0 * res.optimal[0], rel=1e-5)
 
 
 def test_thm2_corollary_closed_form_at_unit_variation():
     # with V1 = 1 the minimized bound is (9/pi)^(1/3) mu1^(2/3) R^(2/3) n^(-2/3)
     d = dataclasses.replace(LAPLACE, variation={1: 1.0})
-    res = bounds.conventional_mise_bound(d, GAUSS, 1, 1.0, 1000)
+    res = bounds.bound("thm2", d, GAUSS, 1000, h0=1.0)
     expected = ((9.0 / math.pi) ** (1.0 / 3.0) * GAUSS.mu1 ** (2.0 / 3.0)
                 * GAUSS.roughness ** (2.0 / 3.0) * 1000 ** (-2.0 / 3.0))
     assert res.optimal[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_thm3_minimized_bound_closed_form():
-    res = bounds.conventional_maxmse_bound(NORMAL, GAUSS, 3, 1.0, 200)
+    res = bounds.bound("thm3", NORMAL, GAUSS, 200, h0=1.0)
     v3 = NORMAL.variation[3]
     a = NORMAL.sup_bound
     expected = (5.0 * (36.0 * math.pi ** 2) ** -0.2 * GAUSS.mu2 ** 0.4
@@ -195,7 +195,7 @@ def test_thm3_minimized_bound_closed_form():
 def test_thm4_value_recomputed():
     # a = 1, V2 = 1, gaussian kernel, h0 = 1, n = 100
     d = dataclasses.replace(NORMAL, variation={2: 1.0}, sup_bound=1.0)
-    res = bounds.conventional_maxmse_bound(d, GAUSS, 2, 1.0, 100)
+    res = bounds.bound("thm4", d, GAUSS, 100, h0=1.0)
     bracket = ((9.0 / (4.0 * math.pi ** 2)) * GAUSS.mu1 ** 2
                + 2.0 * GAUSS.a_value)
     assert res.bound == pytest.approx(bracket * 100 ** (-2.0 / 3.0), rel=1e-12)
@@ -203,32 +203,31 @@ def test_thm4_value_recomputed():
 
 
 def test_conventional_dominance_spot():
-    for m, mk in ((2, bounds.conventional_mise_bound),
-                  (1, bounds.conventional_mise_bound)):
-        res = mk(NORMAL, GAUSS, m, 0.9, 50)
+    for theorem_id in ("thm1", "thm2"):
+        res = bounds.bound(theorem_id, NORMAL, GAUSS, 50, h0=0.9)
         assert res.bound >= exact_mise(NORMAL, GAUSS, res.h_used, 50).value
     xs = np.linspace(-4.0, 4.0, 17)
-    for m in (2, 3):
-        res = bounds.conventional_maxmse_bound(NORMAL, GAUSS, m, 0.9, 50)
+    for theorem_id in ("thm4", "thm3"):
+        res = bounds.bound(theorem_id, NORMAL, GAUSS, 50, h0=0.9)
         sup = max(exact_mse(NORMAL, GAUSS, res.h_used, 50, x).value for x in xs)
         assert res.bound >= sup
 
 
 def test_uniform_kernel_gates_maxmse_bounds():
     # int |phi| diverges for the uniform kernel, so a-weighted bounds drop out
-    assert not bounds.lemma1_mse_bound(NORMAL, UNIF_K, 0.3, 50).applicable
-    assert not bounds.conventional_maxmse_bound(NORMAL, UNIF_K, 3, 1.0, 50).applicable
-    assert not bounds.conventional_maxmse_bound(NORMAL, UNIF_K, 2, 1.0, 50).applicable
+    assert not bounds.bound("lemma1", NORMAL, UNIF_K, 50, h=0.3).applicable
+    assert not bounds.bound("thm3", NORMAL, UNIF_K, 50, h0=1.0).applicable
+    assert not bounds.bound("thm4", NORMAL, UNIF_K, 50, h0=1.0).applicable
     # but the MISE bounds survive
-    assert bounds.lemma2_mise_bound(NORMAL, UNIF_K, 0.3, 50).applicable
-    assert bounds.conventional_mise_bound(NORMAL, UNIF_K, 2, 1.0, 50).applicable
+    assert bounds.bound("lemma2", NORMAL, UNIF_K, 50, h=0.3).applicable
+    assert bounds.bound("thm1", NORMAL, UNIF_K, 50, h0=1.0).applicable
 
 
 def test_smoothness_gates_by_density():
-    assert not bounds.conventional_mise_bound(UNIFORM, GAUSS, 2, 1.0, 50).applicable
-    assert not bounds.conventional_mise_bound(FEJER, GAUSS, 1, 1.0, 50).applicable
-    assert not bounds.conventional_maxmse_bound(LAPLACE, GAUSS, 3, 1.0, 50).applicable
-    res = bounds.conventional_mise_bound(LAPLACE, GAUSS, 1, 1.0, 50)
+    assert not bounds.bound("thm1", UNIFORM, GAUSS, 50, h0=1.0).applicable
+    assert not bounds.bound("thm2", FEJER, GAUSS, 50, h0=1.0).applicable
+    assert not bounds.bound("thm3", LAPLACE, GAUSS, 50, h0=1.0).applicable
+    res = bounds.bound("thm2", LAPLACE, GAUSS, 50, h0=1.0)
     assert res.applicable  # laplace carries V1
 
 
@@ -238,7 +237,7 @@ def test_smoothness_gates_by_density():
 
 def test_thm5_value_recomputed_and_dominates():
     h0, n = 1.0, 100
-    res = bounds.nonsmooth_mise_bound(UNIFORM, GAUSS, h0, n)
+    res = bounds.bound("thm5", UNIFORM, GAUSS, n, h0=h0)
     v = UNIFORM.variation[0]
     log_n = math.log(n)
     bracket = ((4.0 * math.sqrt(2.0) / math.pi)
@@ -252,17 +251,17 @@ def test_thm5_value_recomputed_and_dominates():
 
 
 def test_thm5_small_sample_gate():
-    res = bounds.nonsmooth_mise_bound(UNIFORM, GAUSS, 1.0, 15)
+    res = bounds.bound("thm5", UNIFORM, GAUSS, 15, h0=1.0)
     assert not res.applicable and res.bound is None
     assert ("n_at_least_16", False) in res.assumptions_checked
-    assert bounds.nonsmooth_mise_bound(UNIFORM, GAUSS, 1.0, 16).applicable
+    assert bounds.bound("thm5", UNIFORM, GAUSS, 16, h0=1.0).applicable
 
 
 def test_thm5_unimodal_fallback_substitution():
     # strip the variation table; sup bound 1 turns the middle factor into
     # max(2 sqrt 2, 1) = 2 sqrt 2
     d = dataclasses.replace(UNIFORM, variation={}, sup_bound=1.0)
-    res = bounds.nonsmooth_mise_bound(d, GAUSS, 1.0, 100)
+    res = bounds.bound("thm5", d, GAUSS, 100, h0=1.0)
     assert res.theorem_id == "thm5_unimodal"
     log_n = math.log(100)
     bracket = ((4.0 * math.sqrt(2.0) / math.pi)
@@ -276,7 +275,7 @@ def test_thm5_unimodal_fallback_substitution():
 
 
 def test_thm6_value_optimal_and_dominance():
-    res = bounds.sinc_mise_bound(UNIFORM, "nonsmooth", 100, h0=0.7)
+    res = bounds.bound("thm6", UNIFORM, SINC, 100, h0=0.7)
     v = UNIFORM.variation[0]
     assert res.bound == pytest.approx(
         (v * v * 0.7 + 1.0 / 0.7) / (math.pi * 10.0), rel=1e-12
@@ -288,7 +287,7 @@ def test_thm6_value_optimal_and_dominance():
 
 def test_thm6_unimodal_fallback():
     d = dataclasses.replace(LAPLACE, variation={})
-    res = bounds.sinc_mise_bound(d, "nonsmooth", 100, h0=1.0)
+    res = bounds.bound("thm6", d, SINC, 100, h0=1.0)
     assert res.theorem_id == "thm6_unimodal"
     a = LAPLACE.sup_bound
     assert res.optimal[0] == pytest.approx(1.0 / (2.0 * a), rel=1e-12)
@@ -297,7 +296,7 @@ def test_thm6_unimodal_fallback():
 
 def test_thm7_value_and_dominance():
     n = 10 ** 4
-    res = bounds.sinc_mise_bound(NORMAL, "smooth", n, h0=1.0, m=2)
+    res = bounds.bound("thm7", NORMAL, SINC, n, h0=1.0, m=2)
     v2 = NORMAL.variation[2]
     bracket = (4.0 * 3.0 / 5.0) * v2 ** (5.0 / 3.0) + 2.0
     assert res.bound == pytest.approx(
@@ -308,7 +307,7 @@ def test_thm7_value_and_dominance():
 
 
 def test_thm8_smooth_maxmse_value():
-    res = bounds.sinc_maxmse_bound(NORMAL, "smooth", 100, h0=1.0, m=2)
+    res = bounds.bound("thm8", NORMAL, SINC, 100, h0=1.0, m=2)
     v2 = NORMAL.variation[2]
     bracket = ((1.5 ** 2) * v2 ** (4.0 / 3.0)
                + 2.0 * (v2 ** (1.0 / 3.0) + v2 ** (2.0 / 3.0) / 2.0))
@@ -321,16 +320,16 @@ def test_thm8_smooth_maxmse_value():
 
 
 def test_thm8_first_order_has_no_minimizer():
-    res = bounds.sinc_maxmse_bound(LAPLACE, "smooth", 100, h0=1.0, m=1)
+    res = bounds.bound("thm8", LAPLACE, SINC, 100, h0=1.0, m=1)
     assert res.applicable and res.optimal is None
     assert res.rate == 0.0
-    same = bounds.sinc_maxmse_bound(LAPLACE, "smooth", 400, h0=1.0, m=1)
+    same = bounds.bound("thm8", LAPLACE, SINC, 400, h0=1.0, m=1)
     assert res.bound == same.bound
 
 
 def test_thm9_value_gate_and_dominance():
     n = 100
-    res = bounds.sinc_mise_bound(NORMAL, "supersmooth", n, h0=1.0)
+    res = bounds.bound("thm9", NORMAL, SINC, n, h0=1.0)
     alpha, gamma, big_b = NORMAL.supersmooth
     log_n = math.log(n)
     expected = (2.0 * gamma ** (-1.0 / alpha) * log_n ** (1.0 / alpha)
@@ -339,14 +338,14 @@ def test_thm9_value_gate_and_dominance():
     assert res.h_used == pytest.approx((log_n / gamma) ** (-1.0 / alpha),
                                        rel=1e-12)
     assert res.bound >= sinc_exact_mise(NORMAL, res.h_used, n).value
-    small = bounds.sinc_mise_bound(NORMAL, "supersmooth", 100, h0=1e-3)
+    small = bounds.bound("thm9", NORMAL, SINC, 100, h0=1e-3)
     assert not small.applicable
-    assert not bounds.sinc_mise_bound(UNIFORM, "supersmooth", 100, h0=1.0).applicable
+    assert not bounds.bound("thm9", UNIFORM, SINC, 100, h0=1.0).applicable
 
 
 def test_thm10_value_and_dominance():
     n = 100
-    res = bounds.sinc_maxmse_bound(NORMAL, "supersmooth", n, h0=1.0)
+    res = bounds.bound("thm10", NORMAL, SINC, n, h0=1.0)
     alpha, gamma, big_b = NORMAL.supersmooth
     log_n = math.log(n)
     expected = ((2.0 * NORMAL.a_p / (math.pi * gamma ** (1.0 / alpha)))
@@ -359,24 +358,24 @@ def test_thm10_value_and_dominance():
 
 
 def test_thm11_band_limited_both_kinds():
-    res = bounds.sinc_mise_bound(FEJER, "bandlimited", 100, h=1.0)
+    res = bounds.bound("thm11", FEJER, SINC, 100, h=1.0)
     assert res.bound == pytest.approx(1.0 / (math.pi * 100.0), rel=1e-12)
     assert res.bound >= sinc_exact_mise(FEJER, 1.0, 100).value
-    sup_res = bounds.sinc_maxmse_bound(FEJER, "bandlimited", 100, h=1.0)
+    sup_res = bounds.bound("thm11_maxmse", FEJER, SINC, 100, h=1.0)
     assert sup_res.bound == pytest.approx(2.0 / (math.pi ** 2 * 100.0),
                                           rel=1e-12)
     # the band-limit form dominates the sharper transform-integral form
     assert sup_res.bound >= 2.0 * FEJER.a_p / (math.pi * 100.0 * 1.0)
-    beyond = bounds.sinc_mise_bound(FEJER, "bandlimited", 100, h=1.2)
+    beyond = bounds.bound("thm11", FEJER, SINC, 100, h=1.2)
     assert not beyond.applicable
-    assert not bounds.sinc_mise_bound(NORMAL, "bandlimited", 100, h=1.0).applicable
+    assert not bounds.bound("thm11", NORMAL, SINC, 100, h=1.0).applicable
 
 
 def test_thm11_fixed_bandwidth_consistency():
     # with h held at the band edge both the bound and the exact risk vanish
     prev_bound, prev_exact = math.inf, math.inf
     for n in (10 ** 2, 10 ** 4, 10 ** 6):
-        res = bounds.sinc_mise_bound(FEJER, "bandlimited", n, h=1.0)
+        res = bounds.bound("thm11", FEJER, SINC, n, h=1.0)
         exact = sinc_exact_mise(FEJER, 1.0, n).value
         assert res.bound >= exact
         assert res.bound < prev_bound and exact < prev_exact
@@ -409,54 +408,54 @@ def test_corollary_matches_numeric_minimization(theorem_id, param):
     n = 200
     if theorem_id == "thm1":
         d = make_density("normal", sigma=param)
-        res = bounds.conventional_mise_bound(d, GAUSS, 2, 1.0, n)
+        res = bounds.bound("thm1", d, GAUSS, n, h0=1.0)
         c1 = 0.3 / math.pi * GAUSS.mu2 ** 2 * d.variation[2] ** (5.0 / 3.0)
         c2, p, scale = GAUSS.roughness, 4.0, n ** -0.8
-        recompute = lambda h0: bounds.conventional_mise_bound(d, GAUSS, 2, h0, n).bound
+        recompute = lambda h0: bounds.bound("thm1", d, GAUSS, n, h0=h0).bound
     elif theorem_id == "thm2":
         d = make_density("laplace", scale=param)
-        res = bounds.conventional_mise_bound(d, GAUSS, 1, 1.0, n)
+        res = bounds.bound("thm2", d, GAUSS, n, h0=1.0)
         c1 = 4.0 / (3.0 * math.pi) * GAUSS.mu1 ** 2 * d.variation[1] ** 1.5
         c2, p, scale = GAUSS.roughness, 2.0, n ** (-2.0 / 3.0)
-        recompute = lambda h0: bounds.conventional_mise_bound(d, GAUSS, 1, h0, n).bound
+        recompute = lambda h0: bounds.bound("thm2", d, GAUSS, n, h0=h0).bound
     elif theorem_id == "thm3":
         d = make_density("normal", sigma=param)
-        res = bounds.conventional_maxmse_bound(d, GAUSS, 3, 1.0, n)
+        res = bounds.bound("thm3", d, GAUSS, n, h0=1.0)
         c1 = 4.0 / (9.0 * math.pi ** 2) * GAUSS.mu2 ** 2 * d.variation[3] ** 1.5
         c2 = 2.0 * d.sup_bound * GAUSS.a_value
         p, scale = 4.0, n ** -0.8
-        recompute = lambda h0: bounds.conventional_maxmse_bound(d, GAUSS, 3, h0, n).bound
+        recompute = lambda h0: bounds.bound("thm3", d, GAUSS, n, h0=h0).bound
     elif theorem_id == "thm4":
         d = make_density("normal", sigma=param)
-        res = bounds.conventional_maxmse_bound(d, GAUSS, 2, 1.0, n)
+        res = bounds.bound("thm4", d, GAUSS, n, h0=1.0)
         c1 = 9.0 / (4.0 * math.pi ** 2) * GAUSS.mu1 ** 2 * d.variation[2] ** (4.0 / 3.0)
         c2 = 2.0 * d.sup_bound * GAUSS.a_value
         p, scale = 2.0, n ** (-2.0 / 3.0)
-        recompute = lambda h0: bounds.conventional_maxmse_bound(d, GAUSS, 2, h0, n).bound
+        recompute = lambda h0: bounds.bound("thm4", d, GAUSS, n, h0=h0).bound
     elif theorem_id == "thm6":
         d = make_density("uniform", a=0.0, b=param)
-        res = bounds.sinc_mise_bound(d, "nonsmooth", n, h0=1.0)
+        res = bounds.bound("thm6", d, SINC, n, h0=1.0)
         v = d.variation[0]
         c1, c2, p = v * v, 1.0, 1.0
         scale = 1.0 / (math.pi * math.sqrt(n))
-        recompute = lambda h0: bounds.sinc_mise_bound(d, "nonsmooth", n, h0=h0).bound
+        recompute = lambda h0: bounds.bound("thm6", d, SINC, n, h0=h0).bound
     elif theorem_id == "thm7":
         m = param
-        res = bounds.sinc_mise_bound(NORMAL, "smooth", n, h0=1.0, m=m)
+        res = bounds.bound("thm7", NORMAL, SINC, n, h0=1.0, m=m)
         vm = NORMAL.variation[m]
         c1 = 4.0 * (m + 1.0) / (2.0 * m + 1.0) * vm ** ((2.0 * m + 1.0) / (m + 1.0))
         c2, p = 2.0, 2.0 * m
         scale = n ** (-2.0 * m / (2.0 * m + 1.0)) / (2.0 * math.pi)
-        recompute = lambda h0: bounds.sinc_mise_bound(NORMAL, "smooth", n, h0=h0, m=m).bound
+        recompute = lambda h0: bounds.bound("thm7", NORMAL, SINC, n, h0=h0, m=m).bound
     else:
         m = param
-        res = bounds.sinc_maxmse_bound(NORMAL, "smooth", n, h0=1.0, m=m)
+        res = bounds.bound("thm8", NORMAL, SINC, n, h0=1.0, m=m)
         vm = NORMAL.variation[m]
         c1 = ((m + 1.0) / m) ** 2 * vm ** (2.0 * m / (m + 1.0))
         c2 = 2.0 * (vm ** (1.0 / (m + 1.0)) + vm ** (m / (m + 1.0)) / m)
         p = 2.0 * (m - 1.0)
         scale = n ** (-2.0 * (m - 1.0) / (2.0 * m - 1.0)) / math.pi ** 2
-        recompute = lambda h0: bounds.sinc_maxmse_bound(NORMAL, "smooth", n, h0=h0, m=m).bound
+        recompute = lambda h0: bounds.bound("thm8", NORMAL, SINC, n, h0=h0, m=m).bound
 
     h_star = _slope_root(c1, c2, p)
     assert res.optimal[0] == pytest.approx(h_star, rel=1e-9)
@@ -475,13 +474,13 @@ def test_corollary_matches_numeric_minimization(theorem_id, param):
 
 
 @pytest.mark.parametrize("make", [
-    lambda n: bounds.conventional_mise_bound(NORMAL, GAUSS, 2, 0.9, n),
-    lambda n: bounds.conventional_mise_bound(LAPLACE, GAUSS, 1, 0.9, n),
-    lambda n: bounds.conventional_maxmse_bound(NORMAL, GAUSS, 3, 0.9, n),
-    lambda n: bounds.conventional_maxmse_bound(NORMAL, GAUSS, 2, 0.9, n),
-    lambda n: bounds.sinc_mise_bound(UNIFORM, "nonsmooth", n, h0=0.7),
-    lambda n: bounds.sinc_mise_bound(NORMAL, "smooth", n, h0=0.8, m=2),
-    lambda n: bounds.sinc_maxmse_bound(NORMAL, "smooth", n, h0=0.8, m=2),
+    lambda n: bounds.bound("thm1", NORMAL, GAUSS, n, h0=0.9),
+    lambda n: bounds.bound("thm2", LAPLACE, GAUSS, n, h0=0.9),
+    lambda n: bounds.bound("thm3", NORMAL, GAUSS, n, h0=0.9),
+    lambda n: bounds.bound("thm4", NORMAL, GAUSS, n, h0=0.9),
+    lambda n: bounds.bound("thm6", UNIFORM, SINC, n, h0=0.7),
+    lambda n: bounds.bound("thm7", NORMAL, SINC, n, h0=0.8, m=2),
+    lambda n: bounds.bound("thm8", NORMAL, SINC, n, h0=0.8, m=2),
 ])
 def test_rate_purity(make):
     products = []
@@ -495,7 +494,7 @@ def test_rate_purity(make):
 def test_thm5_log_envelope_shape():
     h0 = 0.8
     for n in (16, 100, 10 ** 4):
-        res = bounds.nonsmooth_mise_bound(UNIFORM, GAUSS, h0, n)
+        res = bounds.bound("thm5", UNIFORM, GAUSS, n, h0=h0)
         v = UNIFORM.variation[0]
         log_n = math.log(n)
         bracket = ((4.0 * math.sqrt(2.0) / math.pi)
@@ -510,13 +509,13 @@ def test_thm5_log_envelope_shape():
 def test_supersmooth_log_forms():
     alpha, gamma, big_b = NORMAL.supersmooth
     for n in (16, 100, 10 ** 4):
-        mise = bounds.sinc_mise_bound(NORMAL, "supersmooth", n, h0=0.9)
+        mise = bounds.bound("thm9", NORMAL, SINC, n, h0=0.9)
         log_hn = math.log(0.9 * n)
         assert mise.bound * 2.0 * math.pi * n == pytest.approx(
             2.0 * gamma ** (-1.0 / alpha) * log_hn ** (1.0 / alpha)
             + big_b / 0.9, rel=1e-12
         )
-        sup = bounds.sinc_maxmse_bound(NORMAL, "supersmooth", n, h0=0.9)
+        sup = bounds.bound("thm10", NORMAL, SINC, n, h0=0.9)
         assert sup.bound * n == pytest.approx(
             (2.0 * NORMAL.a_p / (math.pi * gamma ** (1.0 / alpha)))
             * log_hn ** (1.0 / alpha)
@@ -538,7 +537,7 @@ def test_amise_normal_constants():
 
 
 def test_amise_ratio_to_minimized_bound():
-    res = bounds.conventional_mise_bound(NORMAL, GAUSS, 2, 1.0, 100)
+    res = bounds.bound("thm1", NORMAL, GAUSS, 100, h0=1.0)
     _, value = bounds.amise_conventional(NORMAL, GAUSS, 100)
     assert res.optimal[1] / value == pytest.approx(1.2911448, rel=1e-6)
 
@@ -573,10 +572,10 @@ def test_amise_unresolved_roughness_raises():
 
 def test_mixture_bounds_applicable_and_dominant():
     n = 200
-    res = bounds.conventional_mise_bound(MIXTURE, GAUSS, 2, 1.0, n)
+    res = bounds.bound("thm1", MIXTURE, GAUSS, n, h0=1.0)
     assert res.applicable
     assert res.bound >= exact_mise(MIXTURE, GAUSS, res.h_used, n).value
-    sup_res = bounds.conventional_maxmse_bound(MIXTURE, GAUSS, 3, 1.0, n)
+    sup_res = bounds.bound("thm3", MIXTURE, GAUSS, n, h0=1.0)
     xs = np.linspace(-5.0, 6.5, 13)
     sup = max(exact_mse(MIXTURE, GAUSS, sup_res.h_used, n, x).value for x in xs)
     assert sup_res.bound >= sup
@@ -587,19 +586,60 @@ def test_mixture_bounds_applicable_and_dominant():
 
 
 def test_validation_errors():
+    # no conventional bound of another smoothness order
+    with pytest.raises(ValueError, match="unknown bound"):
+        bounds.bound("thm12", NORMAL, GAUSS, 100, h0=1.0)
     with pytest.raises(ValueError):
-        bounds.conventional_mise_bound(NORMAL, GAUSS, 3, 1.0, 100)
+        bounds.bound("thm1", NORMAL, GAUSS, 100, h0=-1.0)
     with pytest.raises(ValueError):
-        bounds.conventional_maxmse_bound(NORMAL, GAUSS, 1, 1.0, 100)
+        bounds.bound("lemma2", NORMAL, GAUSS, 0, h=0.5)
     with pytest.raises(ValueError):
-        bounds.conventional_mise_bound(NORMAL, GAUSS, 2, -1.0, 100)
+        bounds.bound("mystery", NORMAL, SINC, 100, h0=1.0)
     with pytest.raises(ValueError):
-        bounds.lemma2_mise_bound(NORMAL, GAUSS, 0.5, 0)
+        bounds.bound("thm7", NORMAL, SINC, 100, h0=1.0)
     with pytest.raises(ValueError):
-        bounds.sinc_mise_bound(NORMAL, "mystery", 100, h0=1.0)
+        bounds.bound("thm11", FEJER, SINC, 100)
     with pytest.raises(ValueError):
-        bounds.sinc_mise_bound(NORMAL, "smooth", 100, h0=1.0)
-    with pytest.raises(ValueError):
-        bounds.sinc_mise_bound(FEJER, "bandlimited", 100)
-    with pytest.raises(ValueError):
-        bounds.sinc_maxmse_bound(NORMAL, "smooth", 100, h0=1.0)
+        bounds.bound("thm8", NORMAL, SINC, 100, h0=1.0)
+    with pytest.raises(ValueError, match="needs a kernel"):
+        bounds.bound("thm1", NORMAL, None, 100, h0=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_bandwidths_must_be_finite_and_positive(bad):
+    # a nan or infinite h0 used to give applicable rows with a nan or inf bound
+    for theorem_id in ("lemma1", "thm1", "thm5", "thm9", "thm11"):
+        with pytest.raises(ValueError, match="finite and positive"):
+            bounds.bound(theorem_id, NORMAL, GAUSS, 100, h=0.5, h0=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            bounds.bound(theorem_id, NORMAL, GAUSS, 100, h=bad, h0=1.0)
+
+
+def test_overflowing_bound_raises():
+    # h0^4 overflows for thm1; thm5 reaches inf without an exception
+    with pytest.raises(ValueError, match="thm1 overflows"):
+        bounds.bound("thm1", NORMAL, GAUSS, 100, h0=1e300)
+    with pytest.raises(ValueError, match="thm5 overflows"):
+        bounds.bound("thm5", NORMAL, GAUSS, 100, h0=1e308)
+    # only the applicable bound is evaluated
+    assert bounds.bound("thm1", UNIFORM, GAUSS, 100, h0=1e300).bound is None
+
+
+_CLI_ROWS = ["lemma1", "lemma2", "lemma5_mise", "lemma5_maxmse", "thm1", "thm2",
+             "thm3", "thm4", "thm5", "thm6", "thm7", "thm8", "thm9", "thm10",
+             "thm11", "thm11_maxmse"]
+
+
+@pytest.mark.parametrize("name", ["normal", "uniform", "fejer"])
+def test_bound_table_yields_the_cli_rows_in_order(tmp_path, name):
+    density = make_density(name)
+    table = list(bounds.bound_table(density, EPAN, 100, 0.5, 1.0, 2))
+    assert [res.theorem_id for res, _ in table] == _CLI_ROWS
+    for (res, used), spec in zip(table, bounds.SPECS.values()):
+        assert used is (SINC if spec.sinc else EPAN)
+        assert res.kind == spec.kind
+    out = tmp_path / "b.csv"
+    assert main(["bounds", "--density", name, "--kernel", "epanechnikov", "--n", "100",
+                 "--output", str(out)]) == 0
+    with open(out, newline="") as fh:
+        assert [row["theorem_id"] for row in csv.DictReader(fh)] == _CLI_ROWS

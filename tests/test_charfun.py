@@ -251,9 +251,9 @@ def test_uniform_laplace_fejer_variation():
 
 @pytest.mark.parametrize("density", _all_builtins(), ids=lambda d: d.name)
 def test_cf_sq_tail_consistency(density):
-    # tail at 0 is the full integral; tails decrease; moderate T matches a
-    # lobe-resolved numeric integral
-    assert_allclose(density.cf_sq_tail(0.0), density.cf_sq_integral, rtol=1e-12)
+    # the tail is continuous at 0, where it is the full integral; tails
+    # decrease; moderate T matches a lobe-resolved numeric integral
+    assert_allclose(density.cf_sq_tail(0.0), density.cf_sq_tail(1e-9), rtol=1e-8)
     assert density.cf_sq_tail(1.0) >= density.cf_sq_tail(2.0) >= 0.0
     T, big = 2.0, 4000.0
     pieces = np.linspace(T, big, 4001)
@@ -272,7 +272,7 @@ def test_cf_sq_tail_consistency(density):
 
 def test_normal_closed_tails():
     d = make_density("normal", sigma=1.5)
-    assert_allclose(d.cf_sq_integral, SQRT_PI / 1.5, rtol=1e-12)
+    assert_allclose(d.cf_sq_tail(0.0), SQRT_PI / 1.5, rtol=1e-12)
     ref, _ = integrate.quad(lambda t: math.exp(-1.5 ** 2 * t * t), 0.7, 20.0)
     assert_allclose(d.cf_sq_tail(0.7), 2.0 * ref, rtol=1e-10)
     ref2, _ = integrate.quad(lambda t: math.exp(-0.5 * 1.5 ** 2 * t * t), 0.7, 20.0)
@@ -282,7 +282,7 @@ def test_normal_closed_tails():
 def test_fejer_closed_forms():
     d = make_density("fejer")
     assert d.cf_cutoff == 1.0
-    assert_allclose(d.cf_sq_integral, 2.0 / 3.0, rtol=1e-12)
+    assert_allclose(d.cf_sq_tail(0.0), 2.0 / 3.0, rtol=1e-12)
     assert_allclose(d.cf_sq_tail(0.25), 2.0 * 0.75 ** 3 / 3.0, rtol=1e-12)
     assert d.cf_sq_tail(1.0) == 0.0
     assert_allclose(d.cf_abs_tail(0.25), 0.75 ** 2, rtol=1e-12)
@@ -295,7 +295,7 @@ def test_mixture_cf_sq_integral_closed_form():
     d = make_density("mixture", weights=[0.4, 0.6], means=[-1.0, 1.5],
                      sigmas=[0.6, 1.1])
     ref, _ = integrate.quad(lambda t: float(np.abs(d.cf(t)) ** 2), 0, 40, limit=400)
-    assert_allclose(d.cf_sq_integral, 2.0 * ref, rtol=1e-9)
+    assert_allclose(d.cf_sq_tail(0.0), 2.0 * ref, rtol=1e-9)
 
 
 def test_supersmooth_certificates():

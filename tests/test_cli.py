@@ -289,6 +289,18 @@ def test_bounds_fejer_band_limited_rows(tmp_path):
     assert float(rows["thm11"]["ratio"]) >= 1.0
 
 
+@pytest.mark.parametrize("h0", ["nan", "inf", "1e300"])
+def test_bounds_rejects_non_finite_or_overflowing_h0(tmp_path, capsys, h0):
+    # nan and inf used to exit 0 with applicable rows bounded by nan or inf,
+    # 1e300 with an OverflowError traceback
+    out = tmp_path / "b.csv"
+    rc = main(["bounds", "--density", "normal", "--n", "100", "--h0", h0,
+               "--output", str(out)])
+    assert rc == 2
+    assert "h0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # select and plan
 

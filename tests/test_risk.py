@@ -103,7 +103,7 @@ def test_sinc_mise_optimal_band_for_bandlimited():
     # risk is purely the variance term
     f = make_density("fejer")
     rep = sinc_exact_mise(f, 0.5, 50)
-    head = f.cf_sq_integral
+    head = f.cf_sq_tail(0.0)
     assert_allclose(rep.value, (2.0 / 0.5 - head) / (2.0 * math.pi * 50),
                     rtol=1e-12)
 
@@ -392,7 +392,7 @@ def test_exact_tails_over_the_bandwidth_lattice(kname):
         rep = exact_mise(density, kernel, h, 100)
         ref = _reference_mise("uniform", kname, h, 100)
         assert rep.nodes <= 50_000 and not rep.degraded, (h, rep)
-        assert rep.quad_error <= RISK_RTOL * density.cf_sq_integral / (2.0 * math.pi)
+        assert rep.quad_error <= RISK_RTOL * density.cf_sq_tail(0.0) / (2.0 * math.pi)
         assert abs(rep.value - ref) <= rep.quad_error + 1e-13, (h, rep, ref)
 
 

@@ -58,7 +58,7 @@ def test_bound_rule_mise_constant_and_oracle():
     v2 = NORMAL.variation[2]
     res = selector.bound_rule("mise_thm1", v2, GAUSS, 100)
     assert res.h * 100 ** 0.2 == pytest.approx(0.8204, abs=5e-4)
-    parent = bounds.conventional_mise_bound(NORMAL, GAUSS, 2, 1.0, 100)
+    parent = bounds.bound("thm1", NORMAL, GAUSS, 100, h0=1.0)
     assert res.h == pytest.approx(parent.optimal[0] * 100 ** -0.2, rel=1e-12)
     # scalar and 1-sequence spellings agree
     assert selector.bound_rule("mise_thm1", (v2,), GAUSS, 100).h == res.h
@@ -461,7 +461,7 @@ def test_plan_conventional_mise_matches_linear_scan():
     stub = dataclasses.replace(NORMAL, variation={2: v2})
 
     def direct(n):
-        return bounds.conventional_mise_bound(stub, GAUSS, 2, 1.0, n).optimal[1]
+        return bounds.bound("thm1", stub, GAUSS, n, h0=1.0).optimal[1]
 
     scan = next(n for n in range(1, 10 ** 4) if direct(n) <= 0.01)
     assert n0 == scan
@@ -472,17 +472,13 @@ def test_plan_maxmse_and_smooth_guarantees():
     req = selector.PlanRequest(target="max_mse", epsilon=0.005,
                                v3=NORMAL.variation[3], a=NORMAL.sup_bound)
     n0 = selector.plan_sample_size(req, GAUSS)
-    direct = lambda n: bounds.conventional_maxmse_bound(
-        NORMAL, GAUSS, 3, 1.0, n
-    ).optimal[1]
+    direct = lambda n: bounds.bound("thm3", NORMAL, GAUSS, n, h0=1.0).optimal[1]
     assert direct(n0) <= 0.005 < direct(n0 - 1)
 
     req_s = selector.PlanRequest(target="mise", epsilon=0.02,
                                  vm=NORMAL.variation[2], m=2, regime="smooth")
     n1 = selector.plan_sample_size(req_s)
-    direct_s = lambda n: bounds.sinc_mise_bound(
-        NORMAL, "smooth", n, h0=1.0, m=2
-    ).optimal[1]
+    direct_s = lambda n: bounds.bound("thm7", NORMAL, SINC, n, h0=1.0, m=2).optimal[1]
     assert direct_s(n1) <= 0.02 < direct_s(n1 - 1)
 
 
