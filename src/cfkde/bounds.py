@@ -75,14 +75,13 @@ class BoundResult:
 
 class _Case(NamedTuple):
     # the inputs of one evaluation; v is the V_order the spec reads, or 2a
-    # under the unimodal fallback (flagged by fallback)
+    # under the unimodal fallback
     density: DensityModel
     kernel: Optional[KernelModel]
     n: int
     h: Optional[float]
     h0: Optional[float]
     v: Optional[float]
-    fallback: bool
 
 
 @dataclass(frozen=True)
@@ -175,14 +174,8 @@ def _lemma1(c: _Case) -> float:
 
 
 def _thm5(c: _Case) -> float:
-    # a unimodal density bounded by a substitutes max(2 sqrt(2) a^(3/2), a^2)
-    # for the middle factor
     log_n = _log_n(c.n)
-    if c.fallback:
-        a = c.density.sup_bound
-        mid = max(2.0 * math.sqrt(2.0) * a ** 1.5, a * a)
-    else:
-        mid = max(c.v ** 1.5, c.v * c.v)
+    mid = max(c.v ** 1.5, c.v * c.v)
     mu1 = c.kernel.mu1
     c1 = (4.0 * math.sqrt(2.0) / math.pi) * max(math.sqrt(mu1), mu1) * mid
     bracket = c1 * max(math.sqrt(c.h0), c.h0) + c.kernel.roughness / (c.h0 * log_n)
@@ -349,7 +342,7 @@ def bound(theorem_id: str, density: DensityModel, kernel: Optional[KernelModel],
     if fallback:
         # a unimodal density bounded by a has total variation 2a
         v = 2.0 * density.sup_bound
-    case = _Case(density, kernel, n, h, h0, v, fallback)
+    case = _Case(density, kernel, n, h, h0, v)
     checks = tuple([(name, bool(ok(kernel))) for name, ok in spec.kernel_hypotheses]
                    + [(name, bool(ok(case))) for name, ok in spec.hypotheses])
     applicable = all(ok for _, ok in checks)

@@ -16,9 +16,14 @@ quantities the exact-risk and bound formulas need:
                      lo <= a <= hi and each g free of oscillation; sets the
                      width of the transform-side quadrature panels
     tail_terms       (t0, ((c, a, p), ...)): cf(t) = sum c exp(i a t) t^(-p)
-                     exactly for t >= t0 (c complex, a real, p a positive
-                     integer), or None; lets the integrated risk take the
-                     transform's tail past a cutoff exactly (risk.exact_mise)
+                     for t >= t0, exactly or to within rounding (c complex,
+                     a real, p a positive integer), or None; lets the
+                     integrated and the pointwise risk take the transform's
+                     tail past a cutoff exactly (risk.exact_mise,
+                     risk.exact_bias): the uniform density's two terms, and
+                     the Laplace density's series of 1/(1 + b^2 t^2) in
+                     (b t)^-2, whose omitted terms are below (b t)^-18 of
+                     |cf| for t >= 8/b
 
 Constants are computed at construction and stored at full precision, each
 as an upper value, so that bounds built on them stay upper bounds.  The
@@ -656,6 +661,9 @@ def _make_laplace(scale: float = 1.0, mu: float = 0.0) -> DensityModel:
         sampler=sampler,
         support_hint=(m0 - 40.0 * b, m0 + 40.0 * b),
         cf_phases=(m0, m0),
+        # exp(i mu t) sum_k (-1)^(k-1) (b t)^(-2k), k = 1..9, for t >= 8/b
+        tail_terms=(8.0 / b, tuple(((-1.0) ** (k - 1) * b ** (-2 * k), m0, 2 * k)
+                                   for k in range(1, 10))),
     )
 
 

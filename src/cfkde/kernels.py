@@ -88,8 +88,12 @@ class KernelModel:
         phi(u) = sum c exp(i a u) u^(-p) exactly for u >= u0 (c complex, a
         real, p a positive integer); set for epanechnikov and uniform, whose
         transforms are trigonometric over powers.  With the density's own
-        terms it lets the integrated risk take the tail past a cutoff
-        exactly (risk.exact_mise).  None for every other kernel.
+        terms it lets the integrated and the pointwise risk take the tail
+        past a cutoff exactly (risk.exact_mise, risk.exact_bias).  None for
+        every other kernel.
+    sq_tail_terms : (u0, ((c, a, p), ...)) or None
+        The same for sq_cf, the transform of K^2, which the pointwise second
+        moment reads (risk.exact_mse); set with tail_terms by the models.
     """
 
     name: str
@@ -110,6 +114,7 @@ class KernelModel:
     reach: float = math.inf
     poly: Optional[Tuple[Tuple[float, ...], Tuple[float, ...]]] = None
     tail_terms: Optional[Tuple[float, Tuple[Tuple[complex, float, int], ...]]] = None
+    sq_tail_terms: Optional[Tuple[float, Tuple[Tuple[complex, float, int], ...]]] = None
 
 
 def scaled_eval(kernel: KernelModel, h: float, x):
@@ -360,6 +365,10 @@ def make_builtin(name: str) -> KernelModel:
             # 3 sin u/u^3 - 3 cos u/u^2
             tail_terms=(0.0, ((1.5 / 1j, 1.0, 3), (-1.5 / 1j, -1.0, 3),
                               (-1.5, 1.0, 2), (-1.5, -1.0, 2))),
+            # 27 sin u/u^5 - 9 sin u/u^3 - 27 cos u/u^4
+            sq_tail_terms=(0.0, ((13.5 / 1j, 1.0, 5), (-13.5 / 1j, -1.0, 5),
+                                 (-4.5 / 1j, 1.0, 3), (4.5 / 1j, -1.0, 3),
+                                 (-13.5, 1.0, 4), (-13.5, -1.0, 4))),
         )
     elif name == "uniform":
         model = KernelModel(
@@ -383,6 +392,8 @@ def make_builtin(name: str) -> KernelModel:
             poly=((0.5,), (0.5, -0.25)),
             # sin u/u
             tail_terms=(0.0, ((0.5 / 1j, 1.0, 1), (-0.5 / 1j, -1.0, 1))),
+            # sin u/(2u)
+            sq_tail_terms=(0.0, ((0.25 / 1j, 1.0, 1), (-0.25 / 1j, -1.0, 1))),
         )
     elif name == "sinc":
         model = KernelModel(

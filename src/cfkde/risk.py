@@ -13,17 +13,18 @@ Every transform-side integral here goes through one vectorized engine,
 oscillation wide, a 12-against-24-node error estimate per panel, adaptive
 bisection of the panels that miss their share of the tolerance, and the
 integrand evaluated a chunk of panels at a time.  The integration range
-stops at one cutoff T from ``certified_cutoff``, where the model's
-closed-form tail (cf_sq_tail, cf_abs_tail) times the kernel's sup-tail
-bounds what is left to within RISK_RTOL of the integral's scale.  Where no
-affordable T meets that (a transform decaying only algebraically, for
-pointwise risk), the oscillatory tail past T is summed over half-periods
-and extrapolated.  For the integrated risk, when the density and the
-kernel both carry ``tail_terms`` (their transforms are sums of
-c exp(i a t) t^-p past some t0: the uniform density, the uniform and
-Epanechnikov kernels), the tail past T is not bounded but integrated
-exactly, term by term, as c T^(1-p) E_p(-i a T), and T lies only a few
-periods past t0.  Every report carries the accumulated numerical error,
+stops at one cutoff T.  Past it, a transform that carries ``tail_terms``
+(a sum of c exp(i a t) t^-p past some t0: the uniform and Laplace
+densities, the uniform and Epanechnikov kernels and the transforms of
+their squares) is not bounded but integrated exactly, term by term, as
+c T^(1-p) E_p(-i a T), and T lies a few periods past t0 where that fits
+the work budget.  This serves the integrated risk and, with the density's
+terms shifted by exp(-i t x), the pointwise bias and second moment.  What
+has no terms is bounded by the model's closed-form tail (cf_sq_tail,
+cf_abs_tail) times the kernel's sup-tail, and T is the smallest cutoff at
+which that bound is within RISK_RTOL of the integral's scale
+(``certified_cutoff``); where no affordable T meets that, the bound is
+counted as error.  Every report carries the accumulated numerical error,
 the cutoff and the node count.  The sinc kernel's integrated risk is a
 closed form.
 """
@@ -312,6 +313,15 @@ def _terms(tail_terms) -> _Terms:
     return _Terms(c.astype(complex), a.astype(float), p.astype(int), np.zeros(a.size))
 
 
+_ONE = _terms((0.0, ((1.0, 0.0, 0),)))
+
+
+def _one_minus(tail_terms) -> _Terms:
+    """Terms of 1 - phi for a kernel's terms of phi."""
+    return _terms((tail_terms[0], ((1.0, 0.0, 0),)
+                   + tuple((-c, a, p) for c, a, p in tail_terms[1])))
+
+
 def _at_scale(x: _Terms, h: float) -> _Terms:
     """A kernel's terms in t = u/h: c (h t)^-p exp(i a h t)."""
     a = x.a * h
@@ -334,21 +344,23 @@ def _multiply(x: _Terms, y: _Terms) -> _Terms:
 def _tail_sum(x: _Terms, T: float):
     """Re sum int_T^inf c exp(i a t) t^-p dt, and a bound on its rounding.
 
-    Each integral is c T^(1-p) E_p(-i a T).  Besides the rounding of E_p
-    and of the products, y = a T may be off by dy = slack T + ulp(y); that
-    moves the integral by dy T^(1-p) |E_(p-1)(-i y)|, where
-    |E_q(-i y)| <= 2/|y| and, for q >= 2, <= 1/(q - 1).
+    The sum runs over the last axis of the terms' arrays.  Each integral
+    is c T^(1-p) E_p(-i a T).  Besides the rounding of E_p and of the
+    products, y = a T may be off by dy = slack T + ulp(y); that moves the
+    integral by T^(1-p) times at most dy |E_(p-1)(-i y)| <= 2 dy/|y| and
+    int_1^inf min(dy s, 2) s^-p ds, which is at most dy/(p - 2) for p >= 3
+    and dy (1 + ln(2/dy)) for p = 2 (the bound that holds at y = 0).
     """
     y = x.a * T
-    e, e_err = _expint(x.p, y)
+    e, e_err = (v.reshape(y.shape) for v in _expint(x.p, y))
     weight = x.c * T ** (1.0 - x.p.astype(float))
     dy = x.slack * T + _EPS * np.abs(y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.minimum(2.0 / np.abs(y),
-                           np.where(x.p >= 3, 1.0 / np.maximum(x.p - 2.0, 1.0), np.inf))
-        phase = np.where(dy > 0.0, dy * slope, 0.0)
+        near = np.where(x.p >= 3, 1.0 / np.maximum(x.p - 2.0, 1.0),
+                        np.where(x.p == 2, 1.0 + np.log(np.maximum(2.0 / dy, 1.0)), np.inf))
+        phase = np.where(dy > 0.0, dy * np.minimum(2.0 / np.abs(y), near), 0.0)
     rounding = np.abs(weight) * (e_err + 8.0 * _EPS * np.abs(e) + phase)
-    return float(np.sum(weight * e).real), float(rounding.sum())
+    return np.sum(weight * e, axis=-1).real, rounding.sum(axis=-1)
 
 
 def _min_gap(phases) -> float:
@@ -357,19 +369,18 @@ def _min_gap(phases) -> float:
     return float(gaps.min()) if gaps.size else math.inf
 
 
-def _tail_cutoff(density: DensityModel, kernel: KernelModel, h_min: float):
+def _tail_cutoff(density: DensityModel, kernel_terms, h: float):
     """Cutoff T for the exact tails: two periods of the slowest oscillation
-    of the terms past where both expansions hold, so no term's integral is
-    much larger than the tail it sums to.  None when the models carry no
-    terms or nothing oscillates."""
-    if density.tail_terms is None or kernel.tail_terms is None:
-        return None
-    (t0, d_terms), (u0, k_terms) = density.tail_terms, kernel.tail_terms
-    slow = min(_min_gap([a for _, a, _ in d_terms]),
-               h_min * _min_gap([a for _, a, _ in k_terms]))
-    if not math.isfinite(slow):
-        return None
-    return max(float(t0), float(u0) / h_min) + 4.0 * math.pi / slow
+    of the terms past where every expansion holds, so no term's integral is
+    much larger than the tail it sums to.  kernel_terms are the kernel's
+    expansions in use, each in u = h t.  None when that T is 0."""
+    t0, d_terms = density.tail_terms
+    start, slow = float(t0), _min_gap([a for _, a, _ in d_terms])
+    for u0, k_terms in kernel_terms:
+        start = max(start, float(u0) / h)
+        slow = min(slow, h * _min_gap([a for _, a, _ in k_terms]))
+    T = start + (4.0 * math.pi / slow if math.isfinite(slow) else 0.0)
+    return T if T > 0.0 else None
 
 
 def _exact_tails(density: DensityModel, kernel: KernelModel, hs, T: float,
@@ -384,11 +395,11 @@ def _exact_tails(density: DensityModel, kernel: KernelModel, hs, T: float,
     """
     f = _terms(density.tail_terms)
     mod2 = _multiply(f, f._replace(c=np.conj(f.c), a=-f.a))
-    k = kernel.tail_terms
-    one_minus = _terms((k[0], ((1.0, 0.0, 0),) + tuple((-c, a, p) for c, a, p in k[1])))
+    one_minus = _one_minus(kernel.tail_terms)
     factors = [_multiply(one_minus, one_minus)]
     if variance:
-        factors.append(_multiply(_terms(k), _terms(k)))
+        k = _terms(kernel.tail_terms)
+        factors.append(_multiply(k, k))
     out = np.zeros((4, hs.size))
     for i, h in enumerate(hs):
         for j, factor in enumerate(factors):
@@ -444,7 +455,9 @@ def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
     else:
         # exact tails while their T fits the work budget, else a certified T
         limit = _cutoff_limit(omega, parts * hs.size)
-        T = _tail_cutoff(density, kernel, h_min)
+        T = None
+        if density.tail_terms is not None and kernel.tail_terms is not None:
+            T = _tail_cutoff(density, [kernel.tail_terms], h_min)
         exact = T is not None and T <= limit
         if not exact:
             T = certified_cutoff(
@@ -550,88 +563,6 @@ def sinc_exact_mise(density: DensityModel, h: float, n: int) -> RiskReport:
 # pointwise risk
 
 
-def _wynn(partial):
-    """Wynn's epsilon extrapolation of each row of partial sums (r, K).
-
-    Returns the limit estimate with the smallest error estimate over the
-    even columns of the epsilon table, and that error estimate: the change
-    from the previous entry of its column plus the change from the column
-    before.
-    """
-    best = partial[:, -1]
-    best_err = np.abs(partial[:, -1] - partial[:, -2])
-    prev = np.zeros((partial.shape[0], partial.shape[1] + 1), dtype=partial.dtype)
-    cur = last_even = partial
-    with np.errstate(all="ignore"):
-        for k in range(1, partial.shape[1]):
-            cur, prev = prev[:, 1:cur.shape[1]] + 1.0 / (cur[:, 1:] - cur[:, :-1]), cur
-            if k % 2 == 0 and cur.shape[1] >= 2:
-                est = cur[:, -1]
-                err = np.abs(est - cur[:, -2]) + np.abs(est - last_even[:, -1])
-                better = np.isfinite(err) & (err < best_err)
-                best = np.where(better, est, best)
-                best_err = np.where(better, err, best_err)
-                last_even = cur
-    return best, best_err
-
-
-_TAIL_HALF_PERIODS = 40
-
-
-def _fourier_tail(density: DensityModel, factor, reach: float, T: float, xs,
-                  tol: float, bound: float):
-    """int_T^inf Re[f(t) a(t) exp(-i t x)] dt for each x, for algebraic decay.
-
-    a is factor(t), a kernel transform at h t whose phase speeds are at most
-    reach, or 1 when factor is None.  The integrand is integrated over
-    half-periods of its fastest oscillation, all points in one evaluation,
-    and the partial sums are extrapolated by Wynn's epsilon algorithm.  A
-    point with no oscillation at all is integrated after t = T/u on [0, 1].
-    Where the error estimate exceeds the certified bound of the whole tail,
-    the tail is dropped and the bound is its error.
-    """
-    xs = np.asarray(xs, dtype=float)
-    lo, hi = density.cf_phases
-    nu = np.maximum(np.abs(xs - lo), np.abs(xs - hi)) + reach
-    values = np.zeros(xs.size)
-    errors = np.zeros(xs.size)
-    weight = (lambda t: 1.0) if factor is None else factor
-    osc = nu > 0.0
-    if osc.any():
-        x = xs[osc][:, None, None]
-        half = 0.5 * math.pi / nu[osc]
-        starts = T + 2.0 * half[:, None] * np.arange(_TAIL_HALF_PERIODS)
-        t = starts[:, :, None] + half[:, None, None] * (1.0 + _NODES)
-        g = density.cf(t) * weight(t) * np.exp(-1j * x * t)
-        q12 = (g[..., :12] @ _W12) * half[:, None]
-        q24 = (g[..., 12:] @ _W24) * half[:, None]
-        partial = np.cumsum(q24, axis=1)
-        limit, err = _wynn(partial)
-        # an extrapolation from three quarters of the sums must agree too:
-        # a component that barely oscillates escapes the epsilon table's
-        # own estimate
-        early, _ = _wynn(partial[:, : 3 * _TAIL_HALF_PERIODS // 4])
-        values[osc] = limit.real
-        errors[osc] = (np.maximum(err, np.abs(limit - early))
-                       + np.abs(q24 - q12).sum(axis=1))
-    if not osc.all():
-        x = xs[~osc][:, None]
-
-        def integrand(u):
-            t = T / u
-            g = density.cf(t) * weight(t) * np.exp(-1j * x * t)
-            return (g * (T / (u * u))).real
-
-        q = gauss_panels(integrand, panel_edges(0.0, 1.0, 0.0),
-                         np.full(x.size, tol))
-        values[~osc] = q.value
-        errors[~osc] = q.error
-    failed = ~(errors <= bound)
-    values[failed] = 0.0
-    errors[failed] = bound
-    return values, errors
-
-
 class _Pointwise(NamedTuple):
     bias: np.ndarray          # int_0^inf Re[f e^{-itx}] (1 - phi(ht)) dt
     bias_error: np.ndarray
@@ -645,12 +576,21 @@ def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
                second: bool) -> _Pointwise:
     """Half-line transform integrals of the bias (and of E K_h^2), batched over x.
 
-    Past T the bias integrand is at most |f| (1 + s) and the second-moment
-    integrand |f| sup|psi|, with psi the transform of K^2; both are bounded
-    by the closed form cf_abs_tail.  A density whose transform decays only
-    algebraically cannot meet the tolerance at a feasible T: there the tail
-    is integrated over half-periods and extrapolated (``_fourier_tail``),
-    and its error is counted.
+    The bias row integrates Re[f(t) e^{-itx}] times 1 - phi(ht), the
+    second-moment row times psi(ht), the transform of K^2.  Past T each row
+    splits into a part integrated exactly and a part bounded through the
+    closed form cf_abs_tail.  When the density carries tail_terms, they are
+    shifted by e^{-itx} and multiplied by the kernel factor's terms
+    (tail_terms for 1 - phi, sq_tail_terms for psi) and the product is
+    integrated term by term (``_tail_sum``); a kernel without the bias
+    factor's terms leaves only its phi piece to the bound |f| s, with
+    s = sup_{|u| >= hT} |phi(u)|, and one without psi's terms the whole
+    second-moment row to the bound |f| sup|psi|.  A density without terms
+    bounds its bias tail by |f| (1 + s).  T is the smallest cutoff at which
+    every bound passes its share of RISK_RTOL int |f|, and at least the
+    start of the terms in use plus two periods (``_tail_cutoff``).  A bound
+    that does not pass within the work budget is counted in the error, and
+    so is every bound when the exact tails' T would pass that budget.
     """
     xs = np.asarray(xs, dtype=float)
     nx = xs.size
@@ -659,30 +599,36 @@ def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
     omega = float(np.max(np.maximum(np.abs(hi - xs), np.abs(lo - xs)))) + h
     parts = 2 if second else 1
     scale = 0.5 * float(density.cf_abs_tail(0.0))
+    tols = [RISK_RTOL * scale, RISK_RTOL * scale * kernel.roughness][:parts]
     sup_tail = _sup_tail(kernel)
-    rough = kernel.roughness
     if math.isfinite(kernel.a_value):
-        psi_sup = lambda u: min(rough, 2.0 * kernel.a_value * float(sup_tail(0.5 * u)))
+        psi_sup = lambda u: min(kernel.roughness,
+                                2.0 * kernel.a_value * float(sup_tail(0.5 * u)))
     else:
-        psi_sup = lambda u: rough
-    certs = [(lambda c: 0.5 * float(density.cf_abs_tail(c)) * (1.0 + float(sup_tail(h * c))),
-              RISK_RTOL * scale)]
-    if second:
-        certs.append((lambda c: 0.5 * float(density.cf_abs_tail(c)) * psi_sup(h * c),
-                      RISK_RTOL * scale * rough))
+        psi_sup = lambda u: kernel.roughness
     breaks = [1.0 / h, 2.0 / h] if kernel.is_sinc else []
-    algebraic = [False] * parts
+    limit = _cutoff_limit(omega, parts * nx)
+    # per row past T: the kernel factor as terms (None: no exact part) and
+    # the bound on the rest as a multiple of |f| at u = h T (None: no rest)
+    tails = [(None, lambda u: 1.0 + float(sup_tail(u))), (None, psi_sup)][:parts]
+    T = 0.0
     if density.cf_cutoff is not None:
         T = float(density.cf_cutoff)
-    else:
-        limit = _cutoff_limit(omega, parts * nx)
-        T = 0.0
-        for i, (cert, tol) in enumerate(certs):
-            Ti = certified_cutoff(cert, 0.5 * tol, start=0.0625, limit=limit)
-            if cert(Ti) > 0.5 * tol:
-                algebraic[i] = True
-                Ti = min(limit, max([8.0 / h] + breaks))
-            T = max(T, Ti)
+    elif density.tail_terms is not None:
+        bias_terms, sq_terms = kernel.tail_terms, kernel.sq_tail_terms if second else None
+        T_exact = _tail_cutoff(density, [k for k in (bias_terms, sq_terms) if k is not None], h)
+        if T_exact is not None and T_exact <= limit:
+            T = T_exact
+            tails[0] = ((_ONE, lambda u: float(sup_tail(u))) if bias_terms is None
+                       else (_one_minus(bias_terms), None))
+            if sq_terms is not None:
+                tails[1] = (_terms(sq_terms), None)
+    if density.cf_cutoff is None:
+        for (_, bound), tol in zip(tails, tols):
+            if bound is not None:
+                T = max(T, certified_cutoff(
+                    lambda c: 0.5 * float(density.cf_abs_tail(c)) * bound(h * c),
+                    0.5 * tol, start=0.0625, limit=limit))
 
     def integrand(t):
         ft = density.cf(t)
@@ -694,32 +640,26 @@ def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
             rows.append(re * kernel.sq_cf(u))
         return np.concatenate(rows)
 
-    tols = np.repeat([0.5 * tol for _, tol in certs], nx)
     breaks += _decay_breaks(density.cf_abs_tail, T)
-    q = gauss_panels(integrand, panel_edges(0.0, T, omega, breaks), tols)
+    q = gauss_panels(integrand, panel_edges(0.0, T, omega, breaks),
+                     np.repeat(np.multiply(0.5, tols), nx))
     values = q.value.reshape(parts, nx)
     errors = q.error.reshape(parts, nx).copy()
     if density.cf_cutoff is None:
         abs_tail = 0.5 * float(density.cf_abs_tail(T))
-        kernel_cf = lambda t: kernel.cf(h * t)
-        kernel_sq_cf = lambda t: kernel.sq_cf(h * t)
-        # past T: bias = int f e^{-itx} - int f phi(ht) e^{-itx}, second
-        # moment = int f psi(ht) e^{-itx}; each piece with its own bound
-        pieces = [[(1.0, None, 0.0, abs_tail),
-                   (-1.0, kernel_cf, h, abs_tail * float(sup_tail(h * T)))],
-                  [(1.0, kernel_sq_cf, h, abs_tail * psi_sup(h * T))]]
-        for i, (cert, tol) in enumerate(certs):
-            if not algebraic[i]:
-                errors[i] += cert(T)
-                continue
-            for sign, factor, reach, bound in pieces[i]:
-                if factor is not None and bound <= 0.25 * tol:
-                    errors[i] += bound
-                    continue
-                val, err = _fourier_tail(density, factor, reach, T, xs,
-                                         0.125 * tol, bound)
-                values[i] += sign * val
-                errors[i] += err
+        for i, (factor, bound) in enumerate(tails):
+            if bound is not None:
+                errors[i] += abs_tail * bound(h * T)
+            if factor is not None:
+                # F(t) e^{-itx} times the factor: the product's phases less
+                # x, each off by its slack plus the subtraction's rounding
+                prod = _multiply(_terms(density.tail_terms), _at_scale(factor, h))
+                a = prod.a - xs[:, None]
+                value, rounding = _tail_sum(_Terms(
+                    np.broadcast_to(prod.c, a.shape), a, np.broadcast_to(prod.p, a.shape),
+                    prod.slack + _EPS * np.abs(a)), T)
+                values[i] += value
+                errors[i] += rounding
     return _Pointwise(values[0], errors[0],
                       values[1] if second else None,
                       errors[1] if second else None, T, q.nodes)

@@ -258,16 +258,27 @@ def test_thm5_small_sample_gate():
 
 
 def test_thm5_unimodal_fallback_substitution():
-    # strip the variation table; sup bound 1 turns the middle factor into
-    # max(2 sqrt 2, 1) = 2 sqrt 2
+    # strip the variation table; sup bound 1 gives V = 2a = 2 and turns the
+    # middle factor into max(V^(3/2), V^2) = 4
     d = dataclasses.replace(UNIFORM, variation={}, sup_bound=1.0)
     res = bounds.bound("thm5", d, GAUSS, 100, h0=1.0)
     assert res.theorem_id == "thm5_unimodal"
     log_n = math.log(100)
     bracket = ((4.0 * math.sqrt(2.0) / math.pi)
-               * max(math.sqrt(GAUSS.mu1), GAUSS.mu1) * 2.0 * math.sqrt(2.0)
+               * max(math.sqrt(GAUSS.mu1), GAUSS.mu1) * 4.0
                + GAUSS.roughness / log_n)
     assert res.bound == pytest.approx(bracket * log_n ** 2 / 10.0, rel=1e-12)
+
+
+def test_thm5_unimodal_fallback_reads_the_bound_with_v_2a():
+    # uniform(0, 0.5): a = 2 and V0 = 4 = 2a, so the fallback, which knows
+    # only a, must read what the bound with the true V reads (it once put
+    # a^2 = 4 where V^2 = 16 belongs, and read 27.4 against 54.7)
+    d = make_density("uniform", a=0.0, b=0.5)
+    fallback = bounds.bound("thm5", dataclasses.replace(d, variation={}), GAUSS, 100, h0=1.0)
+    known = bounds.bound("thm5", dataclasses.replace(d, variation={0: 4.0}), GAUSS, 100, h0=1.0)
+    assert fallback.theorem_id == "thm5_unimodal" and known.theorem_id == "thm5"
+    assert fallback.bound == known.bound == pytest.approx(54.7, abs=0.05)
 
 
 # ---------------------------------------------------------------------------

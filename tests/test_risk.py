@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy import integrate
 from scipy.special import erfc, erfcx, ndtr
 
 from cfkde.charfun import make_density
-from cfkde.kernels import make_builtin
+from cfkde.kernels import kernel_from_functions, make_builtin
 from cfkde.risk import (
     RISK_RTOL,
     _WORK,
@@ -439,25 +440,41 @@ def test_exact_tails_near_cancelling_frequencies(kname, h):
     assert abs(rep.value - ref) <= rep.quad_error + 1e-13, (rep, ref)
 
 
-@pytest.mark.parametrize("p", range(1, 9))
+# the largest p the term products reach: |f|^2 of the Laplace series (p up
+# to 2 x 18) times (1 - phi)^2 of the Epanechnikov kernel (up to 2 x 3)
+LARGEST_P = 2 * max(p for _, _, p in make_density("laplace").tail_terms[1]) + 2 * max(
+    p for _, _, p in make_builtin("epanechnikov").tail_terms[1])
+
+
+@pytest.mark.parametrize("p", range(1, LARGEST_P + 1))
 def test_expint_matches_mpmath(p):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     for y in (0.0, 1e-12, 1e-3, 0.5, 2.0, 30.0, 1e4):
         if p == 1 and y == 0.0:
             continue
-        for sign in (1.0, -1.0):
+        upper = complex(mpmath.expint(p, mpmath.mpc(0.0, -y)))
+        # E_p at the conjugate argument is the conjugate
+        for sign, exact in ((1.0, upper), (-1.0, upper.conjugate())):
             value, rounding = _expint(p, sign * y)
-            exact = complex(mpmath.expint(p, mpmath.mpc(0.0, -sign * y)))
             assert abs(value[0] - exact) <= rounding[0], (p, sign * y)
             assert abs(value[0] - exact) <= 1e-14 * abs(exact), (p, sign * y)
     with pytest.raises(ValueError):
         _expint(1, 0.0)
 
 
+def _squared(kernel):
+    # the transform of K^2 with its sq_tail_terms, in the shape of a model
+    return SimpleNamespace(name=kernel.name + "_sq", tail_terms=kernel.sq_tail_terms,
+                           cf=kernel.sq_cf)
+
+
 @pytest.mark.parametrize("model", [
     make_density("uniform"), make_density("uniform", a=-0.5, b=2.0),
-    make_builtin("epanechnikov"), make_builtin("uniform")], ids=lambda m: m.name)
+    make_builtin("epanechnikov"), make_builtin("uniform"),
+    make_density("laplace"), make_density("laplace", scale=0.3, mu=0.7),
+    _squared(make_builtin("epanechnikov")), _squared(make_builtin("uniform"))],
+    ids=lambda m: m.name)
 def test_tail_terms_reproduce_the_transform(model):
     # the sum is compared in units of the terms' moduli, the scale of its
     # rounding (the transform itself crosses zero); both sides also round the
@@ -469,6 +486,102 @@ def test_tail_terms_reproduce_the_transform(model):
     phase = 2.2e-16 * max(abs(a) for _, a, _ in terms) * t
     assert np.all(np.abs(total - model.cf(t))
                   <= (1e-15 + 2.0 * phase) * np.abs(pieces).sum(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# pointwise risk of the Laplace density against references built without
+# cfkde.risk: an x-space convolution (gaussian, epanechnikov, uniform) and
+# the transform side in mpmath (sinc)
+
+
+LAPLACE_MU = 0.7
+GL40 = np.polynomial.legendre.leggauss(40)
+
+
+def _laplace_pdf(y, mu=LAPLACE_MU):
+    return 0.5 * np.exp(-np.abs(y - mu))
+
+
+def _laplace_conv(weight, reach, x, h, mu=LAPLACE_MU):
+    """int weight((x - y)/h)/h p(y) dy over |x - y| <= reach, with the pieces
+    split at x +- h, x and mu and cut into panels at most min(h, 1)/2 wide,
+    on each of which the integrand is smooth."""
+    ends = (x - reach, x - h, x, x + h, x + reach, mu)
+    breaks = sorted({b for b in ends if x - reach <= b <= x + reach})
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        edges = np.linspace(a, b, max(1, math.ceil((b - a) / (0.5 * min(h, 1.0)))) + 1)
+        half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+        y = mid[:, None] + half[:, None] * GL40[0]
+        total += float(((weight((x - y) / h) / h * _laplace_pdf(y, mu)) @ GL40[1]) @ half)
+    return total
+
+
+def _laplace_sinc_pointwise(w, h):
+    """bias and E K_h^2 of the sinc kernel at x = mu + w, from the transform
+    side: -(1/pi) int_{1/h}^inf cos(w t)/(1 + t^2) dt, with the whole line's
+    int_0^inf = (pi/2) exp(-|w|), and
+    (pi h)^-1 int_0^{2/h} cos(w t)/(1 + t^2) (2 - h t)/(2 pi) dt."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    w, cut = abs(mpmath.mpf(w)), 1 / mpmath.mpf(h)
+    head = mpmath.quad(lambda t: mpmath.cos(w * t) / (1 + t * t), mpmath.linspace(0, cut, 11))
+    tail = mpmath.pi / 2 * mpmath.exp(-w) - head
+    second = mpmath.quad(lambda t: mpmath.cos(w * t) / (1 + t * t) * (2 - h * t),
+                         mpmath.linspace(0, 2 * cut, 11))
+    return float(-tail / mpmath.pi), float(second / (2 * mpmath.pi ** 2 * h))
+
+
+def _laplace_pointwise(kname, x, h, mu=LAPLACE_MU):
+    """(bias, E K_h(x - X), E K_h^2(x - X)) at x."""
+    if kname == "sinc":
+        bias, second = _laplace_sinc_pointwise(x - mu, h)
+        return bias, float(_laplace_pdf(x, mu)) + bias, second
+    reach = 12.0 * h if kname == "gaussian" else h
+    mean = _laplace_conv(lambda u: _kernel_pdf(kname, u), reach, x, h, mu)
+    second = _laplace_conv(lambda u: _kernel_pdf(kname, u) ** 2 / h, reach, x, h, mu)
+    return mean - float(_laplace_pdf(x, mu)), mean, second
+
+
+@pytest.mark.parametrize("kname", ("gaussian", "epanechnikov", "uniform", "sinc"))
+@pytest.mark.parametrize("h", (0.05, 0.3, 1.0))
+def test_laplace_pointwise_risk_matches_references(kname, h):
+    # x - mu = +-h puts a component of the transform tail at zero frequency
+    density, kernel, n = make_density("laplace", mu=LAPLACE_MU), make_builtin(kname), 50
+    xs = LAPLACE_MU + np.array([-h, 0.0, h, 3.0])
+    bias, mse = exact_bias(density, kernel, h, xs), exact_mse(density, kernel, h, n, xs)
+    for i, x in enumerate(xs):
+        b, mean, second = _laplace_pointwise(kname, x, h)
+        ref = b * b + (second - mean * mean) / n
+        for rep, value in ((bias, b), (mse, ref)):
+            assert not rep.degraded[i] and rep.quad_error[i] <= 1e-12, (x, rep)
+            assert abs(rep.value[i] - value) <= rep.quad_error[i] + 1e-14, (x, rep, value)
+
+
+def test_laplace_bias_at_a_zero_frequency_component_is_exact():
+    # h = 0.3, x = -0.3 (mu = 0) puts one component of the compact kernels'
+    # transform tail at zero frequency, where an extrapolation over
+    # half-periods would stall; the exact tail is right to rounding there
+    density = make_density("laplace")
+    for kname in ("uniform", "epanechnikov"):
+        rep = exact_bias(density, make_builtin(kname), 0.3, -0.3)
+        b, _, _ = _laplace_pointwise(kname, -0.3, 0.3, mu=0.0)
+        assert rep.quad_error <= 1e-12 and abs(rep.value - b) <= rep.quad_error + 1e-14
+
+
+def test_laplace_bias_of_a_custom_kernel_is_degraded_but_covered():
+    # a kernel without tail terms or a sup-tail bound leaves a certified bound
+    # of the tail, spent down to the work budget, as the error
+    triangular = kernel_from_functions(
+        "triangular", lambda u: max(0.0, 1.0 - abs(u)),
+        lambda u: 1.0 if u == 0.0 else (math.sin(0.5 * u) / (0.5 * u)) ** 2)
+    h = 0.3
+    xs = LAPLACE_MU + np.array([-h, 0.0, h, 3.0])
+    rep = exact_bias(make_density("laplace", mu=LAPLACE_MU), triangular, h, xs)
+    for i, x in enumerate(xs):
+        mean = _laplace_conv(lambda u: np.maximum(0.0, 1.0 - np.abs(u)), h, x, h)
+        actual = abs(rep.value[i] - (mean - float(_laplace_pdf(x))))
+        assert rep.degraded[i] and actual <= rep.quad_error[i], (x, rep)
 
 
 def test_uniform_uniform_mise_pinned():
