@@ -31,8 +31,7 @@ import numpy as np
 
 from .charfun import DensityModel
 from .kernels import KernelModel, make_builtin
-from .risk import (RISK_RTOL, _decay_breaks, _sup_tail, certified_cutoff,
-                   gauss_panels, integrated_sq_bias, panel_edges)
+from .risk import _abs_bias_factor, gauss_panels, integrated_sq_bias
 
 __all__ = [
     "BoundResult",
@@ -129,39 +128,6 @@ def _power_minimum(c1: float, c2: float, p: float) -> Tuple[float, float]:
     """Minimize c1 * h^p + c2 / h over h > 0, in closed form."""
     h_star = (c2 / (p * c1)) ** (1.0 / (p + 1.0))
     return h_star, c1 * h_star ** p + c2 / h_star
-
-
-def _abs_bias_factor(density: DensityModel, kernel: KernelModel,
-                     h: float) -> float:
-    """Upper estimate of (2 pi)^(-1) int |f(t)| |1 - phi(h t)| dt.
-
-    The head up to the cutoff T is integrated on Gauss-Legendre panels;
-    its error estimate and the certified tail cf_abs_tail(T) (1 + s) / (2 pi),
-    with s = sup_{|u| >= hT} |phi(u)|, are added, so the factor, which is
-    squared into an upper bound, is never rounded below its true value.
-    """
-    scale = float(density.cf_abs_tail(0.0)) / (2.0 * math.pi)
-    tol = RISK_RTOL * scale
-    sup_tail = _sup_tail(kernel)
-
-    def tail(T):
-        return float(density.cf_abs_tail(T)) * (1.0 + float(sup_tail(h * T))) \
-            / (2.0 * math.pi)
-
-    omega = density.cf_phases[1] - density.cf_phases[0] + h
-    if density.cf_cutoff is not None:
-        T = float(density.cf_cutoff)
-    else:
-        # an algebraic tail stops at 4096 periods; the bound only loosens
-        T = certified_cutoff(tail, 0.5 * tol, start=0.0625,
-                             limit=4096 * 2.0 * math.pi / omega)
-
-    def integrand(t):
-        return np.abs(density.cf(t)) * np.abs(kernel.one_minus_cf(h * t))
-
-    edges = panel_edges(0.0, T, omega, _decay_breaks(density.cf_abs_tail, T))
-    q = gauss_panels(integrand, edges, 0.5 * math.pi * tol)
-    return float(q.value[0] + q.error[0]) / math.pi + tail(T)
 
 
 def _log_n(n: int) -> float:

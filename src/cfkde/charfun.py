@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 from scipy.special import erfc, eval_hermitenorm, polygamma, sici, wofz
 
 from .kernels import KernelModel
@@ -469,21 +468,11 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
                   np.append(p[kk, ig], mid), np.append(mid, p[kk, ig + 1]))
     k, roots = np.concatenate((k, kk, kk)), np.concatenate((roots, pair))
     # a grid point where p^(m+1) is exactly 0 stays a cut
-    variation = _variation(w, mus, sig, [
-        np.sort(np.concatenate(([lo, hi], roots[k == m + 1], grid[sgn[m + 1] == 0.0])))
-        for m in range(7)])
-
-    # sup p: dense grid then a local polish
-    grid = np.linspace(lo, hi, 4001)
-    vals = pdf(grid)
-    i = int(np.argmax(vals))
-    res = optimize.minimize_scalar(
-        lambda x: -float(pdf(x)),
-        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    sup_p = max(float(vals[i]), -float(res.fun))
+    cuts = [np.sort(np.concatenate(([lo, hi], roots[k == m + 1], grid[sgn[m + 1] == 0.0])))
+            for m in range(7)]
+    variation = _variation(w, mus, sig, cuts)
+    # sup p: the largest p over its extrema, cuts[0], each with its rounding
+    sup_p = float(np.max(np.add(*_derivs(w, mus, sig, cuts[0], 0, bound=True))))
 
     # a_p = pi^(-1) int_0^inf |cf| and the supersmooth constant
     # B = 2 int_0^inf exp(gamma t^2) |cf|, both in one quadrature pass;

@@ -243,6 +243,9 @@ def _require(parser: argparse.ArgumentParser, cfg: RunConfig) -> None:
             flag = {"input_path": "--input", "epsilon": "--eps",
                     "h_grid": "--h-grid"}.get(name, "--" + name)
             parser.error("%s requires %s" % (cfg.command, flag))
+    only = {"estimate": "csv", "select": "json", "plan": "json"}.get(cfg.command)
+    if only is not None and cfg.format != only:
+        parser.error("%s writes %s only, not %s" % (cfg.command, only, cfg.format))
     if cfg.command == "estimate" and cfg.h is None and cfg.method is None:
         parser.error("estimate requires --h or --method")
     if cfg.h is not None and not math.isfinite(cfg.h):
@@ -470,17 +473,18 @@ def _bound_table(density: DensityModel, kernel: KernelModel,
     for res, k_used in bounds.bound_table(density, kernel, n, h, cfg.h0, cfg.m):
         exact = None
         if res.bound is not None:
+            # a report that raises or is degraded leaves exact and ratio blank
             try:
-                if res.kind == "mise":
-                    if k_used.is_sinc:
-                        exact = sinc_exact_mise(density, res.h_used, n).value
-                    else:
-                        exact = exact_mise(density, k_used, res.h_used, n).value
+                if res.kind == "max_mse":
+                    rep = exact_mse(density, k_used, res.h_used, n, xs)
+                elif k_used.is_sinc:
+                    rep = sinc_exact_mise(density, res.h_used, n)
                 else:
-                    exact = float(np.max(
-                        exact_mse(density, k_used, res.h_used, n, xs).value))
+                    rep = exact_mise(density, k_used, res.h_used, n)
+                if not np.any(rep.degraded):
+                    exact = float(np.max(rep.value))
             except ValueError:
-                exact = None
+                pass
         ratio = None
         if res.bound is not None and exact is not None and exact > 0.0:
             ratio = res.bound / exact

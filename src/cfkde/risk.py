@@ -8,32 +8,33 @@ the target's characteristic function f:
     mise    = (2 pi)^(-1) [ int |f|^2 |1 - phi(h t)|^2 dt
                             + n^(-1) int |phi(h t)|^2 (1 - |f|^2) dt ]
 
-Every transform-side integral here goes through one vectorized engine,
+Every transform-side integral here, the bias factor of the lemma-1 bound
+included, is some int_0^inf D(t) G(h t) dt of a density factor D (|f|^2,
+Re[f e^{-itx}] or |f|) and a kernel factor G, and goes through one driver,
+``_transform_integrals``.  It stops at one cutoff T: the band limit, else
+the T of the exact tails while that fits the work budget, raised where
+needed until every bounded tail passes its share of RISK_RTOL of the
+integral's scale (``certified_cutoff``).  Up to T it integrates on
 ``gauss_panels``: Gauss-Legendre panels one period of the fastest
-oscillation wide, a 12-against-24-node error estimate per panel, adaptive
-bisection of the panels that miss their share of the tolerance, and the
-integrand evaluated a chunk of panels at a time.  The integration range
-stops at one cutoff T.  Past it, a transform that carries ``tail_terms``
-(a sum of c exp(i a t) t^-p past some t0: the uniform and Laplace
-densities, the uniform and Epanechnikov kernels and the transforms of
-their squares) is not bounded but integrated exactly, term by term, as
-c T^(1-p) E_p(-i a T), and T lies a few periods past t0 where that fits
-the work budget.  This serves the integrated risk and, with the density's
-terms shifted by exp(-i t x), the pointwise bias and second moment.  What
-has no terms is bounded by the model's closed-form tail (cf_sq_tail,
-cf_abs_tail) times the kernel's sup-tail, and T is the smallest cutoff at
-which that bound is within RISK_RTOL of the integral's scale
-(``certified_cutoff``); where no affordable T meets that, the bound is
-counted as error.  Every report carries the accumulated numerical error,
-the cutoff and the node count.  The sinc kernel's integrated risk is a
-closed form.
+oscillation wide, a 12-against-24-node error estimate per panel, and
+adaptive bisection of the panels that miss their share of the tolerance.
+Past T, where the transforms carry ``tail_terms`` (a sum of c exp(i a t)
+t^-p: the uniform and Laplace densities, the uniform and Epanechnikov
+kernels and the transforms of their squares), the products of D's and G's
+terms are integrated exactly, as c T^(1-p) E_p(-i a T), for every h and x
+at once; what has no terms is bounded by the closed-form tail of D
+(cf_sq_tail, cf_abs_tail) times the kernel's sup-tail, and the bound's
+half-width is counted as error.  Every report carries the accumulated
+numerical error, the cutoff and the node count.  The sinc kernel's
+integrated risk is a closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import digamma
@@ -208,10 +209,11 @@ def certified_cutoff(cert: Callable[[float], float], tol: float,
     return T
 
 
-def _cutoff_limit(omega: float, m: int) -> float:
-    """Largest T whose starting panels fit in a quarter of the work budget."""
-    panels = _WORK / (4.0 * _PER_PANEL * m)
-    return panels * 2.0 * math.pi / omega if omega > 0.0 else math.inf
+@functools.lru_cache(maxsize=64)
+def _half_point(tail: Callable[[float], float]) -> float:
+    # s with tail(s) = tail(0)/2, to within 1%: a property of the model, so
+    # a sweep over h or x finds it once
+    return certified_cutoff(tail, 0.5 * float(tail(0.0)), start=1e-3)
 
 
 def _decay_breaks(tail: Callable[[float], float], T: float) -> list:
@@ -221,7 +223,7 @@ def _decay_breaks(tail: Callable[[float], float], T: float) -> list:
     slowly it oscillates; panels that fine there keep the first levels of
     refinement out of the pre-asymptotic regime.
     """
-    s = certified_cutoff(tail, 0.5 * float(tail(0.0)), start=1e-3)
+    s = _half_point(tail)
     return [s * 2.0 ** k for k in range(-3, 64) if s * 2.0 ** k < T]
 
 
@@ -322,13 +324,6 @@ def _one_minus(tail_terms) -> _Terms:
                    + tuple((-c, a, p) for c, a, p in tail_terms[1])))
 
 
-def _at_scale(x: _Terms, h: float) -> _Terms:
-    """A kernel's terms in t = u/h: c (h t)^-p exp(i a h t)."""
-    a = x.a * h
-    return _Terms(x.c * h ** -x.p.astype(float), a, x.p,
-                  x.slack * h + _EPS * np.abs(a))
-
-
 def _multiply(x: _Terms, y: _Terms) -> _Terms:
     """Terms of the product of two term sums, equal (a, p) pairs merged."""
     a = np.add.outer(x.a, y.a).ravel()
@@ -341,10 +336,23 @@ def _multiply(x: _Terms, y: _Terms) -> _Terms:
     return _Terms(c, keys.real, keys.imag.astype(int), slack)
 
 
+def _product(d: _Terms, g: _Terms, hs, xs) -> _Terms:
+    """Terms of D(t) G(h t) exp(-i t x) on the axes (h, x, term of D, term
+    of G): c_d c_g h^-p_g exp(i (a_d + h a_g - x) t) t^-(p_d + p_g), none
+    merged, with the rounding of the phase added to the factors' slack."""
+    h = hs[:, None, None, None]
+    shift = h * g.a
+    a = d.a[:, None] + shift - xs[:, None, None]
+    c = np.multiply.outer(d.c, g.c) * h ** -g.p.astype(float)
+    slack = (d.slack[:, None] + h * g.slack
+             + _EPS * (np.abs(shift) + np.abs(d.a[:, None] + shift) + np.abs(a)))
+    return _Terms(c, a, np.add.outer(d.p, g.p), slack)
+
+
 def _tail_sum(x: _Terms, T: float):
     """Re sum int_T^inf c exp(i a t) t^-p dt, and a bound on its rounding.
 
-    The sum runs over the last axis of the terms' arrays.  Each integral
+    The sum runs over the last two axes of the terms' arrays.  Each integral
     is c T^(1-p) E_p(-i a T).  Besides the rounding of E_p and of the
     products, y = a T may be off by dy = slack T + ulp(y); that moves the
     integral by T^(1-p) times at most dy |E_(p-1)(-i y)| <= 2 dy/|y| and
@@ -360,7 +368,7 @@ def _tail_sum(x: _Terms, T: float):
                         np.where(x.p == 2, 1.0 + np.log(np.maximum(2.0 / dy, 1.0)), np.inf))
         phase = np.where(dy > 0.0, dy * np.minimum(2.0 / np.abs(y), near), 0.0)
     rounding = np.abs(weight) * (e_err + 8.0 * _EPS * np.abs(e) + phase)
-    return np.sum(weight * e, axis=-1).real, rounding.sum(axis=-1)
+    return np.sum(weight * e, axis=(-2, -1)).real, rounding.sum(axis=(-2, -1))
 
 
 def _min_gap(phases) -> float:
@@ -383,86 +391,140 @@ def _tail_cutoff(density: DensityModel, kernel_terms, h: float):
     return T if T > 0.0 else None
 
 
-def _exact_tails(density: DensityModel, kernel: KernelModel, hs, T: float,
-                 variance: bool) -> np.ndarray:
-    """int_T^inf |f|^2 (1 - phi(ht))^2 dt and int_T^inf |f|^2 phi(ht)^2 dt
-    for every h, each with a bound on its rounding: rows (bias, bias
-    rounding, variance, variance rounding).
+# ---------------------------------------------------------------------------
+# the transform-side integrals
 
-    With F the density's terms and P the kernel's at h, the integrands
-    F F* (1 - P)^2 and F F* P^2 are finite sums of c exp(i a t) t^-p, each
-    integrated exactly (``_tail_sum``).
+
+class _Row(NamedTuple):
+    """A kernel factor G(u), u = h t, of the integrand, past the cutoff T.
+
+    bound maps u = h T and the kernel's sup-tail s there to the (midpoint,
+    half-width) of G's part of the tail, as multiples of the density
+    factor's tail.  terms are G's tail terms and expansion the kernel's
+    (u0, terms) they come from (None for an exact constant); with them,
+    rest bounds what they leave (None: nothing).  They replace bound where
+    the exact tails' T fits the work budget.  Each row's tolerance is
+    weight RISK_RTOL tail(0)/2.
     """
-    f = _terms(density.tail_terms)
-    mod2 = _multiply(f, f._replace(c=np.conj(f.c), a=-f.a))
-    one_minus = _one_minus(kernel.tail_terms)
-    factors = [_multiply(one_minus, one_minus)]
-    if variance:
-        k = _terms(kernel.tail_terms)
-        factors.append(_multiply(k, k))
-    out = np.zeros((4, hs.size))
-    for i, h in enumerate(hs):
-        for j, factor in enumerate(factors):
-            out[2 * j:2 * j + 2, i] = _tail_sum(_multiply(mod2, _at_scale(factor, h)), T)
-    return out
+
+    bound: Callable
+    terms: Optional[_Terms] = None
+    expansion: Optional[tuple] = None
+    rest: Optional[Callable] = None
+    weight: float = 1.0
+
+
+class _Integrals(NamedTuple):
+    """int_0^inf D(t) G(h t) dt on the axes (factor, h, x), its error and
+    the half-width of its bounded tail; the callers drop the axis they do
+    not use."""
+
+    value: np.ndarray
+    error: np.ndarray
+    truncation: np.ndarray
+    cutoff: float
+    nodes: int
+
+
+def _transform_integrals(density: DensityModel, kernel: KernelModel, integrand: Callable,
+                         rows, hs, xs, omega: float, tail: Callable,
+                         d_terms: Optional[_Terms], breaks: Sequence[float] = (),
+                         periods: Optional[float] = None) -> _Integrals:
+    """The half-line integrals of the risks for every factor of rows, h in
+    hs and x in xs.
+
+    integrand maps t to its rows in (factor, h, x) order; omega is their
+    fastest phase speed.  D, the density factor, has the tail tail(T) =
+    int_{|t| >= T} |D|, half of it on the half line, and the tail terms
+    d_terms (None: none), which the x shift exp(-i t x) is applied to.
+    T is the band limit where the density has one.  Else it is the exact
+    tails' T (``_tail_cutoff``), where some factor has terms and that T
+    fits the work budget, raised by one ``certified_cutoff`` search until
+    tail(T)/2 times every bound's half-width at h_min T is within half its
+    row's tolerance; T stays within periods periods of omega (by default
+    the most whose panels fit a quarter of the work budget).  The panels
+    up to T take half of each row's tolerance.  Past T, the product of D's
+    and G's terms is summed over every (h, x) at once (``_tail_sum``), and
+    each bound adds tail(T)/2 times its midpoint to the value and times
+    its half-width to the error and the truncation.
+    """
+    shape = (len(rows), hs.size, xs.size)
+    sup_tail = _sup_tail(kernel)
+    tol = 0.5 * RISK_RTOL * float(tail(0.0)) * np.array([r.weight for r in rows])
+    exact, bounds = False, [None] * len(rows)
+    if density.cf_cutoff is not None:
+        T = float(density.cf_cutoff)
+    else:
+        if periods is None:
+            periods = _WORK / (4.0 * _PER_PANEL * math.prod(shape))
+        limit = periods * 2.0 * math.pi / omega
+        h_min, T = float(hs.min()), None
+        if d_terms is not None and any(r.terms is not None for r in rows):
+            T = _tail_cutoff(density, [r.expansion for r in rows if r.expansion], h_min)
+        exact = T is not None and T <= limit
+        bounds = [r.rest if exact and r.terms is not None else r.bound for r in rows]
+        live = [(b, float(t)) for b, t in zip(bounds, tol) if b is not None]
+
+        def cert(c):
+            u = h_min * c
+            s = float(sup_tail(u))
+            return 0.5 * float(tail(c)) * max([b(u, s)[1] / t for b, t in live])
+
+        if live:
+            T = certified_cutoff(cert, 0.5, start=T if exact else 0.0625, limit=limit)
+    q = gauss_panels(integrand, panel_edges(0.0, T, omega, [*breaks, *_decay_breaks(tail, T)]),
+                     np.repeat(0.5 * tol, hs.size * xs.size))
+    value, error = q.value.reshape(shape), q.error.reshape(shape)
+    truncation = np.zeros(shape)
+    if any(b is not None for b in bounds):
+        u = hs[:, None] * T
+        tau, s = 0.5 * float(tail(T)), sup_tail(u)
+    for j, (row, b) in enumerate(zip(rows, bounds)):
+        if exact and row.terms is not None:
+            v, r = _tail_sum(_product(d_terms, row.terms, hs, xs), T)
+            value[j] += v
+            error[j] += r
+        if b is not None:
+            mid, half = b(u, s)
+            value[j] += tau * mid
+            truncation[j] = tau * half
+            error[j] += truncation[j]
+    return _Integrals(value, error, truncation, T, q.nodes)
 
 
 # ---------------------------------------------------------------------------
 # integrated risk
 
 
-class _SqIntegrals(NamedTuple):
-    """Full-line int |f|^2 (1 - phi(ht))^2 and int |f|^2 phi(ht)^2 per h."""
-
-    bias: np.ndarray
-    bias_error: np.ndarray
-    var: np.ndarray
-    var_error: np.ndarray
-    truncation: np.ndarray
-    cutoff: float
-    nodes: int
-
-
 def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
-                  variance: bool = True) -> _SqIntegrals:
-    """Both |f|^2-damped integrals of the MISE, for every h in one pass.
+                  variance: bool = True) -> _Integrals:
+    """Both |f|^2-damped integrals of the MISE, for every h in one pass: the
+    full-line int |f|^2 (1 - phi(ht))^2 and int |f|^2 phi(ht)^2 on the axes
+    (bias or variance, h).
 
-    When both models carry tail terms, the tails past T are exact
-    (``_exact_tails``) and T only has to clear a few periods; that T grows
-    like 1/h_min, and past the work budget (h_min below about 3e-5 times
-    the density's scale for the uniform one) the certified T is used.
-    Otherwise T is certified: beyond it the kernel factor is at most
-    s = sup_{|u| >= hT} |phi(u)|, so the bias tail lies in
-    [tau (1-s)^2, tau (1+s)^2] and the variance tail in [0, tau s^2], with
-    tau = cf_sq_tail(T): the midpoints are added and the half-widths
-    counted as error.
+    Past T the kernel factor is at most s = sup_{|u| >= hT} |phi(u)|, so
+    with tau the tail of |f|^2 the bias tail lies in [tau (1-s)^2,
+    tau (1+s)^2] and the variance tail in [0, tau s^2].  Where both models
+    carry tail terms, the tails are exact instead, while their T, which
+    grows like 1/h_min, fits the work budget (``_transform_integrals``).
     """
     hs = np.atleast_1d(np.asarray(hs, dtype=float))
-    total = float(density.cf_sq_tail(0.0))
-    zeros = np.zeros(hs.size)
     if kernel.is_sinc:
         # phi is the indicator of [-1, 1]: both integrals are tails of |f|^2
+        total = float(density.cf_sq_tail(0.0))
         tails = np.array([float(density.cf_sq_tail(1.0 / h)) for h in hs])
-        return _SqIntegrals(tails, zeros, total - tails, zeros, zeros,
-                            float(1.0 / hs.min()), 0)
-    omega = density.cf_phases[1] - density.cf_phases[0] + 2.0 * float(hs.max())
-    parts = 2 if variance else 1
-    tol = RISK_RTOL * total
-    sup_tail = _sup_tail(kernel)
-    h_min = float(hs.min())
-    if density.cf_cutoff is not None:
-        T, exact = float(density.cf_cutoff), False
-    else:
-        # exact tails while their T fits the work budget, else a certified T
-        limit = _cutoff_limit(omega, parts * hs.size)
-        T = None
-        if density.tail_terms is not None and kernel.tail_terms is not None:
-            T = _tail_cutoff(density, [kernel.tail_terms], h_min)
-        exact = T is not None and T <= limit
-        if not exact:
-            T = certified_cutoff(
-                lambda c: 2.0 * float(density.cf_sq_tail(c)) * float(sup_tail(h_min * c)),
-                0.5 * tol, start=0.0625, limit=limit)
+        zeros = np.zeros((2, hs.size))
+        return _Integrals(np.stack((tails, total - tails)), zeros, zeros,
+                          float(1.0 / hs.min()), 0)
+    rows = [_Row(lambda u, s: (1.0 + s * s, 2.0 * s)),
+            _Row(lambda u, s: (0.5 * s * s,) * 2)][:2 if variance else 1]
+    d_terms = None
+    if density.tail_terms is not None and kernel.tail_terms is not None:
+        f = _terms(density.tail_terms)
+        d_terms = _multiply(f, f._replace(c=np.conj(f.c), a=-f.a))
+        factors = (_one_minus(kernel.tail_terms), _terms(kernel.tail_terms))
+        rows = [r._replace(terms=_multiply(g, g), expansion=kernel.tail_terms)
+                for r, g in zip(rows, factors)]
 
     def integrand(t):
         ft = density.cf(t)
@@ -473,29 +535,12 @@ def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
             rows.append(mod2 * kernel.cf(u) ** 2)
         return np.concatenate(rows)
 
-    tols = np.full(parts * hs.size, 0.25 * tol)
-    q = gauss_panels(integrand, panel_edges(0.0, T, omega,
-                                            _decay_breaks(density.cf_sq_tail, T)),
-                     tols)
-    k = hs.size
-    var, var_error = zeros, zeros
-    if exact:
-        tail = _exact_tails(density, kernel, hs, T, variance)
-        bias = 2.0 * (q.value[:k] + tail[0])
-        bias_error = 2.0 * (q.error[:k] + tail[1])
-        if variance:
-            var = 2.0 * (q.value[k:] + tail[2])
-            var_error = 2.0 * (q.error[k:] + tail[3])
-        return _SqIntegrals(bias, bias_error, var, var_error, zeros, T, q.nodes)
-    tau = float(density.cf_sq_tail(T))
-    s = sup_tail(hs * T) * np.ones(hs.size)
-    bias = 2.0 * q.value[:k] + tau * (1.0 + s * s)
-    bias_error = 2.0 * q.error[:k] + 2.0 * tau * s
-    if variance:
-        var = 2.0 * q.value[k:] + 0.5 * tau * s * s
-        var_error = 2.0 * q.error[k:] + 0.5 * tau * s * s
-    return _SqIntegrals(bias, bias_error, var, var_error, 2.0 * tau * s, T,
-                        q.nodes)
+    r = _transform_integrals(
+        density, kernel, integrand, rows, hs, np.zeros(1),
+        density.cf_phases[1] - density.cf_phases[0] + 2.0 * float(hs.max()),
+        density.cf_sq_tail, d_terms)
+    value, error, truncation = (2.0 * v[..., 0] for v in r[:3])
+    return _Integrals(value, error, truncation, r.cutoff, r.nodes)
 
 
 def integrated_sq_bias(density: DensityModel, kernel: KernelModel,
@@ -508,10 +553,8 @@ def integrated_sq_bias(density: DensityModel, kernel: KernelModel,
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     r = _sq_integrals(density, kernel, h, variance=False)
-    value = float(r.bias[0]) / (2.0 * math.pi)
-    quad_error = float(r.bias_error[0]) / (2.0 * math.pi)
-    return RiskReport(value=value, quad_error=quad_error,
-                      truncation=float(r.truncation[0]) / (2.0 * math.pi),
+    value, quad_error, truncation = (float(v[0, 0]) / (2.0 * math.pi) for v in r[:3])
+    return RiskReport(value=value, quad_error=quad_error, truncation=truncation,
                       degraded=bool(_degraded(value, quad_error)),
                       cutoff=r.cutoff, nodes=r.nodes)
 
@@ -530,13 +573,13 @@ def exact_mise(density: DensityModel, kernel: KernelModel, h: float,
         raise ValueError("n must be at least 1")
     r = _sq_integrals(density, kernel, h)
     two_pi = 2.0 * math.pi
-    bias, rough, var = r.bias[0] / two_pi, kernel.roughness / h, r.var[0] / two_pi
+    (bias, var), rough = r.value[:, 0] / two_pi, kernel.roughness / h
     value = float(bias + (rough - var) / n)
     # the combination's own rounding: a few ulps of the terms it combines
-    quad_error = float((r.bias_error[0] + r.var_error[0] / n) / two_pi
+    quad_error = float((r.error[0, 0] + r.error[1, 0] / n) / two_pi
                        + 4.0 * _EPS * (abs(bias) + (rough + abs(var)) / n))
     return RiskReport(value=value, quad_error=quad_error,
-                      truncation=float(r.truncation[0]) / two_pi,
+                      truncation=float(r.truncation[0, 0]) / two_pi,
                       degraded=bool(_degraded(value, quad_error)),
                       cutoff=r.cutoff, nodes=r.nodes)
 
@@ -563,72 +606,37 @@ def sinc_exact_mise(density: DensityModel, h: float, n: int) -> RiskReport:
 # pointwise risk
 
 
-class _Pointwise(NamedTuple):
-    bias: np.ndarray          # int_0^inf Re[f e^{-itx}] (1 - phi(ht)) dt
-    bias_error: np.ndarray
-    second: np.ndarray        # int_0^inf Re[f e^{-itx}] psi(ht) dt
-    second_error: np.ndarray
-    cutoff: float
-    nodes: int
-
-
 def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
-               second: bool) -> _Pointwise:
-    """Half-line transform integrals of the bias (and of E K_h^2), batched over x.
+               second: bool) -> _Integrals:
+    """Half-line transform integrals of the bias (and of E K_h^2), batched
+    over x, on the axes (bias or second moment, x).
 
     The bias row integrates Re[f(t) e^{-itx}] times 1 - phi(ht), the
-    second-moment row times psi(ht), the transform of K^2.  Past T each row
-    splits into a part integrated exactly and a part bounded through the
-    closed form cf_abs_tail.  When the density carries tail_terms, they are
-    shifted by e^{-itx} and multiplied by the kernel factor's terms
-    (tail_terms for 1 - phi, sq_tail_terms for psi) and the product is
-    integrated term by term (``_tail_sum``); a kernel without the bias
-    factor's terms leaves only its phi piece to the bound |f| s, with
-    s = sup_{|u| >= hT} |phi(u)|, and one without psi's terms the whole
-    second-moment row to the bound |f| sup|psi|.  A density without terms
-    bounds its bias tail by |f| (1 + s).  T is the smallest cutoff at which
-    every bound passes its share of RISK_RTOL int |f|, and at least the
-    start of the terms in use plus two periods (``_tail_cutoff``).  A bound
-    that does not pass within the work budget is counted in the error, and
-    so is every bound when the exact tails' T would pass that budget.
+    second-moment row times psi(ht), the transform of K^2.  Past T the
+    rows are bounded through |f| times 1 + s, with s = sup_{|u| >= hT}
+    |phi(u)|, and times sup|psi|.  Where the density carries tail terms,
+    they are shifted by e^{-itx} and multiplied by the kernel factor's
+    terms (tail_terms for 1 - phi, sq_tail_terms for psi) and integrated
+    term by term; a kernel without the bias factor's terms leaves only its
+    phi piece to the bound |f| s, and one without psi's terms the whole
+    second-moment row to its bound (``_transform_integrals``).
     """
     xs = np.asarray(xs, dtype=float)
-    nx = xs.size
     lo, hi = density.cf_phases
-    # fastest phase speed of f(t) exp(-i t x) phi(h t) over the points
-    omega = float(np.max(np.maximum(np.abs(hi - xs), np.abs(lo - xs)))) + h
-    parts = 2 if second else 1
-    scale = 0.5 * float(density.cf_abs_tail(0.0))
-    tols = [RISK_RTOL * scale, RISK_RTOL * scale * kernel.roughness][:parts]
     sup_tail = _sup_tail(kernel)
     if math.isfinite(kernel.a_value):
-        psi_sup = lambda u: min(kernel.roughness,
-                                2.0 * kernel.a_value * float(sup_tail(0.5 * u)))
+        psi = lambda u, s: (0.0, np.minimum(kernel.roughness,
+                                            2.0 * kernel.a_value * sup_tail(0.5 * u)))
     else:
-        psi_sup = lambda u: kernel.roughness
-    breaks = [1.0 / h, 2.0 / h] if kernel.is_sinc else []
-    limit = _cutoff_limit(omega, parts * nx)
-    # per row past T: the kernel factor as terms (None: no exact part) and
-    # the bound on the rest as a multiple of |f| at u = h T (None: no rest)
-    tails = [(None, lambda u: 1.0 + float(sup_tail(u))), (None, psi_sup)][:parts]
-    T = 0.0
-    if density.cf_cutoff is not None:
-        T = float(density.cf_cutoff)
-    elif density.tail_terms is not None:
-        bias_terms, sq_terms = kernel.tail_terms, kernel.sq_tail_terms if second else None
-        T_exact = _tail_cutoff(density, [k for k in (bias_terms, sq_terms) if k is not None], h)
-        if T_exact is not None and T_exact <= limit:
-            T = T_exact
-            tails[0] = ((_ONE, lambda u: float(sup_tail(u))) if bias_terms is None
-                       else (_one_minus(bias_terms), None))
-            if sq_terms is not None:
-                tails[1] = (_terms(sq_terms), None)
-    if density.cf_cutoff is None:
-        for (_, bound), tol in zip(tails, tols):
-            if bound is not None:
-                T = max(T, certified_cutoff(
-                    lambda c: 0.5 * float(density.cf_abs_tail(c)) * bound(h * c),
-                    0.5 * tol, start=0.0625, limit=limit))
+        psi = lambda u, s: (0.0, kernel.roughness)
+    bias = lambda u, s: (0.0, 1.0 + s)
+    if kernel.tail_terms is None:
+        rows = [_Row(bias, _ONE, rest=lambda u, s: (0.0, s))]
+    else:
+        rows = [_Row(bias, _one_minus(kernel.tail_terms), kernel.tail_terms)]
+    if second:
+        sq = kernel.sq_tail_terms
+        rows.append(_Row(psi, None if sq is None else _terms(sq), sq, weight=kernel.roughness))
 
     def integrand(t):
         ft = density.cf(t)
@@ -640,29 +648,30 @@ def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
             rows.append(re * kernel.sq_cf(u))
         return np.concatenate(rows)
 
-    breaks += _decay_breaks(density.cf_abs_tail, T)
-    q = gauss_panels(integrand, panel_edges(0.0, T, omega, breaks),
-                     np.repeat(np.multiply(0.5, tols), nx))
-    values = q.value.reshape(parts, nx)
-    errors = q.error.reshape(parts, nx).copy()
-    if density.cf_cutoff is None:
-        abs_tail = 0.5 * float(density.cf_abs_tail(T))
-        for i, (factor, bound) in enumerate(tails):
-            if bound is not None:
-                errors[i] += abs_tail * bound(h * T)
-            if factor is not None:
-                # F(t) e^{-itx} times the factor: the product's phases less
-                # x, each off by its slack plus the subtraction's rounding
-                prod = _multiply(_terms(density.tail_terms), _at_scale(factor, h))
-                a = prod.a - xs[:, None]
-                value, rounding = _tail_sum(_Terms(
-                    np.broadcast_to(prod.c, a.shape), a, np.broadcast_to(prod.p, a.shape),
-                    prod.slack + _EPS * np.abs(a)), T)
-                values[i] += value
-                errors[i] += rounding
-    return _Pointwise(values[0], errors[0],
-                      values[1] if second else None,
-                      errors[1] if second else None, T, q.nodes)
+    r = _transform_integrals(
+        density, kernel, integrand, rows, np.array([h]), xs,
+        # fastest phase speed of f(t) exp(-i t x) phi(h t) over the points
+        float(np.max(np.maximum(np.abs(hi - xs), np.abs(lo - xs)))) + h,
+        density.cf_abs_tail, None if density.tail_terms is None else _terms(density.tail_terms),
+        breaks=[1.0 / h, 2.0 / h] if kernel.is_sinc else ())
+    return r._replace(value=r.value[:, 0], error=r.error[:, 0])
+
+
+def _abs_bias_factor(density: DensityModel, kernel: KernelModel,
+                     h: float) -> float:
+    """Upper estimate of (2 pi)^(-1) int |f(t)| |1 - phi(h t)| dt.
+
+    Past T the factor |1 - phi| lies in [0, 1 + s], s = sup_{|u| >= hT}
+    |phi(u)|; the value comes with its error added, so the factor, which
+    is squared into an upper bound, is never rounded below its true value.
+    An algebraic tail stops at 4096 periods; the estimate only loosens.
+    """
+    r = _transform_integrals(
+        density, kernel, lambda t: np.abs(density.cf(t)) * np.abs(kernel.one_minus_cf(h * t)),
+        [_Row(lambda u, s: (0.5 * (1.0 + s),) * 2)], np.array([h]), np.zeros(1),
+        density.cf_phases[1] - density.cf_phases[0] + h,
+        density.cf_abs_tail, None, periods=4096)
+    return (r.value + r.error).item() / math.pi
 
 
 def _check_pointwise(density: DensityModel) -> None:
@@ -674,7 +683,7 @@ def _check_pointwise(density: DensityModel) -> None:
 
 
 def _shape(x, arr):
-    return float(arr[0]) if np.ndim(x) == 0 else arr.reshape(np.shape(x))
+    return arr[0].item() if np.ndim(x) == 0 else arr.reshape(np.shape(x))
 
 
 def exact_bias(density: DensityModel, kernel: KernelModel, h: float,
@@ -690,8 +699,8 @@ def exact_bias(density: DensityModel, kernel: KernelModel, h: float,
     _check_pointwise(density)
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     r = _pointwise(density, kernel, h, xs, second=False)
-    value = -r.bias / math.pi
-    quad_error = r.bias_error / math.pi
+    value = -r.value[0] / math.pi
+    quad_error = r.error[0] / math.pi
     return RiskReport(value=_shape(x, value), quad_error=_shape(x, quad_error),
                       truncation=0.0,
                       degraded=_shape(x, _degraded(value, quad_error)),
@@ -714,18 +723,18 @@ def exact_mse(density: DensityModel, kernel: KernelModel, h: float, n: int,
     _check_pointwise(density)
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     r = _pointwise(density, kernel, h, xs, second=True)
-    b = -r.bias / math.pi
-    b_err = r.bias_error / math.pi
-    second_moment = r.second / (math.pi * h)
+    b = -r.value[0] / math.pi
+    b_err = r.error[0] / math.pi
+    second_moment = r.value[1] / (math.pi * h)
     mean = np.asarray(density.pdf(xs), dtype=float) + b
     var = (second_moment - mean * mean) / n
-    if np.any(var < -1e-10):
+    quad_error = (b_err * (2.0 * np.abs(b) + 2.0 * np.abs(mean) / n + b_err)
+                  + r.error[1] / (math.pi * h) / n)
+    if np.any(var < -quad_error):
         raise ValueError(
             "negative variance %.3e indicates quadrature failure" % float(var.min())
         )
     value = b * b + np.maximum(var, 0.0)
-    quad_error = (b_err * (2.0 * np.abs(b) + 2.0 * np.abs(mean) / n + b_err)
-                  + r.second_error / (math.pi * h) / n)
     return RiskReport(value=_shape(x, value), quad_error=_shape(x, quad_error),
                       truncation=0.0,
                       degraded=_shape(x, _degraded(value, quad_error)),

@@ -476,7 +476,7 @@ def _parametric_curve(sigma: float, k: KernelModel, grid: np.ndarray,
     # plug-in model for the squared transform modulus: exp(-sigma^2 t^2);
     # the integrated squared bias of every h comes from one quadrature pass,
     # at unit scale (t -> t/sigma), so any positive sigma is representable
-    bias = _sq_integrals(make_density("normal"), k, grid / sigma, variance=False).bias
+    bias = _sq_integrals(make_density("normal"), k, grid / sigma, variance=False).value[0]
     return bias / (2.0 * math.pi * sigma) + k.roughness / (n * grid)
 
 

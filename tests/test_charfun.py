@@ -157,6 +157,25 @@ def test_mixture_variation_resolves_a_narrow_component():
         assert 0.5 * (narrow - wide) <= d.variation[m] <= 0.5 * (narrow + wide) * (1.0 + 1e-13)
 
 
+@pytest.mark.parametrize("params", (
+    # a narrow peak two wide sigmas out: a 4001-point grid over the support
+    # steps 10 narrow sigmas and reads 0.1995 where the maximum is 399
+    dict(weights=(0.5, 0.5), means=(0.0, 2.0021), sigmas=(1.0, 0.0005)),
+    dict(weights=(0.4, 0.6), means=(-1.0, 1.5), sigmas=(0.6, 1.1)),
+    dict(weights=(0.5, 0.5), means=(-1.5, 1.5), sigmas=(1.0, 1.0)),
+    dict(weights=(0.2, 0.5, 0.3), means=(-3.0, 0.0, 0.4), sigmas=(0.3, 2.0, 0.05)),
+))
+def test_mixture_sup_bound_is_the_maximum_from_above(params):
+    # sup p is read at the extrema of p, so a component far narrower than
+    # any fixed grid step still sets it
+    d = make_density("mixture", **params)
+    at_means = float(np.max(d.pdf(np.asarray(params["means"]))))
+    xs = np.linspace(*d.support_hint, 2_000_001)
+    i = int(np.argmax(d.pdf(xs)))
+    top = max(at_means, float(np.max(d.pdf(np.linspace(xs[i - 1], xs[i + 1], 20001)))))
+    assert top <= d.sup_bound <= (1.0 + 1e-12) * top
+
+
 def _abs_integral_by_lobes(fun, lo, hi, scale):
     # the lobe quadrature the mixture's V_m came from before they were
     # summed from increments: brentq cuts at the grid's sign changes, then

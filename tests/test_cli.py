@@ -366,6 +366,23 @@ def test_plan_missing_constants_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, fmt", (
+    (["estimate", "--input", "s.csv", "--h", "0.3"], "json"),
+    (["select", "--input", "s.csv", "--method", "rot-normal"], "csv"),
+    (["plan", "--target", "mise", "--eps", "0.1", "--v2", "1"], "csv"),
+))
+def test_format_the_command_does_not_write_exit_2(tmp_path, capsys, argv, fmt):
+    # estimate writes the grid CSV and a JSON sidecar, select and plan JSON
+    _write_sample(tmp_path / "s.csv", [0.1, 0.4, 0.9])
+    argv = [a.replace("s.csv", str(tmp_path / "s.csv")) for a in argv]
+    out = str(tmp_path / "out")
+    assert main(argv + ["--format", fmt, "--output", out]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": fmt}))
+    assert main(argv + ["--config", str(cfg), "--output", out]) == 2
+    assert "writes" in capsys.readouterr().err and not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # config handling
 

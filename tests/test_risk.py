@@ -409,9 +409,10 @@ def test_exact_mise_counts_the_rounding_of_its_combination():
         h = 10.0 ** (k / 10.0)
         rep = exact_mise(density, kernel, h, n)
         r = _sq_integrals(density, kernel, h)
-        exact = (Fraction(r.bias[0]) / two_pi
-                 + (Fraction(kernel.roughness) / Fraction(h) - Fraction(r.var[0]) / two_pi) / n)
-        integrals = (r.bias_error[0] + r.var_error[0] / n) / (2.0 * math.pi)
+        (bias, var), (bias_error, var_error) = r.value[:, 0], r.error[:, 0]
+        exact = (Fraction(bias) / two_pi
+                 + (Fraction(kernel.roughness) / Fraction(h) - Fraction(var) / two_pi) / n)
+        integrals = (bias_error + var_error / n) / (2.0 * math.pi)
         assert abs(Fraction(rep.value) - exact) <= Fraction(rep.quad_error) - Fraction(integrals)
         ref = _reference_mise("uniform", "epanechnikov", h, n)
         assert abs(rep.value - ref) <= rep.quad_error + 0.5 * np.spacing(ref), (h, rep, ref)
@@ -595,15 +596,46 @@ def test_uniform_uniform_mise_pinned():
 
 
 def test_exact_mse_batched_matches_pointwise():
+    # kernels with terms (Epanechnikov, uniform) and without (gaussian,
+    # whose bias factor is the exact 1 with phi bounded past T)
     d = make_density("laplace")
-    g = make_builtin("epanechnikov")
     xs = np.linspace(-3.0, 3.0, 5)
-    batch = exact_mse(d, g, 0.4, 50, xs)
-    assert batch.value.shape == xs.shape and batch.degraded.shape == xs.shape
-    for x, v, e in zip(xs, batch.value, batch.quad_error):
-        one = exact_mse(d, g, 0.4, 50, float(x))
-        assert isinstance(one.value, float)
-        assert abs(one.value - v) <= e + one.quad_error + 1e-15
+    for g in map(make_builtin, ("epanechnikov", "uniform", "gaussian")):
+        batch = exact_mse(d, g, 0.4, 50, xs)
+        assert batch.value.shape == xs.shape and batch.degraded.shape == xs.shape
+        for x, v, e in zip(xs, batch.value, batch.quad_error):
+            one = exact_mse(d, g, 0.4, 50, float(x))
+            assert isinstance(one.value, float) and isinstance(one.degraded, bool)
+            assert abs(one.value - v) <= e + one.quad_error + 1e-15, (g.name, x)
+        assert isinstance(exact_bias(d, g, 0.3, -0.3).degraded, bool)
+
+
+def test_exact_mse_clamps_a_variance_negative_within_its_error():
+    # at h = 0.01 the work budget stops T short of the exact tails', and the
+    # second moment carries an error of 4e-2; the variance at x = -20 comes
+    # out about -2e-9, which is no evidence of a failure
+    xs = np.linspace(-40.0, 40.0, 9)
+    rep = exact_mse(make_density("laplace"), make_builtin("epanechnikov"), 0.01, 100, xs)
+    assert np.all(rep.value >= 0.0) and np.all(rep.degraded)
+    assert rep.value[2] <= rep.quad_error[2] < 1e-3
+
+
+@pytest.mark.parametrize("dname, kname", (("uniform", "epanechnikov"), ("uniform", "uniform"),
+                                          ("laplace", "epanechnikov")))
+def test_sq_integrals_batched_exact_tails_match_per_h(dname, kname):
+    # one pass over several h sums the exact tails of every h at once, at
+    # the T of the smallest h
+    density, kernel = make_density(dname), make_builtin(kname)
+    hs = 10.0 ** np.linspace(-1.0, 0.0, 6)
+    batch = _sq_integrals(density, kernel, hs)
+    assert not np.any(batch.truncation)
+    assert batch.cutoff == pytest.approx(_sq_integrals(density, kernel, hs[0]).cutoff)
+    for i, h in enumerate(hs):
+        one = _sq_integrals(density, kernel, h)
+        assert not np.any(one.truncation)
+        # rows: the bias and the variance integral
+        assert np.all(np.abs(batch.value[:, i] - one.value[:, 0])
+                      <= batch.error[:, i] + one.error[:, 0]), h
 
 
 def test_gauss_panels_error_bounds_an_oscillatory_integral():
