@@ -24,6 +24,12 @@ quantities the exact-risk and bound formulas need:
                      the Laplace density's series of 1/(1 + b^2 t^2) in
                      (b t)^-2, whose omitted terms are below (b t)^-18 of
                      |cf| for t >= 8/b
+    cf_kinks         points t > 0 that include every kink of |cf| (the
+                     zeros of cf) where |cf| is not negligible: the
+                     mixture's local minima of |cf| up to 40/min(sigma),
+                     () for the other models; the quadrature panels of
+                     int |cf| and of the lemma-1 bias factor
+                     (risk._abs_bias_factor) break there
 
 Constants are computed at construction and stored at full precision, each
 as an upper value, so that bounds built on them stay upper bounds.  The
@@ -88,6 +94,7 @@ class DensityModel:
     support_hint: Tuple[float, float]
     cf_phases: Tuple[float, float] = (0.0, 0.0)
     tail_terms: Optional[Tuple[float, Tuple[Tuple[complex, float, int], ...]]] = None
+    cf_kinks: Tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -489,7 +496,8 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
 
     # |cf| has a kink wherever cf = 0, at a local minimum of |cf|; the minima
     # are where d|cf|^2/dt = 2 Re(cf' conj(cf)) turns from - to +, found on
-    # 32 points per period 2 pi/ptp(mus) of |cf|^2, and become panel breaks
+    # 32 points per period 2 pi/ptp(mus) of |cf|^2, and become panel breaks,
+    # here and in the lemma-1 bias factor (cf_kinks)
     def slope(t, _=None):
         z = 1j * mus[:, None] - (sig * sig)[:, None] * t
         e = w[:, None] * np.exp(1j * mus[:, None] * t - 0.5 * (sig[:, None] * t) ** 2)
@@ -515,14 +523,9 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
     pair_w = (w[:, None] * w[None, :]).ravel()
     pair_d = (mus[:, None] - mus[None, :]).ravel()
     pair_r = np.sqrt(0.5 * (sig[:, None] ** 2 + sig[None, :] ** 2)).ravel()
-    cf_sq_int = float(
-        np.sum(pair_w * (_SQRT_PI / pair_r) * np.exp(-0.25 * (pair_d / pair_r) ** 2))
-    )
 
     def cf_sq_tail(T):
         T = max(T, 0.0)
-        if T == 0.0:
-            return cf_sq_int
         z = 1j * pair_r * T + 0.5 * pair_d / pair_r
         terms = np.exp(1j * pair_d * T - (pair_r * T) ** 2) * wofz(z)
         return max(0.0, float(np.sum(pair_w * (_SQRT_PI / pair_r) * terms.real)))
@@ -556,6 +559,7 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
         sampler=sampler,
         support_hint=(lo, hi),
         cf_phases=(float(mus.min()), float(mus.max())),
+        cf_kinks=tuple(map(float, kinks)),
     )
 
 

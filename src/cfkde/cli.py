@@ -26,7 +26,7 @@ from . import bounds
 from .charfun import DensityModel, as_sample, make_density
 from .estimator import CorrectionInfeasibleError, estimate_on_grid
 from .kernels import BUILTIN_KERNELS, KernelModel, make_builtin
-from .risk import exact_mise, exact_mse, mc_mise, sinc_exact_mise
+from .risk import exact_mise, exact_mse, mc_mise
 from .selector import (
     PlanRequest,
     SelectorResult,
@@ -477,8 +477,6 @@ def _bound_table(density: DensityModel, kernel: KernelModel,
             try:
                 if res.kind == "max_mse":
                     rep = exact_mse(density, k_used, res.h_used, n, xs)
-                elif k_used.is_sinc:
-                    rep = sinc_exact_mise(density, res.h_used, n)
                 else:
                     rep = exact_mise(density, k_used, res.h_used, n)
                 if not np.any(rep.degraded):

@@ -16,8 +16,10 @@ the T of the exact tails while that fits the work budget, raised where
 needed until every bounded tail passes its share of RISK_RTOL of the
 integral's scale (``certified_cutoff``).  Up to T it integrates on
 ``gauss_panels``: Gauss-Legendre panels one period of the fastest
-oscillation wide, a 12-against-24-node error estimate per panel, and
-adaptive bisection of the panels that miss their share of the tolerance.
+oscillation wide, broken where an integrand has a kink or a jump (the
+sinc kernel's jumps, the kinks of a mixture's |f|) and nowhere else, a
+12-against-24-node error estimate per panel, and adaptive bisection of
+the panels that miss their share of the tolerance.
 Past T, where the transforms carry ``tail_terms`` (a sum of c exp(i a t)
 t^-p: the uniform and Laplace densities, the uniform and Epanechnikov
 kernels and the transforms of their squares), the products of D's and G's
@@ -31,7 +33,6 @@ integrated risk is a closed form.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
@@ -41,7 +42,7 @@ from scipy.special import digamma
 
 from .charfun import DensityModel, Sample
 from .estimator import kde_eval
-from .kernels import KernelModel
+from .kernels import KernelModel, make_builtin
 
 __all__ = [
     "RISK_RTOL",
@@ -207,24 +208,6 @@ def certified_cutoff(cert: Callable[[float], float], tol: float,
         else:
             below = mid
     return T
-
-
-@functools.lru_cache(maxsize=64)
-def _half_point(tail: Callable[[float], float]) -> float:
-    # s with tail(s) = tail(0)/2, to within 1%: a property of the model, so
-    # a sweep over h or x finds it once
-    return certified_cutoff(tail, 0.5 * float(tail(0.0)), start=1e-3)
-
-
-def _decay_breaks(tail: Callable[[float], float], T: float) -> list:
-    """Panel breaks at s 2^k, k >= -3, below T, with tail(s) = tail(0)/2.
-
-    The transform is concentrated within a few s of the origin, however
-    slowly it oscillates; panels that fine there keep the first levels of
-    refinement out of the pre-asymptotic regime.
-    """
-    s = _half_point(tail)
-    return [s * 2.0 ** k for k in range(-3, 64) if s * 2.0 ** k < T]
 
 
 def _sup_tail(kernel: KernelModel) -> Callable:
@@ -438,15 +421,17 @@ def _transform_integrals(density: DensityModel, kernel: KernelModel, integrand: 
     int_{|t| >= T} |D|, half of it on the half line, and the tail terms
     d_terms (None: none), which the x shift exp(-i t x) is applied to.
     T is the band limit where the density has one.  Else it is the exact
-    tails' T (``_tail_cutoff``), where some factor has terms and that T
-    fits the work budget, raised by one ``certified_cutoff`` search until
-    tail(T)/2 times every bound's half-width at h_min T is within half its
-    row's tolerance; T stays within periods periods of omega (by default
-    the most whose panels fit a quarter of the work budget).  The panels
-    up to T take half of each row's tolerance.  Past T, the product of D's
-    and G's terms is summed over every (h, x) at once (``_tail_sum``), and
-    each bound adds tail(T)/2 times its midpoint to the value and times
-    its half-width to the error and the truncation.
+    tails' T (``_tail_cutoff``), where some factor has terms and the first
+    panel pass up to that T fits the work budget, raised by one
+    ``certified_cutoff`` search until tail(T)/2 times every bound's
+    half-width at h_min T is within half its row's tolerance.  The search
+    never lowers the exact tails' T; otherwise T stays within periods
+    periods of omega (by default the most whose panels fit a quarter of
+    the work budget).  The panels up to T break at breaks, the kinks and
+    jumps of the integrand, and take half of each row's tolerance.  Past
+    T, the product of D's and G's terms is summed over every (h, x) at
+    once (``_tail_sum``), and each bound adds tail(T)/2 times its midpoint
+    to the value and times its half-width to the error and the truncation.
     """
     shape = (len(rows), hs.size, xs.size)
     sup_tail = _sup_tail(kernel)
@@ -455,13 +440,15 @@ def _transform_integrals(density: DensityModel, kernel: KernelModel, integrand: 
     if density.cf_cutoff is not None:
         T = float(density.cf_cutoff)
     else:
-        if periods is None:
-            periods = _WORK / (4.0 * _PER_PANEL * math.prod(shape))
-        limit = periods * 2.0 * math.pi / omega
+        # the largest T whose first panel pass fits the work budget
+        reach = _WORK / (_PER_PANEL * math.prod(shape)) * 2.0 * math.pi / omega
+        limit = 0.25 * reach if periods is None else periods * 2.0 * math.pi / omega
         h_min, T = float(hs.min()), None
         if d_terms is not None and any(r.terms is not None for r in rows):
             T = _tail_cutoff(density, [r.expansion for r in rows if r.expansion], h_min)
-        exact = T is not None and T <= limit
+        exact = T is not None and T <= reach
+        if exact:
+            limit = max(limit, T)
         bounds = [r.rest if exact and r.terms is not None else r.bound for r in rows]
         live = [(b, float(t)) for b, t in zip(bounds, tol) if b is not None]
 
@@ -472,7 +459,7 @@ def _transform_integrals(density: DensityModel, kernel: KernelModel, integrand: 
 
         if live:
             T = certified_cutoff(cert, 0.5, start=T if exact else 0.0625, limit=limit)
-    q = gauss_panels(integrand, panel_edges(0.0, T, omega, [*breaks, *_decay_breaks(tail, T)]),
+    q = gauss_panels(integrand, panel_edges(0.0, T, omega, breaks),
                      np.repeat(0.5 * tol, hs.size * xs.size))
     value, error = q.value.reshape(shape), q.error.reshape(shape)
     truncation = np.zeros(shape)
@@ -585,21 +572,8 @@ def exact_mise(density: DensityModel, kernel: KernelModel, h: float,
 
 
 def sinc_exact_mise(density: DensityModel, h: float, n: int) -> RiskReport:
-    """Exact mean integrated squared error for the sinc kernel, closed form.
-
-    With the indicator transform the risk reduces to tail and head pieces
-    of int |f|^2:  (2 pi)^(-1) [ tail(1/h) + (2/h - head(1/h)) / n ].
-    """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    cutoff = 1.0 / h
-    tail = float(density.cf_sq_tail(cutoff))
-    head = float(density.cf_sq_tail(0.0)) - tail
-    value = (tail + (2.0 * cutoff - head) / n) / (2.0 * math.pi)
-    return RiskReport(value=float(value), quad_error=0.0, truncation=0.0,
-                      degraded=False, cutoff=cutoff, nodes=0)
+    """Exact mean integrated squared error for the sinc kernel, closed form."""
+    return exact_mise(density, make_builtin("sinc"), h, n)
 
 
 # ---------------------------------------------------------------------------
@@ -664,13 +638,15 @@ def _abs_bias_factor(density: DensityModel, kernel: KernelModel,
     Past T the factor |1 - phi| lies in [0, 1 + s], s = sup_{|u| >= hT}
     |phi(u)|; the value comes with its error added, so the factor, which
     is squared into an upper bound, is never rounded below its true value.
-    An algebraic tail stops at 4096 periods; the estimate only loosens.
+    The panels break at the kinks of |f| (cf_kinks), where no Gauss node
+    would see them.  An algebraic tail stops at 4096 periods; the estimate
+    only loosens.
     """
     r = _transform_integrals(
         density, kernel, lambda t: np.abs(density.cf(t)) * np.abs(kernel.one_minus_cf(h * t)),
         [_Row(lambda u, s: (0.5 * (1.0 + s),) * 2)], np.array([h]), np.zeros(1),
         density.cf_phases[1] - density.cf_phases[0] + h,
-        density.cf_abs_tail, None, periods=4096)
+        density.cf_abs_tail, None, breaks=density.cf_kinks, periods=4096)
     return (r.value + r.error).item() / math.pi
 
 

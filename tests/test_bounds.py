@@ -69,23 +69,30 @@ def _lemma1_factor(density, kernel, h, n=50):
     return math.sqrt(res.bound - second)
 
 
+def _symmetric_mixture_factor(m, s, kernel, h):
+    # (2 pi)^(-1) int |f| |1 - phi(ht)| for the mixture of N(-m, s^2) and
+    # N(m, s^2), f(t) = exp(-s^2 t^2/2) cos(m t), by adaptive quadrature
+    # between the kinks (k + 1/2) pi/m of |f|, up to 12/s where |f| < 1e-31
+    end = 12.0 / s
+    kinks = [(k + 0.5) * math.pi / m for k in range(math.ceil(end * m / math.pi))]
+    edges = [0.0, *(t for t in kinks if t < end), end]
+
+    def integrand(t):
+        return (math.exp(-0.5 * s * s * t * t) * abs(math.cos(m * t))
+                * float(kernel.one_minus_cf(h * t)))
+
+    return sum(integrate.quad(integrand, a, b, limit=500, epsabs=1e-15, epsrel=1e-13)[0]
+               for a, b in zip(edges[:-1], edges[1:])) / math.pi
+
+
 def test_lemma1_factor_never_below_tight_integral():
-    # (2 pi)^(-1) int |f| |1 - phi(ht)| by adaptive quadrature with the kinks
-    # of |cos(1.5 t)| as breakpoints, and on the half-line for laplace
-    epan = make_builtin("epanechnikov")
+    # against adaptive quadrature between the kinks of |f| for the mixture,
+    # and on the half-line for laplace
     mix = make_density("mixture", weights=(0.5, 0.5), means=(-1.5, 1.5),
                        sigmas=(0.5, 0.5))
-    kinks = [(k + 0.5) * math.pi / 1.5 for k in range(12)]
     h = 0.5
-
-    def mix_integrand(t):
-        return (math.exp(-0.125 * t * t) * abs(math.cos(1.5 * t))
-                * float(epan.one_minus_cf(h * t)))
-
-    ref, err = integrate.quad(mix_integrand, 0.0, 40.0, points=kinks,
-                              limit=500, epsabs=1e-15, epsrel=1e-13)
-    ref /= math.pi
-    got = _lemma1_factor(mix, epan, h)
+    ref = _symmetric_mixture_factor(1.5, 0.5, EPAN, h)
+    got = _lemma1_factor(mix, EPAN, h)
     assert ref - 1e-13 <= got <= ref * (1.0 + 1e-9)
 
     lap = make_density("laplace")
@@ -97,6 +104,16 @@ def test_lemma1_factor_never_below_tight_integral():
     # the algebraic tail enters as its certified bound: valid, at most a
     # bit loose (the reference itself is good to about 1e-13)
     assert ref - 1e-13 <= got <= ref * (1.0 + 1e-3)
+
+
+@pytest.mark.parametrize("m, s, h", [(2.5, 0.25, 0.05), (2.0, 0.25, 1.0), (1.0, 0.25, 0.5)])
+def test_lemma1_factor_never_below_tight_integral_between_kinks(m, s, h):
+    # a kink of |f| closer to a panel edge than any Gauss node once let the
+    # 12- and 24-node rules agree on a value up to 2e-7 below the integral
+    mix = make_density("mixture", weights=(0.5, 0.5), means=(-m, m), sigmas=(s, s))
+    ref = _symmetric_mixture_factor(m, s, GAUSS, h)
+    got = _lemma1_factor(mix, GAUSS, h)
+    assert ref - 1e-13 <= got <= ref * (1.0 + 1e-9)
 
 
 def test_lemma1_second_term_scaling():

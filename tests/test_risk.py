@@ -95,7 +95,9 @@ def test_sinc_mise_generic_path_matches_closed_form():
     for d in targets:
         for h in (0.3, 0.9, 2.0):
             a = exact_mise(d, sk, h, 37).value
-            b = sinc_exact_mise(d, h, 37).value
+            # (2 pi)^(-1) [ tail(1/h) + (2/h - head(1/h)) / n ]
+            tail = d.cf_sq_tail(1.0 / h)
+            b = (tail + (2.0 / h - (d.cf_sq_tail(0.0) - tail)) / 37) / (2.0 * math.pi)
             assert_allclose(a, b, rtol=1e-10, atol=1e-15)
 
 
@@ -419,12 +421,13 @@ def test_exact_mise_counts_the_rounding_of_its_combination():
 
 
 def test_exact_tails_keep_the_work_budget():
-    # the exact tails' T grows like 1/h: at h = 1e-5 it would need 3.6M
-    # nodes, so the certified cutoff takes over within the budget
+    # the exact tails' T grows like 1/h: at h = 5e-6 the first panel pass up
+    # to it would take 14M node evaluations, so the certified cutoff takes
+    # over within the budget
     d, k = make_density("uniform"), make_builtin("epanechnikov")
-    rep = exact_mise(d, k, 1e-5, 100)
-    assert 2 * rep.nodes <= _WORK and rep.cutoff < 2.0 * math.pi / 1e-5
-    assert abs(rep.value - _reference_mise("uniform", "epanechnikov", 1e-5, 100)) <= rep.quad_error
+    rep = exact_mise(d, k, 5e-6, 100)
+    assert 2 * rep.nodes <= _WORK and rep.cutoff < 2.0 * math.pi / 5e-6
+    assert abs(rep.value - _reference_mise("uniform", "epanechnikov", 5e-6, 100)) <= rep.quad_error
     rep = exact_mise(d, k, 1e-4, 100)
     assert rep.cutoff == pytest.approx(2.0 * math.pi / 1e-4) and not rep.degraded
 
@@ -611,13 +614,26 @@ def test_exact_mse_batched_matches_pointwise():
 
 
 def test_exact_mse_clamps_a_variance_negative_within_its_error():
-    # at h = 0.01 the work budget stops T short of the exact tails', and the
-    # second moment carries an error of 4e-2; the variance at x = -20 comes
-    # out about -2e-9, which is no evidence of a failure
+    # at h = 0.01 the gaussian kernel's second moment has no tail terms: the
+    # work budget stops T at 508, where its bound leaves an error of 2e-5,
+    # and the variance at x = -30 comes out about -1.5e-11, which is no
+    # evidence of a failure
     xs = np.linspace(-40.0, 40.0, 9)
-    rep = exact_mse(make_density("laplace"), make_builtin("epanechnikov"), 0.01, 100, xs)
+    rep = exact_mse(make_density("laplace"), make_builtin("gaussian"), 0.01, 100, xs)
     assert np.all(rep.value >= 0.0) and np.all(rep.degraded)
-    assert rep.value[2] <= rep.quad_error[2] < 1e-3
+    assert rep.value[1] <= rep.quad_error[1] < 1e-3
+
+
+def test_exact_mse_batch_keeps_the_exact_tails_of_each_point():
+    # nine points share one work budget; the first panel pass up to their
+    # exact tails' T = 636 fits it, so the batch is as exact as each point
+    d, k = make_density("laplace"), make_builtin("epanechnikov")
+    xs = np.linspace(-40.0, 40.0, 9)
+    rep = exact_mse(d, k, 0.01, 100, xs)
+    assert not np.any(rep.degraded)
+    for x, v, e in zip(xs, rep.value, rep.quad_error):
+        one = exact_mse(d, k, 0.01, 100, float(x))
+        assert rep.cutoff == one.cutoff and abs(v - one.value) <= e + one.quad_error, x
 
 
 @pytest.mark.parametrize("dname, kname", (("uniform", "epanechnikov"), ("uniform", "uniform"),
