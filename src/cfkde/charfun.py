@@ -9,9 +9,10 @@ quantities the exact-risk and bound formulas need:
     a_p              (2 pi)^(-1) int |cf|, None when int |cf| diverges
     supersmooth      (alpha, gamma, B) with B = int exp(gamma |t|^alpha)|cf| < inf
     cf_cutoff        tau with cf = 0 for |t| > tau (band-limited case)
-    cf_sq_tail(T)    int_{|t| >= T} |cf|^2, exact or near-exact; T = 0 gives
+    cf_sq_tail(T)    int_{|t| >= T} |cf|^2, exact or near-exact; T <= 0 gives
                      int |cf|^2
-    cf_abs_tail(T)   int_{|t| >= T} |cf|, None when divergent
+    cf_abs_tail(T)   int_{|t| >= T} |cf|, None when divergent; both tails
+                     take a float or an array of T, elementwise
     cf_phases        (lo, hi): cf is a finite sum of exp(i a t) g(t) with
                      lo <= a <= hi and each g free of oscillation; sets the
                      width of the transform-side quadrature panels
@@ -40,14 +41,15 @@ rounding of those values; a_p and B are a quadrature value plus its error.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 from scipy.special import erfc, eval_hermitenorm, polygamma, sici, wofz
 
-from .kernels import KernelModel
+from .kernels import KernelModel, _tan_roots
 
 __all__ = [
     "DensityModel",
@@ -387,10 +389,10 @@ def _make_normal(sigma: float = 1.0, mu: float = 0.0) -> DensityModel:
                  for m, v in _NORMAL_VARIATION.items()}
 
     def cf_sq_tail(T):
-        return (_SQRT_PI / s) * float(erfc(s * max(T, 0.0)))
+        return (_SQRT_PI / s) * erfc(s * np.maximum(T, 0.0))
 
     def cf_abs_tail(T):
-        return (_SQRT_2PI / s) * float(erfc(s * max(T, 0.0) / math.sqrt(2.0)))
+        return (_SQRT_2PI / s) * erfc(s * np.maximum(T, 0.0) / math.sqrt(2.0))
 
     def sampler(rng, size):
         return rng.normal(m0, s, size)
@@ -525,17 +527,15 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
     pair_r = np.sqrt(0.5 * (sig[:, None] ** 2 + sig[None, :] ** 2)).ravel()
 
     def cf_sq_tail(T):
-        T = max(T, 0.0)
+        T = np.maximum(T, 0.0)[..., None]
         z = 1j * pair_r * T + 0.5 * pair_d / pair_r
         terms = np.exp(1j * pair_d * T - (pair_r * T) ** 2) * wofz(z)
-        return max(0.0, float(np.sum(pair_w * (_SQRT_PI / pair_r) * terms.real)))
+        return np.maximum(0.0, np.sum(pair_w * (_SQRT_PI / pair_r) * terms.real, axis=-1))
 
     def cf_abs_tail(T):
         # certified upper estimate via the component envelope
-        T = max(T, 0.0)
-        return float(
-            np.sum(w * (_SQRT_2PI / sig) * erfc(sig * T / math.sqrt(2.0)))
-        )
+        T = np.maximum(T, 0.0)[..., None]
+        return np.sum(w * (_SQRT_2PI / sig) * erfc(sig * T / math.sqrt(2.0)), axis=-1)
 
     def sampler(rng, size):
         idx = rng.choice(w.size, size=size, p=w)
@@ -579,12 +579,11 @@ def _make_uniform(a: float = 0.0, b: float = 1.0) -> DensityModel:
         return np.exp(1j * c * t) * np.sinc(w * t / (2.0 * math.pi))
 
     def cf_sq_tail(T):
-        T = max(T, 0.0)
-        if T == 0.0:
-            return 2.0 * math.pi / w
+        T = np.maximum(T, 0.0)
         si, _ = sici(w * T)
         x = 0.5 * w * T
-        return (4.0 / w) * (0.5 * math.pi - float(si) + math.sin(x) ** 2 / x)
+        # sin(x)^2/x, which is 0 at x = 0
+        return (4.0 / w) * (0.5 * math.pi - si + np.sin(x) * np.sinc(x / math.pi))
 
     def sampler(rng, size):
         return rng.uniform(a, b, size)
@@ -625,13 +624,11 @@ def _make_laplace(scale: float = 1.0, mu: float = 0.0) -> DensityModel:
         return np.exp(1j * m0 * t) / (1.0 + (b * t) ** 2)
 
     def cf_sq_tail(T):
-        T = max(T, 0.0)
-        u = b * T
-        return (1.0 / b) * (0.5 * math.pi - math.atan(u) - u / (1.0 + u * u))
+        u = b * np.maximum(T, 0.0)
+        return (1.0 / b) * (0.5 * math.pi - np.arctan(u) - u / (1.0 + u * u))
 
     def cf_abs_tail(T):
-        T = max(T, 0.0)
-        return (2.0 / b) * (0.5 * math.pi - math.atan(b * T))
+        return (2.0 / b) * (0.5 * math.pi - np.arctan(b * np.maximum(T, 0.0)))
 
     def sampler(rng, size):
         return rng.laplace(m0, b, size)
@@ -660,8 +657,9 @@ def _make_laplace(scale: float = 1.0, mu: float = 0.0) -> DensityModel:
     )
 
 
+@functools.cache
 def _fejer_variation0() -> float:
-    """Total variation of the Fejer density.
+    """Total variation of the Fejer density, computed once per process.
 
     The density has zeros at 2 k pi and secondary maxima at the roots of
     tan(theta) = theta (theta = x / 2), where p = 1 / (2 pi (1 + theta^2)).
@@ -671,12 +669,7 @@ def _fejer_variation0() -> float:
     at most 3/a^4, which sums to at most 1/(pi^4 K^3) past K.
     """
     K = 2000
-    k = np.arange(1, K + 1)
-    nu = (k + 0.5) * np.pi
-    # Newton for sin(theta) - theta cos(theta) = 0, seeded at nu - 1/nu
-    theta = nu - 1.0 / nu
-    for _ in range(5):
-        theta = theta - (np.sin(theta) - theta * np.cos(theta)) / (theta * np.sin(theta))
+    theta = _tan_roots(K)
     ssum = float(np.sum(1.0 / (1.0 + theta * theta)))
     tail = float(polygamma(1, K + 1.5)) / math.pi ** 2 + 1.0 / (math.pi ** 4 * K ** 3)
     return (1.0 + 2.0 * (ssum + tail)) / math.pi
@@ -697,16 +690,10 @@ def _make_fejer() -> DensityModel:
         return np.maximum(0.0, 1.0 - np.abs(t)) + 0.0j
 
     def cf_sq_tail(T):
-        T = max(T, 0.0)
-        if T >= 1.0:
-            return 0.0
-        return 2.0 * (1.0 - T) ** 3 / 3.0
+        return 2.0 * np.clip(1.0 - T, 0.0, 1.0) ** 3 / 3.0
 
     def cf_abs_tail(T):
-        T = max(T, 0.0)
-        if T >= 1.0:
-            return 0.0
-        return (1.0 - T) ** 2
+        return np.clip(1.0 - T, 0.0, 1.0) ** 2
 
     def sampler(rng, size):
         out = np.empty(int(size), dtype=float)

@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import warnings
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, get_args, get_origin
 
 import numpy as np
 
@@ -192,24 +192,35 @@ def _parse_params(pairs) -> Dict[str, object]:
     return out
 
 
+def _check_config_value(field: dataclasses.Field, value) -> None:
+    # a float field takes an int too; a bool is no number, and a float is
+    # never truncated to an int
+    kinds = tuple(get_origin(t) or t for t in get_args(field.type) or (field.type,))
+    if float in kinds:
+        kinds += (int,)
+    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+        raise ValueError("config key %s: %r is not %s" % (
+            field.name, value, " or ".join(k.__name__ for k in kinds if k is not type(None))))
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config-file values, and flags (flags win)."""
     merged = {"command": args.command}
-    field_names = {f.name for f in dataclasses.fields(RunConfig)}
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     config_path = getattr(args, "config", None)
     if config_path:
-        if not os.path.exists(config_path):
-            raise ValueError("config file not found: %s" % config_path)
         with open(config_path) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - field_names)
+        unknown = sorted(set(loaded) - set(fields))
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(unknown))
         loaded.pop("command", None)
+        for name, value in loaded.items():
+            _check_config_value(fields[name], value)
         merged.update(loaded)
-    for name in field_names:
+    for name in fields:
         if name in ("command", "density_params"):
             continue
         value = getattr(args, name, None)
@@ -375,6 +386,16 @@ def _density_from(cfg: RunConfig) -> DensityModel:
     return make_density(cfg.density, **(cfg.density_params or {}))
 
 
+def _write_table(cfg: RunConfig, header, rows) -> int:
+    out = _output_path(cfg)
+    if cfg.format == "json":
+        _write_atomic(out, _json_text([dict(zip(header, r)) for r in rows]))
+    else:
+        _write_atomic(out, _csv_text(header, rows))
+    print("wrote %s" % out)
+    return 0
+
+
 def _selector_to_dict(res: SelectorResult) -> Dict[str, object]:
     curve = None
     if res.criterion_curve is not None:
@@ -405,10 +426,6 @@ def _select_bandwidth(cfg: RunConfig, sample, kernel: KernelModel) -> SelectorRe
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    if not os.path.exists(cfg.input_path):
-        print("error: input file not found: %s" % cfg.input_path,
-              file=sys.stderr)
-        return 2
     sample = _read_sample(cfg.input_path)
     kernel = make_builtin(cfg.kernel)
     if cfg.h is not None:
@@ -454,13 +471,7 @@ def cmd_risk(cfg: RunConfig) -> int:
             row += [mean, se]
         row += [bool(rep.degraded), float(rep.cutoff), int(rep.nodes)]
         rows.append(row)
-    out = _output_path(cfg)
-    if cfg.format == "json":
-        _write_atomic(out, _json_text([dict(zip(header, r)) for r in rows]))
-    else:
-        _write_atomic(out, _csv_text(header, rows))
-    print("wrote %s" % out)
-    return 0
+    return _write_table(cfg, header, rows)
 
 
 def _bound_table(density: DensityModel, kernel: KernelModel,
@@ -499,20 +510,10 @@ def cmd_bounds(cfg: RunConfig) -> int:
                          "spectrum-cutoff rows are always included")
     rows = _bound_table(density, kernel, cfg)
     header = ["theorem_id", "h_n", "bound", "exact", "ratio", "applicable"]
-    out = _output_path(cfg)
-    if cfg.format == "json":
-        _write_atomic(out, _json_text([dict(zip(header, r)) for r in rows]))
-    else:
-        _write_atomic(out, _csv_text(header, rows))
-    print("wrote %s" % out)
-    return 0
+    return _write_table(cfg, header, rows)
 
 
 def cmd_select(cfg: RunConfig) -> int:
-    if not os.path.exists(cfg.input_path):
-        print("error: input file not found: %s" % cfg.input_path,
-              file=sys.stderr)
-        return 2
     sample = _read_sample(cfg.input_path)
     kernel = make_builtin(cfg.kernel)
     res = _select_bandwidth(cfg, sample, kernel)
@@ -560,7 +561,8 @@ def main(argv=None) -> int:
         _require(parsers[cfg.command], cfg)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
+        # a JSONDecodeError is a ValueError, a missing file an OSError
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.dump_config:

@@ -284,6 +284,16 @@ def _sinc_sup_tail(u):
     return np.where(u > 1.0, 0.0, 1.0)
 
 
+def _tan_roots(count: int) -> np.ndarray:
+    """The first count positive roots of tan z = z, by four Newton steps on
+    sin z - z cos z from (k + 1/2) pi - 1/((k + 1/2) pi), k = 1..count."""
+    nu = (np.arange(1, count + 1) + 0.5) * np.pi
+    z = nu - 1.0 / nu
+    for _ in range(4):
+        z = z - (np.sin(z) - z * np.cos(z)) / (z * np.sin(z))
+    return z
+
+
 def _epan_abs_cf_integral() -> float:
     """(2 pi)^(-1) int |phi| for the Epanechnikov kernel.
 
@@ -293,11 +303,7 @@ def _epan_abs_cf_integral() -> float:
     tail is added as a slight over-estimate, keeping every bound built on
     this value valid.
     """
-    k = np.arange(1, 9000)
-    nu = (k + 0.5) * np.pi
-    z = nu - 1.0 / nu
-    for _ in range(4):
-        z = z - (np.sin(z) - z * np.cos(z)) / (z * np.sin(z))
+    z = _tan_roots(8999)
     si, _ = sici(z)
     f_at = 1.5 * (si + np.cos(z) / z - np.sin(z) / z ** 2)
     # first lobe runs from 0 (where F = 0) to the first root

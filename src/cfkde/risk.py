@@ -14,11 +14,12 @@ Re[f e^{-itx}] or |f|) and a kernel factor G, and goes through one driver,
 ``_transform_integrals``.  It stops at one cutoff T: the band limit, else
 the T of the exact tails while that fits the work budget, raised where
 needed until every bounded tail passes its share of RISK_RTOL of the
-integral's scale (``certified_cutoff``).  Up to T it integrates on
-``gauss_panels``: Gauss-Legendre panels one period of the fastest
-oscillation wide, broken where an integrand has a kink or a jump (the
-sinc kernel's jumps, the kinks of a mixture's |f|) and nowhere else, a
-12-against-24-node error estimate per panel, and adaptive bisection of
+integral's scale (``certified_cutoff``: two array calls of the
+certificate, on a doubling ladder of T and then on 1% rungs).  Up to T it
+integrates on ``gauss_panels``: Gauss-Legendre panels one period of the
+fastest oscillation wide, broken where an integrand has a kink or a jump
+(the sinc kernel's jumps, the kinks of a mixture's |f|) and nowhere else,
+a 12-against-24-node error estimate per panel, and adaptive bisection of
 the panels that miss their share of the tolerance.
 Past T, where the transforms carry ``tail_terms`` (a sum of c exp(i a t)
 t^-p: the uniform and Laplace densities, the uniform and Epanechnikov
@@ -33,6 +34,7 @@ integrated risk is a closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
@@ -182,39 +184,32 @@ def gauss_panels(fun: Callable, edges, tol) -> Quadrature:
     return Quadrature(value, error, nodes)
 
 
-def certified_cutoff(cert: Callable[[float], float], tol: float,
+def certified_cutoff(cert: Callable[[np.ndarray], np.ndarray], tol: float,
                      start: float = 1.0, limit: float = math.inf) -> float:
     """Smallest T, to within 1%, with cert(T) <= tol for a decreasing cert.
 
-    Doubles T from start until the certificate passes, then bisects in
-    log T.  T never exceeds limit; cert(limit) may still exceed tol, and
-    the caller accounts for what is left.
+    cert maps an array of T to an array of certificates and is called at
+    most twice: on the doubling ladder start 2^k, which ends at limit, and,
+    unless its first rung passes or none does, on 70 rungs 1% apart above
+    the last rung that fails, the last of them the doubling rung that
+    passes (1.01^70 > 2).  limit must be finite, and T never exceeds it;
+    cert(limit) may still exceed tol, and the caller accounts for what is
+    left.
     """
-    T = min(start, limit)
-    if cert(T) <= tol:
-        return T
-    below = T
-    while T < limit:
-        T = min(2.0 * T, limit)
-        if cert(T) <= tol:
-            break
-        below = T
-    else:
+    if start >= limit:
         return limit
-    while T > 1.01 * below:
-        mid = math.sqrt(below * T)
-        if cert(mid) <= tol:
-            T = mid
-        else:
-            below = mid
-    return T
+    ladder = np.append(np.ldexp(start, np.arange(math.ceil(math.log2(limit / start)))), limit)
+    ok = cert(ladder) <= tol
+    if ok[0] or not ok.any():
+        return float(start if ok[0] else limit)
+    i = int(np.argmax(ok))
+    rungs = np.minimum(ladder[i - 1] * 1.01 ** np.arange(1, 71), ladder[i])
+    return float(rungs[np.argmax(cert(rungs) <= tol)])
 
 
 def _sup_tail(kernel: KernelModel) -> Callable:
     """u -> sup_{|v| >= u} |phi(v)|, with 1 when the kernel carries no bound."""
-    if kernel.cf_sup_tail is None:
-        return lambda u: np.ones_like(np.asarray(u, dtype=float))
-    return lambda u: np.asarray(kernel.cf_sup_tail(u), dtype=float)
+    return kernel.cf_sup_tail or (lambda u: np.ones(np.shape(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +449,8 @@ def _transform_integrals(density: DensityModel, kernel: KernelModel, integrand: 
 
         def cert(c):
             u = h_min * c
-            s = float(sup_tail(u))
-            return 0.5 * float(tail(c)) * max([b(u, s)[1] / t for b, t in live])
+            s = sup_tail(u)
+            return 0.5 * tail(c) * functools.reduce(np.maximum, [b(u, s)[1] / t for b, t in live])
 
         if live:
             T = certified_cutoff(cert, 0.5, start=T if exact else 0.0625, limit=limit)
@@ -499,7 +494,7 @@ def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
     if kernel.is_sinc:
         # phi is the indicator of [-1, 1]: both integrals are tails of |f|^2
         total = float(density.cf_sq_tail(0.0))
-        tails = np.array([float(density.cf_sq_tail(1.0 / h)) for h in hs])
+        tails = density.cf_sq_tail(1.0 / hs)
         zeros = np.zeros((2, hs.size))
         return _Integrals(np.stack((tails, total - tails)), zeros, zeros,
                           float(1.0 / hs.min()), 0)
@@ -650,12 +645,16 @@ def _abs_bias_factor(density: DensityModel, kernel: KernelModel,
     return (r.value + r.error).item() / math.pi
 
 
-def _check_pointwise(density: DensityModel) -> None:
+def _pointwise_points(density: DensityModel, h: float, x) -> np.ndarray:
+    """The points x as a flat array, once h and the density are checked."""
+    if h <= 0:
+        raise ValueError("bandwidth must be positive")
     if density.cf_abs_tail is None:
         raise ValueError(
             "density %r lacks an integrable transform; pointwise bias is "
             "not available" % density.name
         )
+    return np.atleast_1d(np.asarray(x, dtype=float)).ravel()
 
 
 def _shape(x, arr):
@@ -670,10 +669,7 @@ def exact_bias(density: DensityModel, kernel: KernelModel, h: float,
     must carry cf_abs_tail); otherwise the inversion integral is not
     certified and a ValueError is raised.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    _check_pointwise(density)
-    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    xs = _pointwise_points(density, h, x)
     r = _pointwise(density, kernel, h, xs, second=False)
     value = -r.value[0] / math.pi
     quad_error = r.error[0] / math.pi
@@ -692,12 +688,9 @@ def exact_mse(density: DensityModel, kernel: KernelModel, h: float, n: int,
     moment uses the transform of K^2 and the first is p(x) + bias(x).
     Bias and second moment at every x come from one quadrature pass.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    xs = _pointwise_points(density, h, x)
     if n < 1:
         raise ValueError("n must be at least 1")
-    _check_pointwise(density)
-    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     r = _pointwise(density, kernel, h, xs, second=True)
     b = -r.value[0] / math.pi
     b_err = r.error[0] / math.pi

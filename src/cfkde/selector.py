@@ -237,9 +237,9 @@ def _phi_cutoff(k: KernelModel) -> Tuple[float, bool]:
     jump of phi there can be a panel edge.
     """
     if k.cf_sup_tail is not None:
-        sup, limit = (lambda u: float(k.cf_sup_tail(u))), 2.0 ** 40
+        sup, limit = k.cf_sup_tail, 2.0 ** 40
     else:
-        sup = lambda u: float(np.max(np.abs(k.cf(np.linspace(u, 2.0 * u, 64)))))
+        sup = lambda u: np.max(np.abs(k.cf(np.linspace(u, 2.0 * u, 64, axis=-1))), axis=-1)
         limit = 2.0 ** 24
     u = certified_cutoff(sup, _PHI_TOL, start=1.0, limit=limit)
     if sup(u) > _PHI_TOL:

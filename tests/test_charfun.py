@@ -289,6 +289,17 @@ def test_cf_sq_tail_consistency(density):
     assert density.cf_sq_tail(T) >= ref - 1e-9
 
 
+@pytest.mark.parametrize("density", _all_builtins(), ids=lambda d: d.name)
+def test_tails_on_an_array_match_the_scalar_calls(density):
+    # T = 0, a negative T, and T past the Fejer density's band at 1
+    T = np.array([-0.5, 0.0, 1e-9, 0.3, 1.0, 1.7, 12.0, 1e4])
+    for tail in (density.cf_sq_tail, density.cf_abs_tail):
+        if tail is not None:
+            values = tail(T)
+            assert values.shape == T.shape
+            np.testing.assert_array_equal(values, [tail(float(t)) for t in T])
+
+
 def test_normal_closed_tails():
     d = make_density("normal", sigma=1.5)
     assert_allclose(d.cf_sq_tail(0.0), SQRT_PI / 1.5, rtol=1e-12)

@@ -305,6 +305,13 @@ def test_bounds_rejects_non_finite_or_overflowing_h0(tmp_path, capsys, h0):
 # select and plan
 
 
+def test_select_missing_file_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "absent.csv")
+    rc = main(["select", "--input", missing, "--method", "ucv"])
+    assert rc == 2
+    assert missing in capsys.readouterr().err
+
+
 def test_select_rot_normal_constant(tmp_path):
     rng = np.random.default_rng(11)
     data = rng.normal(size=80)
@@ -411,6 +418,31 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
     rc = main(["risk", "--config", str(cfg), "--density", "normal",
                "--h-grid", "0.5", "--n", "10"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, config", (
+    (["risk", "--density", "normal", "--h-grid", "0.3"], {"n": "100"}),
+    (["bounds", "--density", "normal", "--n", "100"], {"h0": "1"}),
+    (["estimate", "--h", "0.3"], {"grid_size": 64.5}),
+))
+def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, argv, config):
+    inp = _write_sample(tmp_path / "s.csv", [0.0, 1.0, 2.0])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    if argv[0] == "estimate":
+        argv = argv + ["--input", inp]
+    rc = main(argv + ["--config", str(cfg), "--output", str(out)])
+    assert rc == 2
+    assert next(iter(config)) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_missing_file_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    rc = main(["risk", "--config", missing, "--density", "normal", "--h-grid", "0.5"])
+    assert rc == 2
+    assert missing in capsys.readouterr().err
 
 
 def test_dump_config_resolves(tmp_path, capsys):

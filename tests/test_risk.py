@@ -17,6 +17,7 @@ from cfkde.risk import (
     _WORK,
     _expint,
     _sq_integrals,
+    certified_cutoff,
     exact_bias,
     exact_mise,
     exact_mse,
@@ -693,3 +694,43 @@ def test_panel_edges_bit_identical_to_the_linspace_build():
         new, old = panel_edges(lo, hi, omega, breaks), _panel_edges_by_linspace(lo, hi, omega, breaks)
         assert new.dtype == old.dtype and np.array_equal(new, old)
         assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+# ---------------------------------------------------------------------------
+# certified cutoff
+
+
+def _counted(cert):
+    calls = []
+
+    def wrapped(T):
+        calls.append(T)
+        return cert(T)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("crossing", (0.37, 1.0, 3.3, 1000.0, 7.7e5))
+def test_certified_cutoff_within_one_percent_of_the_crossing(crossing):
+    cert, calls = _counted(lambda T: 1.0 / T)
+    T = certified_cutoff(cert, 1.0 / crossing, start=0.0625, limit=2.0 ** 30)
+    assert crossing <= T <= 1.01 * crossing
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("cert, tol, start, limit, expected, most_calls", (
+    (lambda T: 1.0 / T, 10.0, 0.5, 100.0, 0.5, 1),
+    (lambda T: np.ones(np.shape(T)), 0.5, 1.0, 300.0, 300.0, 1),
+    (lambda T: 1.0 / T, 1.0 / 500.0, 1.0, 300.0, 300.0, 1),
+    (lambda T: 1.0 / T, 1e-9, 50.0, 40.0, 40.0, 0),
+), ids=("passes-at-start", "never-passes", "passes-past-limit", "start-past-limit"))
+def test_certified_cutoff_edges(cert, tol, start, limit, expected, most_calls):
+    cert, calls = _counted(cert)
+    assert certified_cutoff(cert, tol, start=start, limit=limit) == expected
+    assert len(calls) <= most_calls
+
+
+def test_certified_cutoff_crossing_between_the_last_rung_and_limit():
+    cert, calls = _counted(lambda T: 1.0 / T)
+    T = certified_cutoff(cert, 1.0 / 290.0, start=1.0, limit=300.0)
+    assert 290.0 <= T <= 1.01 * 290.0 and len(calls) == 2
