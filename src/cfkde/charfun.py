@@ -418,9 +418,7 @@ def _make_normal(sigma: float = 1.0, mu: float = 0.0) -> DensityModel:
 
 
 def _make_mixture(weights, means, sigmas) -> DensityModel:
-    w = np.asarray(weights, dtype=float)
-    mus = np.asarray(means, dtype=float)
-    sig = np.asarray(sigmas, dtype=float)
+    w, mus, sig = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (weights, means, sigmas))
     if not (w.size == mus.size == sig.size) or w.size == 0:
         raise ValueError("weights, means, sigmas must have equal nonzero length")
     if np.any(w <= 0) or np.any(sig <= 0):
@@ -733,6 +731,42 @@ def _make_fejer() -> DensityModel:
     )
 
 
+# The parameters of each built-in density: True for a sequence of numbers
+# (one per mixture component; a single number is one component), False for
+# a number.  The mixture needs all of its parameters.
+_DENSITY_PARAMS = {
+    "normal": {"sigma": False, "mu": False},
+    "mixture": {"weights": True, "means": True, "sigmas": True},
+    "uniform": {"a": False, "b": False},
+    "laplace": {"scale": False, "mu": False},
+    "fejer": {},
+}
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and math.isfinite(value))
+
+
+def _is_numbers(value) -> bool:
+    if isinstance(value, np.ndarray):
+        value = value.tolist() if value.ndim == 1 else None
+    return isinstance(value, (list, tuple)) and len(value) > 0 and all(map(_is_number, value))
+
+
+def _check_params(name: str, params: dict) -> None:
+    kinds = _DENSITY_PARAMS[name]
+    for key, value in params.items():
+        if key not in kinds:
+            raise ValueError("density %r takes %s; got %s" % (
+                name, ", ".join(kinds) or "no parameters", key))
+        if not (_is_number(value) or kinds[key] and _is_numbers(value)):
+            raise ValueError("density parameter %s: %r is not %s" % (
+                key, value, "a sequence of finite numbers" if kinds[key] else "a finite number"))
+    if name == "mixture" and len(params) < len(kinds):
+        raise ValueError("density 'mixture' needs %s" % ", ".join(kinds))
+
+
 def make_density(name: str, **params) -> DensityModel:
     """Construct a built-in density model.
 
@@ -745,7 +779,13 @@ def make_density(name: str, **params) -> DensityModel:
         uniform: a, b (default 0, 1)
         laplace: scale (default 1), mu (default 0)
         fejer: no parameters
+
+    A parameter of another name, a value that is not a finite number (or,
+    for the mixture, a sequence of them) and a missing mixture parameter
+    raise ValueError.
     """
+    if name in _DENSITY_PARAMS:
+        _check_params(name, params)
     if name == "normal":
         return _make_normal(**params)
     if name == "mixture":
@@ -755,8 +795,6 @@ def make_density(name: str, **params) -> DensityModel:
     if name == "laplace":
         return _make_laplace(**params)
     if name == "fejer":
-        if params:
-            raise ValueError("fejer density takes no parameters")
         return _make_fejer()
     raise ValueError(
         "unknown density %r, expected one of %s" % (name, ", ".join(BUILTIN_DENSITIES))

@@ -1,7 +1,7 @@
 """Kernel density estimates on grids, with a clip-and-renormalize repair.
 
 The estimate at x is the average of scaled kernels centered at the data,
-f_h(x) = (n h)^(-1) sum_j K((x - X_j)/h).  It is computed by one of two
+f_h(x) = (n h)^(-1) sum_j K((x - X_j)/h).  It is computed by one of three
 exact routes:
 
 * pairs (kde_eval): each point sums only the data within the kernel's reach,
@@ -17,11 +17,32 @@ exact routes:
   panel from the factored sums of charfun.ecf_panel_sums.  Time is
   O(n sqrt(panels) + (n + M) panels); the panel count grows with the
   spread of the data and the grid, so one far outlier makes it expensive.
+* grid (estimate_on_grid, built-in gaussian only): Taylor expansions about
+  the grid's own cells, as in the fast Gauss transform (Greengard & Strain
+  1991, SIAM J. Sci. Stat. Comput. 12(1)).  With delta = dx/h, a datum
+  r h from its nearest cell k and the point m cells away give
+  exp(-(m delta - r)^2/2) = exp(-(m delta)^2/2) exp(-r^2/2) sum_p (m delta r)^p/p!,
+  so the estimate is sum_p conv(M_p, D_p) over P terms: per-cell moments
+  M_p = sum exp(-r^2/2) r^p (binned in slices of the sorted sample) and
+  D_p[m] = exp(-(m delta)^2/2) (m delta)^p/p! for |m| <= W =
+  ceil(reach/delta + 1/2).  P is the fewest terms whose remainder is at most
+  2^-53 K(0) per datum, the standard the reach sets; where more than 40
+  would be needed (h well below the grid step) the route does not apply.
+  Rounding: r is taken from the cell centres x0 + k dx held as two doubles
+  (an exact product and Knuth's two-sum), and each point's own offset c h
+  from its centre (linspace rounds by about an ulp of x) enters to first
+  order, -c sum v exp(-v^2/2) with v = m delta - r, from the same moments;
+  where c^2/2 max|K''| would exceed 2^-53 K(0) the route does not apply.
+  Time O(n P + M W P), memory O(M P + _BLOCK).
 
-estimate_on_grid takes the transform route for the sinc kernel when it
-counts fewer operations than the n M pairs (one per cos or sin, two per
-sinc pair, one per 16 node-point products of a matrix product), and
-records the route in EstimateGrid.metadata.
+estimate_on_grid counts the operations of each route that applies (two per
+pair; for the transform one per cos or sin and one per 16 node-point
+products of a matrix product; for the grid a fixed part and parts per
+datum, moment, term and convolution product) and takes the cheapest.
+EstimateGrid.metadata records the route with its counts: "pairs" for the
+pair route, "nodes" for the transform, "terms" (P) and "cells" (2W + 1,
+the cells each value sums) for the grid, and the reach h in data units
+(None when unbounded).
 
 correct_to_density repairs an estimate that is not a density (the sinc
 kernel takes negative values) by clipping at a level xi >= 0 chosen so
@@ -36,8 +57,8 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .charfun import _BLOCK, Sample, ecf_panel_sums
-from .kernels import KernelModel
+from .charfun import _BLOCK, _EPS, Sample, ecf_panel_sums
+from .kernels import KernelModel, make_builtin
 
 __all__ = [
     "EstimateGrid",
@@ -51,9 +72,29 @@ __all__ = [
 
 _MASS_TOL = 1e-9
 _X12, _W12 = np.polynomial.legendre.leggauss(12)
-# Counted operations per sinc pair: where the routes cost about the same, a
-# pair takes 1.6-1.8 counted transform operations (22-33 ns against 16-20).
-_SINC_PAIR_OPS = 2
+# Counted operations per pair: where the routes cost about the same, a sinc
+# pair takes 1.6-1.8 counted transform operations (22-33 ns against 16-20),
+# and a gaussian pair takes 11-12 ns.
+_PAIR_OPS = 2
+# Counted operations of the grid route: a fixed part, per datum, per datum
+# and moment, per term (a moment row and a convolution call) and per product
+# of a convolution.  Fitted to in-process timings of both routes over n = 3
+# to 10^5, grids of 64 to 2048 points and h from 0.05 to 4 times the normal
+# rule's, and rounded up until the grid route was never taken where it ran
+# slower: where it is taken it ran in at most 0.82 of the pair route's time.
+_GRID_OPS = 40000.0
+_DATUM_OPS = 4.0
+_MOMENT_OPS = 0.15
+_TERM_OPS = 3000.0
+_PRODUCTS_PER_OP = 24.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# The grid route holds each datum's truncation to 2^-53 K(0), the standard of
+# KernelModel.reach, with at most _MAX_TERMS terms; _SPLIT is Veltkamp's
+# splitter, which leaves the 26 leading bits of a double.
+_LOG_TOL = -53.0 * math.log(2.0)
+_MAX_TERMS = 40
+_LOG_FACT = [math.lgamma(k + 1.0) for k in range(_MAX_TERMS + 1)]
+_SPLIT = 2.0 ** 27 + 1.0
 
 
 class CorrectionInfeasibleError(ValueError):
@@ -64,10 +105,10 @@ class CorrectionInfeasibleError(ValueError):
 class EstimateGrid:
     """A density estimate evaluated on a uniform grid.
 
-    metadata records how ys was computed: the route ("pairs" or
-    "transform"), the pair count or the transform's node count, and the
-    reach (the window half-width reach h in data units, None when
-    unbounded).
+    metadata records how ys was computed: the route ("pairs", "transform"
+    or "grid"), the pair count, the transform's node count or the grid's
+    terms and cells, and the reach (the window half-width reach h in data
+    units, None when unbounded).
     """
 
     xs: np.ndarray
@@ -94,7 +135,10 @@ def _check_uniform(xs: np.ndarray) -> float:
         raise ValueError("grid must be a 1-d array with at least two points")
     steps = np.diff(xs)
     step = float(steps[0])
-    if step <= 0 or np.any(np.abs(steps - step) > 1e-12 * max(abs(step), 1.0)):
+    # linspace rounds each point by up to an ulp of itself, so its steps
+    # differ by up to two ulps of the largest |x|; four times that passes
+    tol = max(1e-12 * max(abs(step), 1.0), 8.0 * _EPS * float(np.max(np.abs(xs))))
+    if not (step > 0 and np.all(np.abs(steps - step) <= tol)):
         raise ValueError("grid must be uniformly spaced and increasing")
     return step
 
@@ -135,9 +179,17 @@ def kde_eval(sample: Sample, kernel: KernelModel, h: float, x):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     order = np.argsort(x_arr, kind="stable")
     pts = x_arr[order]
-    # point i sums values[plo[i]:phi[i]]; both rise with i, so only values[a:b]
-    # reach a point, and datum j of data = values[a:b] meets pts[lo[j]:hi[j]]
-    plo, phi = _window(sample.values, kernel.reach * h, pts)
+    out = np.empty(x_arr.size)
+    out[order] = _pair_sum(sample, kernel, h, pts, *_window(sample.values, kernel.reach * h, pts))
+    out[np.isnan(x_arr)] = np.nan  # undefined at a NaN point
+    return float(out[0]) if scalar else out
+
+
+def _pair_sum(sample: Sample, kernel: KernelModel, h: float, pts: np.ndarray,
+              plo: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    # the estimate at the sorted points pts, point i summing values[plo[i]:phi[i]];
+    # both rise with i, so only values[a:b] reach a point, and datum j of
+    # data = values[a:b] meets pts[lo[j]:hi[j]]
     a, b = (int(plo[0]), int(phi[-1])) if pts.size else (0, 0)
     data, steps = sample.values[a:b], np.arange(pts.size + 1)
     lo, hi = (np.repeat(steps, np.diff(np.concatenate(([a], e, [b])))) for e in (phi, plo))
@@ -155,10 +207,7 @@ def kde_eval(sample: Sample, kernel: KernelModel, h: float, x):
             part = np.bincount(cols.ravel(), weights=kernel.eval(u).ravel())
             acc[c0:c0 + part.size] += part
         r0 = r1
-    out = np.empty(x_arr.size)
-    out[order] = acc / (sample.n * h)
-    out[np.isnan(x_arr)] = np.nan  # undefined at a NaN point
-    return float(out[0]) if scalar else out
+    return acc / (sample.n * h)
 
 
 class _SincPlan(NamedTuple):
@@ -210,6 +259,148 @@ def sinc_kde_fourier(sample: Sample, h: float, x) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
+class _GridPlan(NamedTuple):
+    x0: float
+    dx: float
+    width: int  # W: a value sums the cells within W steps of its point
+    terms: int  # P
+    fix: int  # Q, the terms of the offset correction; 0 when every c is 0
+    base: int  # the grid index of the first cell kept
+    centres: Tuple[np.ndarray, np.ndarray]  # x0 + k dx, k = base.., as hi + lo
+    c: np.ndarray  # the offsets of points out[0]..out[1] from x0 + i dx, in units of h
+    data: Tuple[int, int]  # values[lo:hi] can lie in the cells kept
+    out: Tuple[int, int]  # the points within W cells of a datum
+    ops: float
+
+
+def _grid_terms(delta: float, width: int, cmax: float) -> Optional[Tuple[int, int]]:
+    # A datum lies |r| <= delta/2 from its cell's centre (rmax adds a margin
+    # for the rounding of its cell index), a point m cells away.  Cutting
+    # the series of exp(m delta r) after P terms leaves at most
+    # y^P/P! exp(|y|), y = m delta rmax, times exp(-(m delta)^2/2 - r^2/2):
+    # in all (a rmax)^P/P! exp(-(a - rmax)^2/2) at a = |m| delta, bounded by
+    # its largest value over a in [delta, W delta] (peak).  The series of the
+    # correction, v exp(-v^2/2), cut after Q terms leaves
+    # a y^Q/Q! + rmax y^(Q-1)/(Q-1)! times the same exponential.  Each must
+    # be <= 2^-53 in units of K(0), the correction's after its factor c.
+    rmax = 0.5 * delta * (1.0 + 2.0 ** -20)
+    lo, hi, log_r = delta, width * delta, math.log(rmax)
+
+    def peak(k):  # max over a in [lo, hi] of k log a - (a - rmax)^2/2
+        a = min(max(0.5 * (rmax + math.sqrt(rmax * rmax + 4.0 * k)), lo), hi)
+        return k * math.log(a) - 0.5 * (a - rmax) ** 2
+
+    terms = next((p for p in range(1, _MAX_TERMS + 1)
+                  if p * log_r - _LOG_FACT[p] + peak(p) <= _LOG_TOL), None)
+    if terms is None or cmax == 0.0:
+        return None if terms is None else (terms, 0)
+    for q in range(2, _MAX_TERMS + 1):  # a sum of two is at most twice the larger
+        head = q * log_r - _LOG_FACT[q] + math.log(2.0 * cmax)
+        if head + max(peak(q + 1), math.log(q) + peak(q - 1)) <= _LOG_TOL:
+            return terms, q
+    return None
+
+
+def _grid_plan(sample: Sample, kernel: KernelModel, h: float, xs: np.ndarray,
+               budget: float) -> Optional[_GridPlan]:
+    # The grid route's plan for the built-in gaussian, or None where it would
+    # count budget operations or more, or cannot hold each datum to the
+    # 2^-53 K(0) that the reach accepts.
+    if kernel is not make_builtin("gaussian"):
+        return None
+    size, values = xs.size, sample.values
+    x0 = float(xs[0])
+    dx = (float(xs[-1]) - x0) / (size - 1)
+    width = int(math.ceil(kernel.reach * h / dx + 0.5))
+    if size + 2 * width >= 2 ** 26:
+        return None
+    lo, hi = (int(i) for i in np.searchsorted(values, (x0 - (width + 1) * dx,
+                                                        x0 + (size + width) * dx)))
+    if hi == lo:
+        return None
+    first, last = np.rint((values[[lo, hi - 1]] - x0) / dx)
+    o0, o1 = max(0, int(first) - width), min(size - 1, int(last) + width)
+    products = (o1 - o0 + 1) * (2 * width + 1)
+
+    def count(rows, terms):  # the counted operations with these moments and terms
+        return (_GRID_OPS + (hi - lo) * (_DATUM_OPS + rows * _MOMENT_OPS)
+                + terms * (_TERM_OPS + products / _PRODUCTS_PER_OP))
+
+    if o1 < o0 or count(1, 1) >= budget:
+        return None
+    # x0 + k dx as hi + lo: k times the 26-bit head of dx is exact for
+    # |k| < 2^26, the sum with x0 is split by Knuth's two-sum
+    base = o0 - width
+    k = np.arange(base, o1 + width + 1, dtype=float)
+    t = _SPLIT * dx
+    dhead = t - (t - dx)
+    kd = k * dhead
+    s = x0 + kd
+    v = s - x0
+    centres = (s, ((x0 - (s - v)) + (kd - v)) + k * (dx - dhead))
+    c = ((xs[o0:o1 + 1] - centres[0][width:-width]) - centres[1][width:-width]) / h
+    cmax = float(np.max(np.abs(c)))
+    # the offsets are corrected to first order; the second, c^2/2 max|K''|,
+    # must stay within 2^-53 K(0)
+    found = _grid_terms(dx / h, width, cmax) if 0.5 * cmax * cmax <= 2.0 ** -53 else None
+    if found is None:
+        return None
+    terms, fix = found
+    ops = count(max(terms, fix), terms + fix)
+    if ops >= budget:
+        return None
+    return _GridPlan(x0, dx, width, terms, fix, base, centres, c, (lo, hi), (o0, o1), ops)
+
+
+def _grid_sum(sample: Sample, h: float, size: int, plan: _GridPlan) -> np.ndarray:
+    # The estimate on the grid from cell moments.  A datum in cell k, r h
+    # from x0 + k dx, and the point i = k + m, c h from x0 + i dx, lie
+    # (m delta - r + c) h apart, and
+    #   exp(-(m delta - r)^2/2) = exp(-(m delta)^2/2) exp(-r^2/2) sum_p (m delta r)^p/p!,
+    # so the sum over the data is sum_p conv(M_p, D_p) with the cell moments
+    # M_p[k] = sum exp(-r^2/2) r^p and D_p[m] = exp(-(m delta)^2/2) (m delta)^p/p!.
+    # The offset c adds -c sum v exp(-v^2/2), v = m delta - r, whose series
+    # is sum_p conv(M_p, m delta D_p - D_(p-1)).
+    width, terms, fix, base = plan.width, plan.terms, plan.fix, plan.base
+    (lo, hi), (o0, o1) = plan.data, plan.out
+    chi, clo = plan.centres
+    rows = max(terms, fix)
+    mom = np.zeros((rows, chi.size))
+    for a in range(lo, hi, _BLOCK):
+        x = sample.values[a:min(hi, a + _BLOCK)]
+        k = np.rint((x - plan.x0) / plan.dx).astype(np.intp)
+        k -= base
+        keep = slice(*np.searchsorted(k, (0, chi.size)))
+        x, k = x[keep], k[keep]
+        if k.size == 0:
+            continue
+        r = ((x - chi[k]) - clo[k]) / h
+        starts = np.flatnonzero(np.diff(k, prepend=-1))
+        cells = k[starts]
+        w = np.exp(-0.5 * r * r)
+        for row in mom:
+            row[cells] += np.add.reduceat(w, starts)
+            w *= r
+    md = np.arange(-width, width + 1) * (plan.dx / h)
+    dp = np.empty((rows, md.size))
+    dp[0] = np.exp(-0.5 * md * md)
+    dp[1:] = md / np.arange(1.0, rows)[:, None]
+    np.cumprod(dp, axis=0, out=dp)
+    out = np.zeros(size)
+    ys = out[o0:o1 + 1]
+    for p in range(terms):
+        ys += np.convolve(mom[p], dp[p], mode="valid")
+    if fix:
+        gp = md * dp[:fix]
+        gp[1:] -= dp[:fix - 1]
+        corr = np.zeros(ys.size)
+        for p in range(fix):
+            corr += np.convolve(mom[p], gp[p], mode="valid")
+        ys -= plan.c * corr
+    out /= _SQRT_2PI * sample.n * h
+    return np.maximum(out, 0.0, out=out)
+
+
 def estimate_on_grid(
     sample: Sample,
     kernel: KernelModel,
@@ -220,23 +411,32 @@ def estimate_on_grid(
 ) -> EstimateGrid:
     """Evaluate the estimate on a uniform grid, optionally repaired.
 
-    The sinc kernel takes the transform route when it counts fewer
-    operations than the n M pairs, at two per pair; every other kernel, and
-    the sinc kernel otherwise, the pair route of kde_eval.
+    Of the routes that hold for the kernel (pairs always; transform for the
+    sinc kernel; grid for the built-in gaussian where its terms and the
+    grid's rounding allow), the one that counts the fewest operations runs.
     """
     _check_h(h)
     xs = default_grid(sample, h, n_points) if grid is None else np.asarray(grid, dtype=float)
     _check_uniform(xs)
-    data = sample.values
-    plan = _sinc_plan(data, h, xs) if kernel.is_sinc else None
-    if plan is not None and plan.ops < _SINC_PAIR_OPS * data.size * xs.size:
+    reach = kernel.reach * h
+    plo, phi = _window(sample.values, reach, xs)
+    pairs = int(np.sum(phi - plo))
+    sinc = _sinc_plan(sample.values, h, xs) if kernel.is_sinc else None
+    ops = {"pairs": _PAIR_OPS * pairs,
+           "transform": sinc.ops if sinc else math.inf}
+    cells = _grid_plan(sample, kernel, h, xs, min(ops.values()))
+    ops["grid"] = cells.ops if cells else math.inf
+    route = min(ops, key=ops.get)
+    if route == "transform":
         ys = sinc_kde_fourier(sample, h, xs)
-        meta = {"route": "transform", "nodes": _X12.size * plan.panels, "reach": None}
+        meta = {"route": route, "nodes": _X12.size * sinc.panels, "reach": None}
+    elif route == "grid":
+        ys = _grid_sum(sample, h, xs.size, cells)
+        meta = {"route": route, "terms": cells.terms, "cells": 2 * cells.width + 1,
+                "reach": reach}
     else:
-        ys = kde_eval(sample, kernel, h, xs)
-        reach = kernel.reach * h
-        lo, hi = _window(data, reach, xs)
-        meta = {"route": "pairs", "pairs": int(np.sum(hi - lo)),
+        ys = _pair_sum(sample, kernel, h, xs, plo, phi)
+        meta = {"route": route, "pairs": pairs,
                 "reach": reach if math.isfinite(reach) else None}
     est = EstimateGrid(xs=xs, ys=ys, h=float(h), kernel_name=kernel.name,
                        metadata=meta)

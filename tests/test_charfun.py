@@ -496,3 +496,29 @@ def test_mixture_validation():
         make_density("normal", sigma=0.0)
     with pytest.raises(ValueError):
         make_density("fejer", sigma=1.0)
+
+
+@pytest.mark.parametrize("name, params", (
+    ("normal", {"foo": 1.0}),
+    ("normal", {"sigma": (1.0, 2.0)}),
+    ("normal", {"sigma": "1"}),
+    ("normal", {"mu": math.nan}),
+    ("laplace", {"scale": True}),
+    ("uniform", {"a": None}),
+    ("mixture", {"weights": [1.0], "means": [0.0]}),
+    ("mixture", {"weights": [[0.5, 0.5]], "means": [0.0, 1.0], "sigmas": [1.0, 1.0]}),
+    ("mixture", {"weights": (), "means": (), "sigmas": ()}),
+    ("mixture", {"weights": "ab", "means": [0.0], "sigmas": [1.0]}),
+))
+def test_density_parameters_checked_by_name_and_type(name, params):
+    # a wrong name, type or shape is a ValueError, not a TypeError or an
+    # IndexError from inside the model
+    with pytest.raises(ValueError):
+        make_density(name, **params)
+
+
+def test_mixture_takes_a_number_as_one_component():
+    one = make_density("mixture", weights=1.0, means=0.5, sigmas=2.0)
+    ref = make_density("normal", sigma=2.0, mu=0.5)
+    x = np.linspace(-5.0, 5.0, 11)
+    assert_allclose(one.pdf(x), ref.pdf(x), rtol=1e-14)

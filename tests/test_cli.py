@@ -438,6 +438,25 @@ def test_config_value_of_the_wrong_type_exit_2(tmp_path, capsys, argv, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, config, word", (
+    (["--param", "foo=1"], None, "foo"),
+    (["--param", "sigma=1,2"], None, "sigma"),
+    ([], {"density_params": {"sigma": "1"}}, "sigma"),
+    (["--density", "mixture", "--param", "weights=1"], None, "means"),
+))
+def test_density_parameter_of_the_wrong_name_or_type_exit_2(tmp_path, capsys, flags, config, word):
+    # each used to end in a TypeError traceback (exit 1) inside make_density
+    argv = ["risk", "--density", "normal", "--h-grid", "0.3", "--n", "5"] + flags
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_missing_file_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     rc = main(["risk", "--config", missing, "--density", "normal", "--h-grid", "0.5"])
@@ -649,3 +668,15 @@ def test_estimate_two_column_csv_with_header(tmp_path, capsys):
     bad = _sample_file(tmp_path, "1\n2\nthree\n")
     assert main(["estimate", "--input", bad, "--h", "0.4", "--output", out]) == 2
     assert "'three' on line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("centre", [1e4, 1e6, 1e8])
+def test_estimate_accepts_its_default_grid_far_from_zero(tmp_path, centre):
+    # linspace rounds each point by up to an ulp of the centre, which the
+    # uniformity check used to read as a non-uniform grid (exit 2)
+    values = centre + np.random.default_rng(4).normal(size=1000)
+    inp = _write_sample(tmp_path / "far.csv", values)
+    out = str(tmp_path / "far-est.csv")
+    assert main(["estimate", "--input", inp, "--method", "rot-normal", "--output", out]) == 0
+    meta = _read_json(str(tmp_path / "far-est.json"))
+    assert meta["n"] == 1000 and abs(meta["mass"] - 1.0) < 1e-6

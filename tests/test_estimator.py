@@ -11,11 +11,15 @@ from cfkde.charfun import as_sample, make_density
 from cfkde.estimator import (
     CorrectionInfeasibleError,
     EstimateGrid,
+    _PAIR_OPS,
+    _grid_plan,
+    _grid_sum,
+    _sinc_plan,
+    _window,
     correct_to_density,
     default_grid,
     estimate_on_grid,
     kde_eval,
-    _sinc_plan,
     sinc_kde_fourier,
 )
 from cfkde.kernels import kernel_from_functions, make_builtin
@@ -139,6 +143,21 @@ def test_estimate_on_grid_and_uniformity_check():
     bad = np.array([0.0, 0.1, 0.25, 0.3])
     with pytest.raises(ValueError):
         estimate_on_grid(s, k, 0.4, grid=bad)
+
+
+@pytest.mark.parametrize("centre", [1e4, 1e6, 1e8])
+def test_default_grid_far_from_zero_is_uniform(centre):
+    # the steps of linspace there differ by an ulp of the centre, more than
+    # the 1e-12 the uniformity check used to allow
+    s = as_sample(centre + np.random.default_rng(3).normal(size=500))
+    for h in (0.01, 0.3):
+        xs = default_grid(s, h)
+        assert np.ptp(np.diff(xs)) > 1e-12
+        est = estimate_on_grid(s, make_builtin("epanechnikov"), h, grid=xs)
+        assert np.array_equal(est.xs, xs)
+    with pytest.raises(ValueError):  # a step off by far more than that still fails
+        estimate_on_grid(s, make_builtin("epanechnikov"), 0.3,
+                         grid=np.concatenate([xs[:-1], [xs[-1] + 1e-3 * (xs[1] - xs[0])]]))
 
 
 def test_correct_constant_toy_grid():
@@ -382,6 +401,25 @@ def test_mc_mise_matches_all_pairs_replicates():
 
 
 def test_estimate_memory_flat_at_large_n():
+    # the pair route on the grid estimate_on_grid would use: 10^5 data, each
+    # meeting about a hundred points
+    s = as_sample(np.random.default_rng(9).normal(size=100_000))
+    k = make_builtin("gaussian")
+    xs = default_grid(s, 0.05, 2048)
+    lo, hi = _window(s.values, k.reach * 0.05, xs)
+    tracemalloc.start()
+    try:
+        kde_eval(s, k, 0.05, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(np.sum(hi - lo)) > 4_000_000
+    assert peak < 32 * 2 ** 20
+
+
+def test_estimate_grid_route_memory_flat_at_large_n():
+    # the same inputs through estimate_on_grid take the grid route, whose
+    # moments are binned in slices of _BLOCK data
     s = as_sample(np.random.default_rng(9).normal(size=100_000))
     tracemalloc.start()
     try:
@@ -389,5 +427,87 @@ def test_estimate_memory_flat_at_large_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert est.metadata["pairs"] > 4_000_000
+    assert est.metadata["route"] == "grid" and est.metadata["terms"] > 0
     assert peak < 32 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the grid route against a long-double sum
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _long_double_sum(values, h, xs):
+    # the gaussian estimate in long double from the data within 40 h of each
+    # point; the rest adds less than exp(-800) of a term
+    v = values.astype(np.longdouble)
+    lo = np.searchsorted(values, xs - 40.0 * h)
+    hi = np.searchsorted(values, xs + 40.0 * h, side="right")
+    hl = np.longdouble(h)
+    out = np.array([np.sum(np.exp(-0.5 * ((np.longdouble(x) - v[a:b]) / hl) ** 2))
+                    for x, a, b in zip(xs, lo, hi)])
+    two_pi = 2 * np.arccos(np.longdouble(-1.0))
+    return out / (np.sqrt(two_pi) * values.size * hl)
+
+
+# (n, grid points, h in grid steps, where the data lie)
+_ORACLE_CASES = [
+    (1, 512, 1.0, "inside"), (1, 2048, 50.0, "inside"),
+    (2, 64, 3.0, "inside"), (2, 512, 0.3, "inside"), (2, 2048, 1.0, "inside"),
+    (1000, 64, 0.05, "inside"), (1000, 512, 1.0, "inside"), (1000, 2048, 50.0, "inside"),
+    (1000, 512, 5.0, "tied"), (1000, 512, 1.0, "partly outside"),
+    (1000, 512, 2.0, "wholly outside"),
+    (20000, 512, 1.0, "inside"), (20000, 2048, 5.0, "inside"),
+]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("n, size, steps, layout", _ORACLE_CASES)
+def test_grid_route_matches_long_double_sum(offset, n, size, steps, layout):
+    rng = np.random.default_rng(size + n)
+    values = rng.normal(size=n)
+    if layout == "tied":
+        values = np.round(values, 1)
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if layout == "partly outside":
+        lo, hi = lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo)
+    elif layout == "wholly outside":  # the data end two h below the grid
+        lo = hi + 2.0 * steps * 5.0 / (size - 1)
+        hi = lo + 5.0
+    else:
+        lo, hi = lo - 5.0, hi + 5.0
+    values, xs = offset + values, np.linspace(offset + lo, offset + hi, size)
+    s, k = as_sample(values), make_builtin("gaussian")
+    h = steps * (xs[-1] - xs[0]) / (size - 1)
+    est = estimate_on_grid(s, k, h, grid=xs)
+    # the route taken is the one the cost model counts cheaper
+    a, b = _window(s.values, k.reach * h, xs)
+    plan = _grid_plan(s, k, h, xs, math.inf)
+    cheaper = "grid" if plan is not None and plan.ops < _PAIR_OPS * np.sum(b - a) else "pairs"
+    assert est.metadata["route"] == cheaper
+    assert np.all(est.ys >= 0.0)
+    # the reference at up to 128 points, the largest value among them
+    top = int(np.argmax(est.ys))
+    at = np.unique(np.concatenate([np.linspace(0, size - 1, min(size, 128)).astype(int),
+                                   np.clip(np.arange(top - 2, top + 3), 0, size - 1)]))
+    ref = _long_double_sum(s.values, h, xs[at])
+    peak = float(np.max(ref))
+    assert peak > 0.0
+
+    def error(ys):
+        return float(np.max(np.abs(ys[at] - ref)))
+
+    if cheaper == "grid":
+        assert error(est.ys) <= 2e-15 * peak
+    else:  # the pair route's own standard, as in _assert_reach_sum
+        assert error(est.ys) <= 1e-13 * peak + 2.0 ** -52 * float(k.eval(0.0)) / h
+    if plan is not None:
+        grid = _grid_sum(s, h, size, plan)
+        assert np.all(grid >= 0.0)
+        # with one or two data the pair route sums one or two exps, under an
+        # ulp of the peak; the grid route's products of three rounded
+        # factors get three ulps on top of twice that
+        slack = 3.0 * _EPS * peak if n <= 2 else 0.0
+        assert error(grid) <= 2e-15 * peak
+        assert error(grid) <= 2.0 * error(kde_eval(s, k, h, xs)) + slack
