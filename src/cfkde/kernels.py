@@ -9,8 +9,10 @@ risk formulas consume:
     roughness  int K(x)^2 dx
     a_value    (2 pi)^(-1) int |phi(t)| dt, inf when the integral diverges
 
-The sinc kernel sin(x)/(pi x) lives in the same container even though it is
-not a probability density; its moment functionals are undefined (None).
+The polynomial kernels, epanechnikov and uniform, have every field derived
+exactly from the coefficients of K on [-1, 1].  The sinc kernel sin(x)/(pi x)
+lives in the same container even though it is not a probability density;
+its moment functionals are undefined (None).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -79,21 +82,18 @@ class KernelModel:
         2^-53 K(0)/h.  Equals support for a compact K; inf when no such
         window is known (sinc, kernel_from_functions).
     poly : pair of tuples of float, or None
-        For a compact K whose K and K*K are polynomials in |u| on their
-        supports: the coefficients of K on [0, support] and of K*K on
-        [0, 2 support], lowest degree first.  The pair route of the UCV
-        criterion then sums each pair once for the whole bandwidth grid
-        (selector._ucv_curve).  None for every other kernel.
+        For the polynomial kernels: the coefficients of K on [0, support]
+        and of K*K on [0, 2 support], lowest degree first.  The pair route
+        of the UCV criterion then sums each pair once for the whole
+        bandwidth grid (selector._ucv_curve).  None for every other kernel.
     tail_terms : (u0, ((c, a, p), ...)) or None
-        phi(u) = sum c exp(i a u) u^(-p) exactly for u >= u0 (c complex, a
-        real, p a positive integer); set for epanechnikov and uniform, whose
-        transforms are trigonometric over powers.  With the density's own
-        terms it lets the integrated and the pointwise risk take the tail
-        past a cutoff exactly (risk.exact_mise, risk.exact_bias).  None for
-        every other kernel.
+        For the polynomial kernels: phi(u) = sum c exp(i a u) u^(-p) exactly
+        for u >= u0 (c complex, a real, p a positive integer).  With the
+        density's own terms it lets the integrated and the pointwise risk
+        take the tail past a cutoff exactly (risk.exact_mise,
+        risk.exact_bias).  None for every other kernel.
     sq_tail_terms : (u0, ((c, a, p), ...)) or None
-        The same for sq_cf, the transform of K^2, which the pointwise second
-        moment reads (risk.exact_mse); set with tail_terms by the models.
+        The same for sq_cf, the transform of K^2 (risk.exact_mse).
     """
 
     name: str
@@ -162,104 +162,6 @@ def _gauss_sqcf(t):
     return np.exp(-0.25 * np.asarray(t, dtype=float) ** 2) / (2.0 * _SQRT_PI)
 
 
-def _gauss_selfconv(u):
-    return np.exp(-0.25 * np.asarray(u, dtype=float) ** 2) / (2.0 * _SQRT_PI)
-
-
-def _gauss_sup_tail(u):
-    return np.exp(-0.5 * np.asarray(u, dtype=float) ** 2)
-
-
-def _epan_eval(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) <= 1.0, 0.75 * (1.0 - x * x), 0.0)
-
-
-# Taylor coefficients in u^2 of the compact kernels' transforms, used for
-# |u| < 1 where the closed forms lose digits to cancellation; at |u| = 1 the
-# first omitted term is below 1e-17, so the switch leaves no visible jump.
-# 3 (sin u - u cos u)/u^3 = 3 sum_{k>=1} (-1)^(k+1) 2k u^(2k-2)/(2k+1)!
-_EPAN_CF = np.array([3.0 * (-1) ** (k + 1) * 2 * k / math.factorial(2 * k + 1)
-                     for k in range(1, 12)])
-_EPAN_OM = np.concatenate(([0.0], -_EPAN_CF[1:]))
-# 9 ((3 - u^2) sin u - 3u cos u)/u^5 = 9 sum_{k>=2} (-1)^k 4k(k-1) u^(2k-4)/(2k+1)!
-_EPAN_SQCF = np.array([9.0 * (-1) ** k * 4 * k * (k - 1) / math.factorial(2 * k + 1)
-                       for k in range(2, 14)])
-# 1 - sin(u)/u = sum_{k>=1} (-1)^(k+1) u^(2k)/(2k+1)!
-_UNIF_OM = np.array([0.0] + [(-1) ** (k + 1) / math.factorial(2 * k + 1)
-                             for k in range(1, 11)])
-
-
-def _series(t, coeffs, exact):
-    """coeffs as a polynomial in t^2 where |t| < 1, exact(t) elsewhere."""
-    t = np.asarray(t, dtype=float)
-    small = np.abs(t) < 1.0
-    out = np.empty(t.shape)
-    out[small] = np.polynomial.polynomial.polyval(t[small] ** 2, coeffs)
-    big = ~small
-    out[big] = exact(t[big])
-    return out
-
-
-def _epan_cf(t):
-    return _series(t, _EPAN_CF,
-                   lambda u: 3.0 * (np.sin(u) - u * np.cos(u)) / u ** 3)
-
-
-def _epan_om(t):
-    return _series(t, _EPAN_OM,
-                   lambda u: 1.0 - 3.0 * (np.sin(u) - u * np.cos(u)) / u ** 3)
-
-
-def _epan_sqcf(t):
-    return _series(t, _EPAN_SQCF,
-                   lambda u: 9.0 * ((3.0 - u * u) * np.sin(u) - 3.0 * u * np.cos(u))
-                   / u ** 5)
-
-
-def _epan_selfconv(u):
-    u = np.abs(np.asarray(u, dtype=float))
-    inside = u <= 2.0
-    us = np.where(inside, u, 0.0)
-    val = 3.0 * (2.0 - us) ** 3 * (us * us + 6.0 * us + 4.0) / 160.0
-    return np.where(inside, val, 0.0)
-
-
-def _epan_sup_tail(u):
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore"):
-        env = 3.0 * (1.0 + u) / np.where(u > 0, u, 1.0) ** 3
-    return np.where(u > 0, np.minimum(1.0, env), 1.0)
-
-
-def _unif_eval(x):
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
-
-
-def _unif_cf(t):
-    # sin(t)/t, stable via np.sinc
-    return np.sinc(np.asarray(t, dtype=float) / np.pi)
-
-
-def _unif_om(t):
-    return _series(t, _UNIF_OM, lambda u: 1.0 - np.sin(u) / u)
-
-
-def _unif_sqcf(t):
-    return 0.5 * np.sinc(np.asarray(t, dtype=float) / np.pi)
-
-
-def _unif_selfconv(u):
-    u = np.abs(np.asarray(u, dtype=float))
-    return np.where(u <= 2.0, (2.0 - u) / 4.0, 0.0)
-
-
-def _unif_sup_tail(u):
-    u = np.asarray(u, dtype=float)
-    return np.where(u > 0, np.minimum(1.0, 1.0 / np.where(u > 0, u, 1.0)), 1.0)
-
-
 def _sinc_eval(x):
     return np.sinc(np.asarray(x, dtype=float) / np.pi) / np.pi
 
@@ -294,24 +196,152 @@ def _tan_roots(count: int) -> np.ndarray:
     return z
 
 
-def _epan_abs_cf_integral() -> float:
-    """(2 pi)^(-1) int |phi| for the Epanechnikov kernel.
+# ---------------------------------------------------------------------------
+# polynomial kernels: K = P on [-1, 1] for an even polynomial P.  Their
+# transforms are sum_p d[p] trig(u) / u^p, trig = sin for odd p, cos for even p.
 
-    phi = 3(sin u - u cos u)/u^3 has the antiderivative
-    F(u) = 1.5 (Si(u) + cos(u)/u - sin(u)/u^2), so int |phi| is the sum of
-    |F| increments between consecutive roots of tan(u) = u.  The remaining
-    tail is added as a slight over-estimate, keeping every bound built on
-    this value valid.
-    """
-    z = _tan_roots(8999)
-    si, _ = sici(z)
-    f_at = 1.5 * (si + np.cos(z) / z - np.sin(z) / z ** 2)
-    # first lobe runs from 0 (where F = 0) to the first root
-    lobes = np.abs(np.diff(f_at))
-    total = abs(f_at[0]) + float(np.sum(lobes))
-    z_last = float(z[-1])
-    tail = (6.0 / math.pi) / z_last + 4.0 / z_last ** 2
-    return (total + tail) / math.pi
+# int_z^inf |sin u| g(u) du <= (2/pi) int_z^inf g + _LOBE_EXCESS g(z) for g
+# decreasing to 0, and the same with |cos u|: by parts, as the antiderivative
+# of |sin u| - 2/pi stays within +-(sin v - 2v/pi) at cos v = 2/pi
+_LOBE_EXCESS = 2.0 * (math.sqrt(1.0 - 4.0 / math.pi ** 2) - 2.0 * math.acos(2 / math.pi) / math.pi)
+
+
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k, leaving out the additions of zero coefficients."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x
+        if c:
+            acc = acc + c
+    return acc
+
+
+def _trig_sum(d, u, odd=np.sin, even=np.cos):
+    """sum_p d[p] f(u) / u^p, f = odd for odd p and even for even p, u != 0."""
+    w = 1.0 / u
+    z = w * w
+    v = odd(u) * w * _horner(d[1::2], z)
+    return v + even(u) * z * _horner(d[2::2], z) if len(d) > 2 else v
+
+
+def _series_or(series, far):
+    """t -> the Taylor series in t^2 where |t| < 1, far(t) elsewhere."""
+    def transform(t):
+        t = np.asarray(t, dtype=float)
+        small = np.abs(t) < 1.0
+        out = np.empty(t.shape)
+        out[small] = _horner(series, t[small] ** 2)
+        out[~small] = far(t[~small])
+        return out
+    return transform
+
+
+def _moment(c, k):
+    """int_0^1 x^k P(x) dx for the coefficients c of P."""
+    return sum(ci / (i + k + 1) for i, ci in enumerate(c))
+
+
+def _cos_series(c) -> list:
+    """Taylor coefficients in t^2 of int K(x) cos(tx) dx, (-1)^k m_2k / (2k)!:
+    where |t| < 1 the first left out, m_22 t^22 / 22!, is below 1e-21 m_0."""
+    return [float((-1) ** k * 2 * _moment(c, 2 * k) / math.factorial(2 * k)) for k in range(11)]
+
+
+def _derivatives(c, x0) -> list:
+    """P^(r)(x0) for r = 0 .. deg P."""
+    return [sum(ck * math.perm(k, r) * x0 ** (k - r) for k, ck in enumerate(c) if k >= r)
+            for r in range(len(c))]
+
+
+def _selfconv_poly(c) -> list:
+    """K*K on [0, 2] in u, rounded: with P(1 - s) = sum_i r_i s^i / i!, it is
+    int_0^t P(1 - s) P(1 - t + s) ds = sum_k (r * r)_k t^(k+1) / (k+1)! at t = 2 - u."""
+    r = [(-1) ** i * v for i, v in enumerate(_derivatives(c, 1))]
+    g = [0] + [x / math.factorial(k + 1) for k, x in enumerate(np.convolve(r, r))]
+    return [float((-1) ** m * v / math.factorial(m)) for m, v in enumerate(_derivatives(g, 2))]
+
+
+def _abs_integral(cf, d) -> float:
+    """(2 pi)^(-1) int |phi| for phi = cf = sum_p d[p] trig(u) / u^p, d[1] = 0:
+    the antiderivative's increments between the roots of phi to 4501 pi, and a
+    bound of the rest.  The roots are sign changes on the multiples of pi/2
+    (those of the symmetric beta kernels' transforms lie over pi apart), then
+    three Newton steps, as an increment's error is of second order in the roots'."""
+    u = np.arange(1, 2 * 4501 + 1) * (math.pi / 2.0)
+    v = cf(u)
+    i = np.flatnonzero(np.sign(v[:-1]) != np.sign(v[1:]))
+    z = u[i] + (math.pi / 2.0) * v[i] / (v[i] - v[i + 1])
+    for _ in range(3):
+        v = cf(z)
+        z = z - 1e-7 * v / (cf(z + 1e-7) - v)
+    # e[1] Si(u) + sum_p e[p] trig'(u) / u^p, trig' = cos for odd p, sin for
+    # even: differentiated it gives d[p] = (-1)^p e[p] - (p - 1) e[p - 1], and
+    # it is odd and bounded near 0, so 0 at 0, where the first lobe starts
+    e = [0.0] * len(d)
+    for p in range(len(d) - 1, 1, -1):
+        e[p - 1] = ((-1) ** p * e[p] - d[p]) / (p - 1)
+    f_at = e[1] * sici(z)[0] + _trig_sum(e, z, np.cos, np.sin)
+    total = abs(f_at[0]) + np.sum(np.abs(np.diff(f_at)))
+    tail = sum(abs(x) * (2.0 / math.pi * z[-1] ** (1 - p) / (p - 1) + _LOBE_EXCESS * z[-1] ** -p)
+               for p, x in enumerate(d) if p > 1)
+    return float(total + tail) / math.pi
+
+
+def _exp_terms(d):
+    """(0, ((c, a, p), ...)) of sum_p d[p] trig(u) / u^p, by
+    sin u = (e^(iu) - e^(-iu)) / 2i and cos u = (e^(iu) + e^(-iu)) / 2."""
+    return 0.0, tuple((x / 2 / 1j * s if p % 2 else x / 2, s, p)
+                      for p, x in reversed(list(enumerate(d))) if x for s in (1.0, -1.0))
+
+
+def _polynomial_kernel(name: str, coeffs) -> KernelModel:
+    """The model of K = P on [-1, 1], zero outside, for the even polynomial P
+    with the rational coefficients coeffs, lowest degree first.  Integrating
+    2 int_0^1 P(x) cos(ux) dx by parts gives d[j + 1] = 2 (-1)^(j//2) P^(j)(1);
+    the terms at x = 0 hold odd derivatives of P, which vanish."""
+    c = np.array([Fraction(x) for x in coeffs], dtype=object)
+    sq = np.convolve(c, c)
+    d, d_sq = ([0.0] + [float(2 * (-1) ** (j // 2) * v) for j, v in enumerate(_derivatives(q, 1))]
+               for q in (c, sq))
+    poly = tuple(float(x) for x in c)
+    series = _cos_series(c)
+    conv = _selfconv_poly(c)
+
+    def eval_(x):
+        ax = np.abs(np.asarray(x, dtype=float))
+        return np.where(ax <= 1.0, _horner(poly, ax), 0.0)
+
+    def selfconv(u):
+        # K*K vanishes at 2 itself, where the rounding of the sum need not
+        u = np.abs(np.asarray(u, dtype=float))
+        inside = u < 2.0
+        return np.where(inside, _horner(conv, np.where(inside, u, 0.0)), 0.0)
+
+    cf = _series_or(series, lambda t: _trig_sum(d, t))
+    return KernelModel(
+        name=name,
+        eval=eval_,
+        cf=cf,
+        one_minus_cf=_series_or([1.0 - series[0]] + [-s for s in series[1:]],
+                                lambda t: 1.0 - _trig_sum(d, t)),
+        sq_cf=_series_or(_cos_series(sq), lambda t: _trig_sum(d_sq, t)),
+        selfconv=selfconv,
+        # |phi| <= 1 where |u| < 1, and <= sum_p |d[p]| / |u|^p
+        cf_sup_tail=_series_or([1.0], lambda u: np.minimum(1, _horner(np.abs(d), 1 / np.abs(u)))),
+        mu1=float(2 * _moment(c, 1)),
+        mu2=float(2 * _moment(c, 2)),
+        roughness=float(2 * _moment(sq, 0)),
+        # a 1/u term leaves int |phi| infinite
+        a_value=math.inf if d[1] else _abs_integral(cf, d),
+        is_density=2 * _moment(c, 0) == 1,
+        is_sinc=False,
+        zero_mean=True,
+        support=1.0,
+        reach=1.0,
+        poly=(poly, tuple(conv)),
+        tail_terms=_exp_terms(d),
+        sq_tail_terms=_exp_terms(d_sq),
+    )
 
 
 _CACHE: dict = {}
@@ -337,8 +367,8 @@ def make_builtin(name: str) -> KernelModel:
             cf=_gauss_cf,
             one_minus_cf=_gauss_om,
             sq_cf=_gauss_sqcf,
-            selfconv=_gauss_selfconv,
-            cf_sup_tail=_gauss_sup_tail,
+            selfconv=_gauss_sqcf,
+            cf_sup_tail=_gauss_cf,
             mu1=math.sqrt(2.0 / math.pi),
             mu2=1.0,
             roughness=1.0 / (2.0 * _SQRT_PI),
@@ -349,58 +379,9 @@ def make_builtin(name: str) -> KernelModel:
             reach=_GAUSS_REACH,
         )
     elif name == "epanechnikov":
-        model = KernelModel(
-            name="epanechnikov",
-            eval=_epan_eval,
-            cf=_epan_cf,
-            one_minus_cf=_epan_om,
-            sq_cf=_epan_sqcf,
-            selfconv=_epan_selfconv,
-            cf_sup_tail=_epan_sup_tail,
-            mu1=3.0 / 8.0,
-            mu2=1.0 / 5.0,
-            roughness=3.0 / 5.0,
-            a_value=_epan_abs_cf_integral(),
-            is_density=True,
-            is_sinc=False,
-            zero_mean=True,
-            support=1.0,
-            reach=1.0,
-            # 0.75 (1 - u^2); 3 (2 - u)^3 (u^2 + 6u + 4)/160
-            poly=((0.75, 0.0, -0.75), (0.6, 0.0, -0.75, 0.375, 0.0, -3.0 / 160.0)),
-            # 3 sin u/u^3 - 3 cos u/u^2
-            tail_terms=(0.0, ((1.5 / 1j, 1.0, 3), (-1.5 / 1j, -1.0, 3),
-                              (-1.5, 1.0, 2), (-1.5, -1.0, 2))),
-            # 27 sin u/u^5 - 9 sin u/u^3 - 27 cos u/u^4
-            sq_tail_terms=(0.0, ((13.5 / 1j, 1.0, 5), (-13.5 / 1j, -1.0, 5),
-                                 (-4.5 / 1j, 1.0, 3), (4.5 / 1j, -1.0, 3),
-                                 (-13.5, 1.0, 4), (-13.5, -1.0, 4))),
-        )
+        model = _polynomial_kernel(name, (Fraction(3, 4), Fraction(0), Fraction(-3, 4)))
     elif name == "uniform":
-        model = KernelModel(
-            name="uniform",
-            eval=_unif_eval,
-            cf=_unif_cf,
-            one_minus_cf=_unif_om,
-            sq_cf=_unif_sqcf,
-            selfconv=_unif_selfconv,
-            cf_sup_tail=_unif_sup_tail,
-            mu1=0.5,
-            mu2=1.0 / 3.0,
-            roughness=0.5,
-            a_value=math.inf,
-            is_density=True,
-            is_sinc=False,
-            zero_mean=True,
-            support=1.0,
-            reach=1.0,
-            # 1/2; (2 - u)/4
-            poly=((0.5,), (0.5, -0.25)),
-            # sin u/u
-            tail_terms=(0.0, ((0.5 / 1j, 1.0, 1), (-0.5 / 1j, -1.0, 1))),
-            # sin u/(2u)
-            sq_tail_terms=(0.0, ((0.25 / 1j, 1.0, 1), (-0.25 / 1j, -1.0, 1))),
-        )
+        model = _polynomial_kernel(name, (Fraction(1, 2),))
     elif name == "sinc":
         model = KernelModel(
             name="sinc",
@@ -426,6 +407,22 @@ def make_builtin(name: str) -> KernelModel:
     return model
 
 
+def _on_arrays(fn):
+    """x -> fn(x) as a float array: one call on the whole array where, on a
+    probe, that gives its scalar calls' values to 1e-15; else value by value."""
+    call = np.vectorize(fn, otypes=[float])
+    probe = np.linspace(-3.0, 40.0, 14).reshape(2, 7)
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got, want = np.asarray(fn(probe), dtype=float), call(probe)
+        if got.shape == want.shape and np.allclose(got, want, rtol=1e-15, atol=0, equal_nan=True):
+            call = fn
+    except Exception:  # the array call failed: value by value
+        pass
+    return lambda x: np.asarray(call(x), dtype=float)
+
+
 def kernel_from_functions(
     name: str,
     eval_fn: Callable,
@@ -437,8 +434,10 @@ def kernel_from_functions(
 
     The scalar functionals are computed by quadrature.  The kernel is
     assumed symmetric about zero; a_value falls back to inf when int |phi|
-    does not converge numerically.
+    does not converge numerically.  eval_fn and cf_fn take whole arrays where
+    a probe shows that they can (_on_arrays).
     """
+    cf = _on_arrays(cf_fn)
     mu1, _ = integrate.quad(lambda x: abs(x) * float(eval_fn(x)), -np.inf, np.inf, limit=400)
     mu2, _ = integrate.quad(lambda x: x * x * float(eval_fn(x)), -np.inf, np.inf, limit=400)
     rough, _ = integrate.quad(lambda x: float(eval_fn(x)) ** 2, -np.inf, np.inf, limit=400)
@@ -456,9 +455,9 @@ def kernel_from_functions(
     is_density = abs(mass - 1.0) < 1e-8
     return KernelModel(
         name=name,
-        eval=lambda x: np.asarray(np.vectorize(eval_fn)(x), dtype=float),
-        cf=lambda t: np.asarray(np.vectorize(cf_fn)(t), dtype=float),
-        one_minus_cf=lambda t: 1.0 - np.asarray(np.vectorize(cf_fn)(t), dtype=float),
+        eval=_on_arrays(eval_fn),
+        cf=cf,
+        one_minus_cf=lambda t: 1.0 - cf(t),
         sq_cf=sq_cf,
         selfconv=selfconv,
         cf_sup_tail=None,

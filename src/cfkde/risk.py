@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import digamma
 
 from .charfun import DensityModel, Sample
-from .estimator import kde_eval
+from .estimator import estimate_on_grid
 from .kernels import KernelModel, make_builtin
 
 __all__ = [
@@ -730,7 +730,7 @@ def mc_mise(density: DensityModel, kernel: KernelModel, h: float, n: int,
     for r in range(reps):
         rng = np.random.default_rng(seed + r)
         data = np.sort(density.sampler(rng, n))
-        ys = kde_eval(Sample(values=data), kernel, h, xs)
+        ys = estimate_on_grid(Sample(values=data), kernel, h, grid=xs).ys
         ises[r] = np.trapezoid((ys - truth) ** 2, xs)
     mean = float(np.mean(ises))
     se = float(np.std(ises, ddof=1) / math.sqrt(reps)) if reps > 1 else math.nan

@@ -11,7 +11,7 @@ from scipy import integrate
 from scipy.special import erfc, erfcx, ndtr
 
 from cfkde.charfun import make_density
-from cfkde.kernels import kernel_from_functions, make_builtin
+from cfkde.kernels import _polynomial_kernel, kernel_from_functions, make_builtin
 from cfkde.risk import (
     RISK_RTOL,
     _WORK,
@@ -221,14 +221,23 @@ def test_integrated_sq_bias_normal_gaussian_closed_form():
 GL20 = np.polynomial.legendre.leggauss(20)
 GL32 = np.polynomial.legendre.leggauss(32)
 ROUGHNESS = {"gaussian": 1.0 / (2.0 * SQRT_PI), "epanechnikov": 0.6,
-             "uniform": 0.5}
+             "uniform": 0.5, "biweight": 5.0 / 7.0}
 MIXTURE_PARAMS = dict(weights=(0.5, 0.5), means=(-1.5, 1.5), sigmas=(0.5, 0.5))
+# 15/16 (1 - u^2)^2 on [-1, 1], from the generator of the compact built-ins
+BIWEIGHT = _polynomial_kernel("biweight", (Fraction(15, 16), 0, Fraction(-15, 8), 0,
+                                           Fraction(15, 16)))
+
+
+def _kernel(kname):
+    return BIWEIGHT if kname == "biweight" else make_builtin(kname)
 
 
 def _kernel_pdf(name, u):
     if name == "gaussian":
         return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
     inside = np.abs(u) <= 1.0
+    if name == "biweight":
+        return np.where(inside, 0.9375 * (1.0 - u * u) ** 2, 0.0)
     return np.where(inside, 0.75 * (1.0 - u * u) if name == "epanechnikov"
                     else 0.5, 0.0)
 
@@ -239,6 +248,8 @@ def _kernel_cdf(name, v):
     w = np.clip(v, -1.0, 1.0)
     if name == "epanechnikov":
         return 0.5 + 0.75 * (w - w ** 3 / 3.0)
+    if name == "biweight":
+        return 0.5 + 0.9375 * (w - 2.0 * w ** 3 / 3.0 + w ** 5 / 5.0)
     return 0.5 * (w + 1.0)
 
 
@@ -328,6 +339,10 @@ def _kernel_ft(name, u):
     if name == "uniform":
         big = np.sin(us) / us
         om = _series(u, lambda k: (-1) ** (k + 1) / math.factorial(2 * k + 1))
+    elif name == "biweight":
+        big = 15.0 * ((3.0 - us * us) * np.sin(us) - 3.0 * us * np.cos(us)) / us ** 5
+        om = _series(u, lambda k: (-1) ** (k + 1) * 15.0 / (
+            (2 * k + 1) * (2 * k + 3) * (2 * k + 5) * math.factorial(2 * k)))
     else:
         big = 3.0 * (np.sin(us) - us * np.cos(us)) / us ** 3
         om = _series(u, lambda k: (-1) ** (k + 1) * 6.0 * (k + 1)
@@ -365,13 +380,13 @@ CROSS_H = (10.0 ** -1.9, 10.0 ** -0.9, 10.0 ** 0.1)
 # uniform[0, w] widths, each against every kernel
 UNIFORM_WIDTHS = (1.0, 0.4, 2.5)
 # cells whose transform tails past the cutoff are integrated exactly
-EXACT_TAILS = (("uniform", "epanechnikov"), ("uniform", "uniform"))
+EXACT_TAILS = (("uniform", "epanechnikov"), ("uniform", "uniform"), ("uniform", "biweight"))
 
 
-@pytest.mark.parametrize("kname", ("gaussian", "epanechnikov", "uniform"))
+@pytest.mark.parametrize("kname", ("gaussian", "epanechnikov", "uniform", "biweight"))
 @pytest.mark.parametrize("name", ("normal", "mixture", "uniform", "laplace", "fejer"))
 def test_exact_mise_cross_check_matrix(name, kname):
-    kernel = make_builtin(kname)
+    kernel = _kernel(kname)
     for width in (UNIFORM_WIDTHS if name == "uniform" else (1.0,)):
         density = _model(name, width)
         for h in CROSS_H:
@@ -548,11 +563,11 @@ def _laplace_pointwise(kname, x, h, mu=LAPLACE_MU):
     return mean - float(_laplace_pdf(x, mu)), mean, second
 
 
-@pytest.mark.parametrize("kname", ("gaussian", "epanechnikov", "uniform", "sinc"))
+@pytest.mark.parametrize("kname", ("gaussian", "epanechnikov", "uniform", "sinc", "biweight"))
 @pytest.mark.parametrize("h", (0.05, 0.3, 1.0))
 def test_laplace_pointwise_risk_matches_references(kname, h):
     # x - mu = +-h puts a component of the transform tail at zero frequency
-    density, kernel, n = make_density("laplace", mu=LAPLACE_MU), make_builtin(kname), 50
+    density, kernel, n = make_density("laplace", mu=LAPLACE_MU), _kernel(kname), 50
     xs = LAPLACE_MU + np.array([-h, 0.0, h, 3.0])
     bias, mse = exact_bias(density, kernel, h, xs), exact_mse(density, kernel, h, n, xs)
     for i, x in enumerate(xs):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.optimize import brentq
 
 from cfkde import bounds, selector
 from cfkde.charfun import as_sample, make_density
-from cfkde.kernels import kernel_from_functions, make_builtin
+from cfkde.kernels import _polynomial_kernel, kernel_from_functions, make_builtin
 
 GAUSS = make_builtin("gaussian")
 SINC = make_builtin("sinc")
@@ -320,6 +321,17 @@ def test_ucv_moment_route_pair_edges(h):
     res = _check_against_oracle(as_sample(x), k, h_grid=[0.5 * h, h])
     d = np.abs(x[:, None] - x[None, :])[np.triu_indices(x.size, 1)]
     assert res.metadata["pairs"] == np.count_nonzero(d <= 2.0 * h) == 20
+
+
+def test_ucv_moment_route_of_the_biweight():
+    # a kernel of the compact built-ins' generator that is no built-in: K of
+    # degree 4 and K*K of degree 9 through the same moment sums
+    k = _polynomial_kernel("biweight", (Fraction(15, 16), 0, Fraction(-15, 8), 0,
+                                        Fraction(15, 16)))
+    x = _mixture_sample(300, 17)
+    res = _check_against_oracle(as_sample(x), k)
+    assert res.metadata["route"] == "pairs"
+    _check_against_oracle(as_sample(x), k, h_grid=[0.4, 0.05, 0.9, 0.2, 0.4, 1.7, 0.11])
 
 
 @pytest.mark.parametrize("name", COMPACT)
