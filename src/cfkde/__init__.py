@@ -49,7 +49,6 @@ from .risk import (
     exact_mse,
     integrated_sq_bias,
     mc_mise,
-    sinc_exact_mise,
 )
 from .selector import (
     PlanRequest,
@@ -104,6 +103,5 @@ __all__ = [
     "plan_bound_constant",
     "plan_sample_size",
     "rule_of_thumb_normal",
-    "sinc_exact_mise",
     "sinc_kde_fourier",
 ]

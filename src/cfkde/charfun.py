@@ -37,6 +37,11 @@ as an upper value, so that bounds built on them stay upper bounds.  The
 normal and mixture V_m are increments plus a rounding bound: the sum of
 |p^(m)| increments between the sign changes of p^(m+1), plus a bound on the
 rounding of those values; a_p and B are a quadrature value plus its error.
+
+ecf_panel_sums is the one panel layer of the transform side: the 12-point
+Gauss-Legendre nodes and weights of equal panels and the factored sums of
+the empirical characteristic function there, which the sinc estimate
+(estimator) and the UCV criterion's transform route (selector) integrate.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ __all__ = [
     "as_sample",
     "ecf",
     "ecf_sq_unbiased",
-    "ecf_sq_unbiased_panels",
     "ecf_panel_sums",
     "cf_envelope",
     "one_minus_cf_bound",
@@ -73,6 +77,9 @@ _EPS = float(np.finfo(float).eps)
 # Elements per temporary array of the blocked sums here, in estimator and in
 # selector: 256 KiB, which stays in a core's L2 cache.
 _BLOCK = 1 << 15
+# The 12-point Gauss-Legendre rule on [-1, 1]: ecf_panel_sums' panels, the
+# selector's partial panels and the lower rule of risk.gauss_panels.
+_X12, _W12 = np.polynomial.legendre.leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -182,33 +189,40 @@ def ecf_sq_unbiased(sample: Sample, t):
     return out
 
 
-def ecf_panel_sums(x: np.ndarray, width: float, panels: int,
-                   offsets) -> Tuple[np.ndarray, np.ndarray]:
-    """Sums of cos(t x_j) and sin(t x_j) at t = (p + 1/2) width + a.
+def ecf_panel_sums(x: np.ndarray, width: float, panels: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Sums of cos(t x_j) and sin(t x_j) at the Gauss-Legendre nodes of panels.
 
-    Returns two arrays of shape (panels, len(offsets)), for p < panels and
-    each offset a.  With p = b L + j and L about sqrt(panels), exp(i t x)
-    factors into exp(i (b L + 1/2) w x) exp(i j w x) exp(i a x): the
-    trigonometric work per point is panels/L + L + len(offsets), the last
-    two factors are combined by angle addition, and the sum over the values
-    is four real matrix products per block of them, of the cos and sin of
-    the block phase with the cos and sin of the combined phase.  The
-    products stay real because a complex one of these thin shapes costs
-    milliseconds each through threaded BLAS.  Centre x first: the rounding
-    of the phases grows with |t x|.
+    The values are centred first, x_j - c with c the midpoint of their
+    range: the rounding of the phases grows with |t x|.  Returns
+    (t, w, re, im, c): the 12-point Gauss-Legendre nodes t and weights w of
+    the panels [p width, (p + 1) width), p < panels, and the sums re and im
+    at each node, all flat in panel order, and c.  With t = (p + 1/2) width
+    + a, a the node's offset in its panel, p = b L + j and L about
+    sqrt(panels), exp(i t x) factors into exp(i (b L + 1/2) width x)
+    exp(i j width x) exp(i a x): the trigonometric work per value is
+    panels/L + L + 12, the last two factors are combined by angle addition,
+    and the sum over the values is four real matrix products per block of
+    them, of the cos and sin of the block phase with the cos and sin of the
+    combined phase.  The products stay real because a complex one of these
+    thin shapes costs milliseconds each through threaded BLAS.
+    _ecf_panel_ops counts its operations.
     """
     x = np.asarray(x, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
+    center = 0.5 * (x.min() + x.max())
+    x = x - center
+    half = 0.5 * width
+    offsets = half * _X12
     run = max(1, round(math.sqrt(panels)))
     blocks = math.ceil(panels / run)
     base = (np.arange(blocks) * run + 0.5) * width
     steps = np.arange(run) * width
-    cols = run * offsets.size
+    cols = run * _X12.size
     re = np.zeros((blocks, cols))
     im = np.zeros((blocks, cols))
     chunk = max(1, _BLOCK // (blocks + cols))
     # cos and sin of the combined phase, and the one temporary that forms them
-    co, so, tmp = (np.empty((min(chunk, x.size), run, offsets.size)) for _ in range(3))
+    co, so, tmp = (np.empty((min(chunk, x.size), run, _X12.size)) for _ in range(3))
     for s in range(0, x.size, chunk):
         xb = x[s:s + chunk]
         m = xb.size
@@ -225,23 +239,16 @@ def ecf_panel_sums(x: np.ndarray, width: float, panels: int,
         cb, sb = np.cos(bx), np.sin(bx)
         re += cb @ c - sb @ d
         im += cb @ d + sb @ c
-    return (re.reshape(-1, offsets.size)[:panels],
-            im.reshape(-1, offsets.size)[:panels])
+    nodes = _X12.size * panels
+    t = ((np.arange(panels) + 0.5)[:, None] * width + offsets).ravel()
+    return (t, np.tile(half * _W12, panels), re.ravel()[:nodes], im.ravel()[:nodes],
+            float(center))
 
 
-def ecf_sq_unbiased_panels(sample: Sample, width: float, panels: int,
-                           offsets) -> np.ndarray:
-    """ecf_sq_unbiased at t = (p + 1/2) width + a, for p < panels and each offset a.
-
-    Returns an array of shape (panels, len(offsets)), from the factored
-    sums of ecf_panel_sums over the centred sample.
-    """
-    n = sample.n
-    if n < 2:
-        raise ValueError("ecf_sq_unbiased requires at least two observations")
-    re, im = ecf_panel_sums(_centered(sample).values, width, panels, offsets)
-    # n |f_n|^2 = |sum exp(i t x)|^2 / n
-    return ((re * re + im * im) / n - 1.0) / (n - 1.0)
+def _ecf_panel_ops(n: int, panels: int) -> float:
+    # ecf_panel_sums' counted operations on n values: the cos and sin of the
+    # factored phases, then the matrix products, one per 16 node-value products
+    return 2 * n * (2 * math.sqrt(panels) + _X12.size) + _X12.size * panels * n / 16
 
 
 def cf_envelope(density: DensityModel, m: int, t):

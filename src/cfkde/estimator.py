@@ -12,11 +12,12 @@ exact routes:
   O(M log M + M log n + n + pairs), memory O(n + M).
 * transform (sinc_kde_fourier, sinc kernel only): the estimate's transform
   is the empirical characteristic function cut off at 1/h, so the curve is
-  (1/pi) int_0^{1/h} Re[exp(-i t x) f_n(t)] dt on 12-node Gauss-Legendre
-  panels half a period of the fastest oscillation wide, with f_n on every
-  panel from the factored sums of charfun.ecf_panel_sums.  Time is
-  O(n sqrt(panels) + (n + M) panels); the panel count grows with the
-  spread of the data and the grid, so one far outlier makes it expensive.
+  (1/pi) int_0^{1/h} Re[exp(-i t x) f_n(t)] dt on panels half a period of
+  the fastest oscillation wide, whose nodes, weights and f_n come from
+  charfun.ecf_panel_sums, the panel layer it shares with the UCV
+  criterion.  Time is O(n sqrt(panels) + (n + M) panels); the panel count
+  grows with the spread of the data and the grid, so one far outlier makes
+  it expensive.
 * grid (estimate_on_grid, built-in gaussian only): Taylor expansions about
   the grid's own cells, as in the fast Gauss transform (Greengard & Strain
   1991, SIAM J. Sci. Stat. Comput. 12(1)).  With delta = dx/h, a datum
@@ -53,11 +54,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .charfun import _BLOCK, _EPS, Sample, ecf_panel_sums
+from .charfun import _BLOCK, _EPS, _X12, Sample, _ecf_panel_ops, ecf_panel_sums
 from .kernels import KernelModel, make_builtin
 
 __all__ = [
@@ -71,7 +72,6 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-9
-_X12, _W12 = np.polynomial.legendre.leggauss(12)
 # Counted operations per pair: where the routes cost about the same, a sinc
 # pair takes 1.6-1.8 counted transform operations (22-33 ns against 16-20),
 # and a gaussian pair takes 11-12 ns.
@@ -211,7 +211,6 @@ def _pair_sum(sample: Sample, kernel: KernelModel, h: float, pts: np.ndarray,
 
 
 class _SincPlan(NamedTuple):
-    center: float
     width: float
     panels: int
     ops: float
@@ -219,17 +218,14 @@ class _SincPlan(NamedTuple):
 
 def _sinc_plan(data: np.ndarray, h: float, x: np.ndarray) -> _SincPlan:
     # panels half a period pi/omega of the fastest oscillation wide, omega the
-    # largest |x - X_j| (at least 1); the data and x are centred first
-    center = 0.5 * (float(data[0]) + float(data[-1]))
+    # largest |x - X_j| (at least 1); the panel sums, then cos and sin of t x
+    # at every node and point and the matrix products with them
     cutoff = 1.0 / h
     omega = float(max(abs(x.max() - data[0]), abs(data[-1] - x.min()), 1.0))
     panels = max(4, int(math.ceil(cutoff * omega / math.pi)))
     nodes = _X12.size * panels
-    # as in selector._ucv_curve: cos and sin of the factored phases, the
-    # n-side matrix products, then cos and sin of t x at every node and point
-    ops = (2 * data.size * (2 * math.sqrt(panels) + _X12.size)
-           + nodes * (data.size + x.size) / 16 + 2 * nodes * x.size)
-    return _SincPlan(center, cutoff / panels, panels, ops)
+    ops = _ecf_panel_ops(data.size, panels) + nodes * x.size / 16 + 2 * nodes * x.size
+    return _SincPlan(cutoff / panels, panels, ops)
 
 
 def sinc_kde_fourier(sample: Sample, h: float, x) -> np.ndarray:
@@ -245,12 +241,10 @@ def sinc_kde_fourier(sample: Sample, h: float, x) -> np.ndarray:
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     data = sample.values
     plan = _sinc_plan(data, h, x_arr)
-    half = 0.5 * plan.width
-    re, im = ecf_panel_sums(data - plan.center, plan.width, plan.panels, half * _X12)
-    t = ((np.arange(plan.panels)[:, None] + 0.5) * plan.width + half * _X12).ravel()
-    w = np.tile(half * _W12, plan.panels) / (math.pi * data.size)
-    wc, ws = w * re.ravel(), w * im.ravel()
-    xc = x_arr - plan.center
+    t, w, re, im, center = ecf_panel_sums(data, plan.width, plan.panels)
+    w = w / (math.pi * data.size)
+    wc, ws = w * re, w * im
+    xc = x_arr - center
     out = np.empty(x_arr.size)
     step = max(1, _BLOCK // t.size)
     for i in range(0, xc.size, step):
@@ -273,7 +267,8 @@ class _GridPlan(NamedTuple):
     ops: float
 
 
-def _grid_terms(delta: float, width: int, cmax: float) -> Optional[Tuple[int, int]]:
+def _grid_terms(delta: float,
+                width: int) -> Tuple[Optional[int], Callable[[float], Optional[int]]]:
     # A datum lies |r| <= delta/2 from its cell's centre (rmax adds a margin
     # for the rounding of its cell index), a point m cells away.  Cutting
     # the series of exp(m delta r) after P terms leaves at most
@@ -283,6 +278,8 @@ def _grid_terms(delta: float, width: int, cmax: float) -> Optional[Tuple[int, in
     # correction, v exp(-v^2/2), cut after Q terms leaves
     # a y^Q/Q! + rmax y^(Q-1)/(Q-1)! times the same exponential.  Each must
     # be <= 2^-53 in units of K(0), the correction's after its factor c.
+    # Returns P (None past _MAX_TERMS) and the map from the largest |c| > 0
+    # to Q (None past _MAX_TERMS).
     rmax = 0.5 * delta * (1.0 + 2.0 ** -20)
     lo, hi, log_r = delta, width * delta, math.log(rmax)
 
@@ -290,15 +287,13 @@ def _grid_terms(delta: float, width: int, cmax: float) -> Optional[Tuple[int, in
         a = min(max(0.5 * (rmax + math.sqrt(rmax * rmax + 4.0 * k)), lo), hi)
         return k * math.log(a) - 0.5 * (a - rmax) ** 2
 
-    terms = next((p for p in range(1, _MAX_TERMS + 1)
-                  if p * log_r - _LOG_FACT[p] + peak(p) <= _LOG_TOL), None)
-    if terms is None or cmax == 0.0:
-        return None if terms is None else (terms, 0)
-    for q in range(2, _MAX_TERMS + 1):  # a sum of two is at most twice the larger
-        head = q * log_r - _LOG_FACT[q] + math.log(2.0 * cmax)
-        if head + max(peak(q + 1), math.log(q) + peak(q - 1)) <= _LOG_TOL:
-            return terms, q
-    return None
+    def fix(cmax):  # a sum of two is at most twice the larger
+        return next((q for q in range(2, _MAX_TERMS + 1)
+                     if q * log_r - _LOG_FACT[q] + math.log(2.0 * cmax)
+                     + max(peak(q + 1), math.log(q) + peak(q - 1)) <= _LOG_TOL), None)
+
+    return next((p for p in range(1, _MAX_TERMS + 1)
+                 if p * log_r - _LOG_FACT[p] + peak(p) <= _LOG_TOL), None), fix
 
 
 def _grid_plan(sample: Sample, kernel: KernelModel, h: float, xs: np.ndarray,
@@ -328,6 +323,10 @@ def _grid_plan(sample: Sample, kernel: KernelModel, h: float, xs: np.ndarray,
 
     if o1 < o0 or count(1, 1) >= budget:
         return None
+    # the offsets only add terms, so count(P, P) is the least the route counts
+    terms, fix_terms = _grid_terms(dx / h, width)
+    if terms is None or count(terms, terms) >= budget:
+        return None
     # x0 + k dx as hi + lo: k times the 26-bit head of dx is exact for
     # |k| < 2^26, the sum with x0 is split by Knuth's two-sum
     base = o0 - width
@@ -342,10 +341,11 @@ def _grid_plan(sample: Sample, kernel: KernelModel, h: float, xs: np.ndarray,
     cmax = float(np.max(np.abs(c)))
     # the offsets are corrected to first order; the second, c^2/2 max|K''|,
     # must stay within 2^-53 K(0)
-    found = _grid_terms(dx / h, width, cmax) if 0.5 * cmax * cmax <= 2.0 ** -53 else None
-    if found is None:
+    if 0.5 * cmax * cmax > 2.0 ** -53:
         return None
-    terms, fix = found
+    fix = fix_terms(cmax) if cmax else 0
+    if fix is None:
+        return None
     ops = count(max(terms, fix), terms + fix)
     if ops >= budget:
         return None

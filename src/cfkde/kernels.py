@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 from scipy.special import sici
 
 __all__ = [
@@ -437,6 +436,10 @@ def kernel_from_functions(
     does not converge numerically.  eval_fn and cf_fn take whole arrays where
     a probe shows that they can (_on_arrays).
     """
+    # imported here, its one user: at module level scipy.integrate would load
+    # scipy.optimize and scipy.linalg into every process that imports cfkde
+    from scipy import integrate
+
     cf = _on_arrays(cf_fn)
     mu1, _ = integrate.quad(lambda x: abs(x) * float(eval_fn(x)), -np.inf, np.inf, limit=400)
     mu2, _ = integrate.quad(lambda x: x * x * float(eval_fn(x)), -np.inf, np.inf, limit=400)

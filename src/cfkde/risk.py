@@ -42,9 +42,9 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import digamma
 
-from .charfun import DensityModel, Sample
-from .estimator import estimate_on_grid
-from .kernels import KernelModel, make_builtin
+from .charfun import _W12, _X12, DensityModel, Sample
+from .estimator import _check_h, estimate_on_grid
+from .kernels import KernelModel
 
 __all__ = [
     "RISK_RTOL",
@@ -55,7 +55,6 @@ __all__ = [
     "certified_cutoff",
     "integrated_sq_bias",
     "exact_mise",
-    "sinc_exact_mise",
     "exact_bias",
     "exact_mse",
     "mc_mise",
@@ -70,7 +69,6 @@ _WORK = 1 << 23
 _CHUNK = 1 << 15
 _EPS = np.finfo(float).eps
 
-_X12, _W12 = np.polynomial.legendre.leggauss(12)
 _X24, _W24 = np.polynomial.legendre.leggauss(24)
 _NODES = np.concatenate((_X12, _X24))
 _PER_PANEL = _NODES.size
@@ -102,7 +100,9 @@ class Quadrature(NamedTuple):
 
 
 def _degraded(value, quad_error):
-    return quad_error > 1e-6 * np.maximum(1.0, np.abs(value))
+    # a value or an error that is not finite is never trusted
+    finite = np.isfinite(value) & np.isfinite(quad_error)
+    return ~finite | (quad_error > 1e-6 * np.maximum(1.0, np.abs(value)))
 
 
 def panel_edges(lo: float, hi: float, omega: float,
@@ -532,8 +532,7 @@ def integrated_sq_bias(density: DensityModel, kernel: KernelModel,
     Parseval moves the integral to the transform side, where it is
     damped by |f|^2:  (2 pi)^(-1) int |f(t)|^2 |1 - phi(h t)|^2 dt.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    _check_h(h)
     r = _sq_integrals(density, kernel, h, variance=False)
     value, quad_error, truncation = (float(v[0, 0]) / (2.0 * math.pi) for v in r[:3])
     return RiskReport(value=value, quad_error=quad_error, truncation=truncation,
@@ -549,8 +548,7 @@ def exact_mise(density: DensityModel, kernel: KernelModel, h: float,
     the kernel-only part of the variance enters exactly as
     int |phi(ht)|^2 dt = 2 pi R(K) / h.
     """
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    _check_h(h)
     if n < 1:
         raise ValueError("n must be at least 1")
     r = _sq_integrals(density, kernel, h)
@@ -564,11 +562,6 @@ def exact_mise(density: DensityModel, kernel: KernelModel, h: float,
                       truncation=float(r.truncation[0, 0]) / two_pi,
                       degraded=bool(_degraded(value, quad_error)),
                       cutoff=r.cutoff, nodes=r.nodes)
-
-
-def sinc_exact_mise(density: DensityModel, h: float, n: int) -> RiskReport:
-    """Exact mean integrated squared error for the sinc kernel, closed form."""
-    return exact_mise(density, make_builtin("sinc"), h, n)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +640,7 @@ def _abs_bias_factor(density: DensityModel, kernel: KernelModel,
 
 def _pointwise_points(density: DensityModel, h: float, x) -> np.ndarray:
     """The points x as a flat array, once h and the density are checked."""
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    _check_h(h)
     if density.cf_abs_tail is None:
         raise ValueError(
             "density %r lacks an integrable transform; pointwise bias is "

@@ -9,7 +9,8 @@ bandwidth grid, estimating the unknown squared transform modulus either by the
 unbiased statistic (n |f_n|^2 - 1)/(n - 1) or by a normal parametric model.
 The unbiased criterion (UCV) is computed exactly by the cheaper of two
 routes: on the transform side from the empirical characteristic function on
-Gauss-Legendre panels, in O(n sqrt(panels) + n panels/16) operations, or on
+the Gauss-Legendre panels of charfun.ecf_panel_sums, the panel layer the
+sinc estimate also uses, in O(n sqrt(panels) + n panels/16) operations, or on
 the data side from the pairs of points within the kernel's reach, each pair
 once for the whole grid when K and K*K are polynomials on their supports.
 
@@ -25,8 +26,8 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import SPECS, _power_minimum, amise_conventional
-from .charfun import (_BLOCK, Sample, ecf_sq_unbiased, ecf_sq_unbiased_panels,
-                      make_density)
+from .charfun import (_BLOCK, _W12, _X12, Sample, _ecf_panel_ops, ecf_panel_sums,
+                      ecf_sq_unbiased, make_density)
 from .estimator import _window
 from .kernels import KernelModel, make_builtin
 from .risk import _sq_integrals, certified_cutoff
@@ -55,7 +56,6 @@ _MOMENT_OPS = 2
 # Pairs per bin sum of the moment form.  np.bincount adds in sequence: on
 # 2000 tied values one sum per bin was off by 7e-13 of max|curve|.
 _MOMENT_CHUNK = 1 << 10
-_X12, _W12 = np.polynomial.legendre.leggauss(12)
 _NODES = _X12.size
 # Most panels a transform plan may count: its per-h counts are int64.
 _MAX_PANELS = float(np.iinfo(np.int64).max // _NODES)
@@ -291,9 +291,10 @@ def _transform_plan(x: np.ndarray, k: KernelModel,
     full = np.floor(stops) if band_limited else np.ceil(stops)
     full = np.minimum(full, panels).astype(int)
     partial = grid.size if band_limited else 0
-    nodes = _NODES * (panels + partial)
-    ops = (2 * x.size * (2 * math.sqrt(panels) + _NODES * (1 + partial))
-           + _NODES * (int(full.sum()) + partial) + nodes * x.size / 16)
+    # the panel sums, cos and sin and the products of the partial panels,
+    # and the phi evaluations
+    ops = (_ecf_panel_ops(x.size, panels) + _NODES * partial * x.size * (2 + 1 / 16)
+           + _NODES * (int(full.sum()) + partial))
     return _TransformPlan(u_cut, band_limited, width, panels, full, ops)
 
 
@@ -301,18 +302,16 @@ def _transform_curve(x: np.ndarray, k: KernelModel, grid: np.ndarray,
                      plan: _TransformPlan) -> np.ndarray:
     # (1/pi) int_0^{u_cut/h} qhat(t) (phi(ht)^2 - 2 phi(ht)) dt; the
     # h-independent delta-type term of the expanded square is dropped
-    sample = Sample(values=x)
-    half = 0.5 * plan.width
-    mids = (np.arange(plan.panels) + 0.5) * plan.width
-    t = (mids[:, None] + half * _X12).ravel()
-    qhat = ecf_sq_unbiased_panels(sample, plan.width, plan.panels, half * _X12)
-    wq = (half * _W12 * qhat).ravel()
+    n = x.size
+    t, w, re, im, _ = ecf_panel_sums(x, plan.width, plan.panels)
+    # the unbiased |f|^2 of ecf_sq_unbiased: n |f_n|^2 = |sum exp(i t x)|^2 / n
+    wq = w * (((re * re + im * im) / n - 1.0) / (n - 1.0))
     if plan.band_limited:
         ends = plan.u_cut / grid
         lo = plan.full * plan.width
         p_half = (0.5 * (ends - lo))[:, None]
         p_t = 0.5 * (ends + lo)[:, None] + p_half * _X12
-        p_wq = p_half * _W12 * ecf_sq_unbiased(sample, p_t.ravel()).reshape(p_t.shape)
+        p_wq = p_half * _W12 * ecf_sq_unbiased(Sample(values=x), p_t.ravel()).reshape(p_t.shape)
     else:
         p_t = p_wq = np.empty((grid.size, 0))
     out = np.empty(grid.size)

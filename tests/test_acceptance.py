@@ -16,7 +16,7 @@ from cfkde import bounds, selector
 from cfkde.charfun import as_sample, make_density
 from cfkde.estimator import estimate_on_grid, kde_eval, sinc_kde_fourier
 from cfkde.kernels import make_builtin
-from cfkde.risk import exact_mise, exact_mse, mc_mise, sinc_exact_mise
+from cfkde.risk import exact_mise, exact_mse, mc_mise
 
 GAUSS = make_builtin("gaussian")
 SINC = make_builtin("sinc")
@@ -99,12 +99,8 @@ def test_criterion_3_dominance_suite():
                     if not res.applicable:
                         continue
                     if res.kind == "mise":
-                        if k_used.is_sinc:
-                            exact = sinc_exact_mise(density, res.h_used,
-                                                    n).value
-                        else:
-                            exact = exact_mise(density, k_used, res.h_used,
-                                               n).value
+                        exact = exact_mise(density, k_used, res.h_used,
+                                           n).value
                     else:
                         exact = max(
                             exact_mse(density, k_used, res.h_used, n,
@@ -201,7 +197,7 @@ def test_criterion_5_spectrum_cutoff_machinery():
         # which is 2/(3 pi n) at the band edge h = 1
         n = 50
         for h in (1.0, 0.8):
-            got = sinc_exact_mise(FEJER, h, n).value
+            got = exact_mise(FEJER, SINC, h, n).value
             expected = (1.0 / h - 1.0 / 3.0) / (math.pi * n)
             assert abs(got - expected) <= 1e-9
             assert got <= 1.0 / (math.pi * n * h) + 1e-12

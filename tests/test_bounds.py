@@ -14,7 +14,7 @@ from cfkde import bounds
 from cfkde.charfun import make_density
 from cfkde.cli import main
 from cfkde.kernels import KernelModel, make_builtin
-from cfkde.risk import exact_mise, exact_mse, integrated_sq_bias, sinc_exact_mise
+from cfkde.risk import exact_mise, exact_mse, integrated_sq_bias
 
 GAUSS = make_builtin("gaussian")
 EPAN = make_builtin("epanechnikov")
@@ -165,7 +165,7 @@ def test_lemma5_mise_closed_form():
     res = bounds.bound("lemma5_mise", NORMAL, SINC, n, h=h)
     expected = (NORMAL.cf_sq_tail(1.0 / h) + 2.0 / (n * h)) / (2.0 * math.pi)
     assert res.bound == pytest.approx(expected, rel=1e-12)
-    assert res.bound >= sinc_exact_mise(NORMAL, h, n).value
+    assert res.bound >= exact_mise(NORMAL, SINC, h, n).value
 
 
 def test_lemma5_maxmse_values_and_gate():
@@ -310,7 +310,7 @@ def test_thm6_value_optimal_and_dominance():
     )
     assert res.optimal[0] == pytest.approx(1.0 / v, rel=1e-12)
     assert res.optimal[1] == pytest.approx(2.0 * v / (math.pi * 10.0), rel=1e-12)
-    assert res.bound >= sinc_exact_mise(UNIFORM, res.h_used, 100).value
+    assert res.bound >= exact_mise(UNIFORM, SINC, res.h_used, 100).value
 
 
 def test_thm6_unimodal_fallback():
@@ -331,7 +331,7 @@ def test_thm7_value_and_dominance():
         bracket * n ** (-0.8) / (2.0 * math.pi), rel=1e-12
     )
     assert res.h_used == pytest.approx(n ** -0.2, rel=1e-12)
-    assert res.bound >= sinc_exact_mise(NORMAL, res.h_used, n).value
+    assert res.bound >= exact_mise(NORMAL, SINC, res.h_used, n).value
 
 
 def test_thm8_smooth_maxmse_value():
@@ -365,7 +365,7 @@ def test_thm9_value_gate_and_dominance():
     assert res.bound == pytest.approx(expected, rel=1e-12)
     assert res.h_used == pytest.approx((log_n / gamma) ** (-1.0 / alpha),
                                        rel=1e-12)
-    assert res.bound >= sinc_exact_mise(NORMAL, res.h_used, n).value
+    assert res.bound >= exact_mise(NORMAL, SINC, res.h_used, n).value
     small = bounds.bound("thm9", NORMAL, SINC, 100, h0=1e-3)
     assert not small.applicable
     assert not bounds.bound("thm9", UNIFORM, SINC, 100, h0=1.0).applicable
@@ -388,7 +388,7 @@ def test_thm10_value_and_dominance():
 def test_thm11_band_limited_both_kinds():
     res = bounds.bound("thm11", FEJER, SINC, 100, h=1.0)
     assert res.bound == pytest.approx(1.0 / (math.pi * 100.0), rel=1e-12)
-    assert res.bound >= sinc_exact_mise(FEJER, 1.0, 100).value
+    assert res.bound >= exact_mise(FEJER, SINC, 1.0, 100).value
     sup_res = bounds.bound("thm11_maxmse", FEJER, SINC, 100, h=1.0)
     assert sup_res.bound == pytest.approx(2.0 / (math.pi ** 2 * 100.0),
                                           rel=1e-12)
@@ -404,7 +404,7 @@ def test_thm11_fixed_bandwidth_consistency():
     prev_bound, prev_exact = math.inf, math.inf
     for n in (10 ** 2, 10 ** 4, 10 ** 6):
         res = bounds.bound("thm11", FEJER, SINC, n, h=1.0)
-        exact = sinc_exact_mise(FEJER, 1.0, n).value
+        exact = exact_mise(FEJER, SINC, 1.0, n).value
         assert res.bound >= exact
         assert res.bound < prev_bound and exact < prev_exact
         prev_bound, prev_exact = res.bound, exact

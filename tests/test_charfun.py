@@ -16,7 +16,7 @@ from cfkde.charfun import (
     cf_envelope,
     ecf,
     ecf_sq_unbiased,
-    ecf_sq_unbiased_panels,
+    ecf_panel_sums,
     make_density,
     one_minus_cf_bound,
 )
@@ -427,11 +427,19 @@ def test_ecf_sq_unbiased_panels_matches_pointwise():
     rng = np.random.default_rng(4)
     s = as_sample(1e5 + rng.normal(size=5000))
     width, panels = 0.37, 23
-    offsets = 0.5 * width * np.polynomial.legendre.leggauss(12)[0]
-    got = ecf_sq_unbiased_panels(s, width, panels, offsets)
-    t = (np.arange(panels) + 0.5)[:, None] * width + offsets
-    assert got.shape == (panels, 12)
-    assert_allclose(got, ecf_sq_unbiased(s, t.ravel()).reshape(t.shape), atol=1e-13)
+    t, w, re, im, center = ecf_panel_sums(s.values, width, panels)
+    x12, w12 = np.polynomial.legendre.leggauss(12)
+    want = (np.arange(panels) + 0.5)[:, None] * width + 0.5 * width * x12
+    assert_allclose(t, want.ravel(), rtol=1e-15)
+    assert_allclose(w, np.tile(0.5 * width * w12, panels), rtol=1e-15)
+    assert center == 0.5 * (s.values[0] + s.values[-1])
+    n = s.n
+    got = ((re * re + im * im) / n - 1.0) / (n - 1.0)
+    assert got.shape == (panels * 12,)
+    assert_allclose(got, ecf_sq_unbiased(s, t), atol=1e-13)
+    # the sums are those of the centred values
+    fn = ecf(as_sample(s.values - center), t[[0, 100, -1]])
+    assert_allclose(re[[0, 100, -1]] + 1j * im[[0, 100, -1]], n * fn, atol=1e-10)
 
 
 def test_ecf_sq_unbiased_is_unbiased():

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -680,3 +682,26 @@ def test_estimate_accepts_its_default_grid_far_from_zero(tmp_path, centre):
     assert main(["estimate", "--input", inp, "--method", "rot-normal", "--output", out]) == 0
     meta = _read_json(str(tmp_path / "far-est.json"))
     assert meta["n"] == 1000 and abs(meta["mass"] - 1.0) < 1e-6
+
+
+def test_estimate_and_select_load_no_scipy_integrate(tmp_path):
+    # scipy.integrate loads scipy.optimize and scipy.linalg; only
+    # kernels.kernel_from_functions needs it, so the CLI's jobs leave it out
+    inp = _write_sample(tmp_path / "s.csv", np.random.default_rng(7).normal(size=300))
+    script = (
+        "import sys\n"
+        "import cfkde.cli\n"
+        "inp, out = sys.argv[1], sys.argv[2]\n"
+        "assert cfkde.cli.main(['estimate', '--input', inp, '--h', '0.3', "
+        "'--output', out + '.csv']) == 0\n"
+        "assert cfkde.cli.main(['select', '--input', inp, '--method', 'ucv', "
+        "'--output', out + '.json']) == 0\n"
+        "print('loaded:', *(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'integrate'], ['scipy', 'optimize'])))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", script, inp, str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.splitlines()[-1] == "loaded:"

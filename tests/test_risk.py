@@ -15,6 +15,7 @@ from cfkde.kernels import _polynomial_kernel, kernel_from_functions, make_builti
 from cfkde.risk import (
     RISK_RTOL,
     _WORK,
+    _degraded,
     _expint,
     _sq_integrals,
     certified_cutoff,
@@ -23,10 +24,10 @@ from cfkde.risk import (
     exact_mse,
     integrated_sq_bias,
     mc_mise,
-    sinc_exact_mise,
 )
 
 SQRT_PI = math.sqrt(math.pi)
+SINC = make_builtin("sinc")
 
 
 def normal_gaussian_mise(sigma: float, h: float, n: int) -> float:
@@ -81,12 +82,12 @@ def test_exact_mise_decreases_in_n():
 def test_sinc_exact_mise_fejer_pinned():
     f = make_density("fejer")
     n = 100
-    assert_allclose(sinc_exact_mise(f, 1.0, n).value, 2.0 / (3.0 * math.pi * n),
+    assert_allclose(exact_mise(f, SINC, 1.0, n).value, 2.0 / (3.0 * math.pi * n),
                     rtol=1e-12)
-    assert_allclose(sinc_exact_mise(f, 0.8, n).value, 11.0 / (12.0 * math.pi * n),
+    assert_allclose(exact_mise(f, SINC, 0.8, n).value, 11.0 / (12.0 * math.pi * n),
                     rtol=1e-12)
     for h in (1.0, 0.8):
-        assert sinc_exact_mise(f, h, n).value <= 1.0 / (math.pi * n * h) + 1e-15
+        assert exact_mise(f, SINC, h, n).value <= 1.0 / (math.pi * n * h) + 1e-15
 
 
 def test_sinc_mise_generic_path_matches_closed_form():
@@ -106,7 +107,7 @@ def test_sinc_mise_optimal_band_for_bandlimited():
     # once 1/h reaches the transform support the bias vanishes and the
     # risk is purely the variance term
     f = make_density("fejer")
-    rep = sinc_exact_mise(f, 0.5, 50)
+    rep = exact_mise(f, SINC, 0.5, 50)
     head = f.cf_sq_tail(0.0)
     assert_allclose(rep.value, (2.0 / 0.5 - head) / (2.0 * math.pi * 50),
                     rtol=1e-12)
@@ -749,3 +750,25 @@ def test_certified_cutoff_crossing_between_the_last_rung_and_limit():
     cert, calls = _counted(lambda T: 1.0 / T)
     T = certified_cutoff(cert, 1.0 / 290.0, start=1.0, limit=300.0)
     assert 290.0 <= T <= 1.01 * 290.0 and len(calls) == 2
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, -math.inf])
+def test_risk_entry_points_reject_non_finite_h(h):
+    # no risk is defined there: an infinite h makes the MISE NaN, a NaN h
+    # fails inside the quadrature without saying why
+    d, g = make_density("normal"), make_builtin("gaussian")
+    for call in (lambda: exact_mise(d, g, h, 100), lambda: integrated_sq_bias(d, g, h),
+                 lambda: exact_mise(d, SINC, h, 100), lambda: exact_bias(d, g, h, 0.0),
+                 lambda: exact_mse(d, g, h, 100, [0.0, 1.0])):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            call()
+
+
+def test_non_finite_value_or_error_is_degraded():
+    assert not _degraded(1.0, 1e-12)
+    assert _degraded(math.nan, 0.0)
+    assert _degraded(1.0, math.nan)
+    assert _degraded(math.inf, 0.0)
+    assert _degraded(1.0, math.inf)
+    got = _degraded(np.array([1.0, math.nan, 2.0, 3.0]), np.array([0.0, 0.0, math.inf, 1e-3]))
+    assert got.tolist() == [False, True, True, True]
