@@ -12,11 +12,11 @@ hypotheses (the kernel's first), the bandwidth recipe
                 certificate (alpha, gamma, B)
 
 and the bound: either the power form (c1 h0^p + c2/h0) n^(-p/(p+1)) / divisor,
-whose closed-form minimizer over h0 is attached, or a value function.  The
-constants come from kernel functionals (mu1, mu2, roughness, A(K)) and
-Fourier-side density constants (derivative variations V_m, sup bound a,
-supersmooth certificate, band limit).  ``bound`` evaluates one spec and
-records which hypotheses were machine-checked; an unsatisfied hypothesis
+whose closed-form minimum over h0 BoundSpec.minimum returns, or a value
+function.  The constants come from kernel functionals (mu1, mu2, roughness,
+A(K)) and Fourier-side density constants (derivative variations V_m, sup
+bound a, supersmooth certificate, band limit).  ``bound`` evaluates one spec
+and records which hypotheses were machine-checked; an unsatisfied hypothesis
 yields an inapplicable result rather than an error, so bound tables over
 (bound x density) grids, ``bound_table``, can render gaps honestly.
 """
@@ -108,26 +108,38 @@ class BoundSpec:
     value: Optional[Callable[[_Case], float]] = None
     rate: Optional[float] = None
 
-    def power_form(self, kernel: Optional[KernelModel], v: float,
-                   a: Optional[float] = None,
-                   m: Optional[int] = None) -> Tuple[float, float, float, float]:
-        """(c1, c2, p, rate) of the power form for the constants v and a.
+    def minimum(self, kernel: Optional[KernelModel], v: float, a: Optional[float] = None,
+                m: Optional[int] = None) -> Tuple[float, float, float]:
+        """(h0*, minimum / divisor, rate) of the power form for v, a and m.
 
-        Raises ValueError naming the first kernel hypothesis that fails.
+        Raises ValueError naming the first kernel hypothesis that fails, and
+        where the coefficients or their minimum are not finite and positive.
         """
         for name, ok in self.kernel_hypotheses:
             if kernel is None or not ok(kernel):
                 raise ValueError("%s needs a kernel that satisfies %s"
                                  % (self.theorem_id, name))
-        c1, c2 = self.coefficients(kernel, v, a, m)
-        p = self.p(m)
-        return c1, c2, p, p / (p + 1.0)
+        try:
+            p = self.p(m)
+            h_star, value = _power_minimum(*self.coefficients(kernel, v, a, m), p)
+        except (OverflowError, ValueError) as exc:
+            raise ValueError("%s has no finite positive minimum at v=%r, a=%r, m=%r"
+                             % (self.theorem_id, v, a, m)) from exc
+        return h_star, value / self.divisor, p / (p + 1.0)
 
 
 def _power_minimum(c1: float, c2: float, p: float) -> Tuple[float, float]:
-    """Minimize c1 * h^p + c2 / h over h > 0, in closed form."""
-    h_star = (c2 / (p * c1)) ** (1.0 / (p + 1.0))
-    return h_star, c1 * h_star ** p + c2 / h_star
+    """Minimize c1 h^p + c2/h over h > 0 in closed form; raises ValueError
+    unless c1, c2, the minimizer and the minimum are finite and positive."""
+    try:
+        h_star = (c2 / (p * c1)) ** (1.0 / (p + 1.0))
+        value = c1 * h_star ** p + c2 / h_star
+    except (OverflowError, ZeroDivisionError):
+        h_star = value = math.nan
+    if not all(math.isfinite(x) and x > 0.0 for x in (c1, c2, h_star, value)):
+        raise ValueError("c1 h^%g + c2/h has no finite positive minimum at c1=%r, c2=%r"
+                         % (p, c1, c2))
+    return h_star, value
 
 
 def _log_n(n: int) -> float:
@@ -354,8 +366,8 @@ def amise_conventional(density: DensityModel, kernel: KernelModel,
                        n: int) -> Tuple[float, float]:
     """Classical asymptotic-MISE bandwidth and value for a smooth target.
 
-    h     = { R(K)/mu2^2 }^(1/5) R(p'')^(-1/5) n^(-1/5)
-    amise = (5/4) { mu2^2 R(K)^4 }^(1/5) R(p'')^(1/5) n^(-4/5)
+    The AMISE R(K)/(n h) + mu2^2 R(p'') h^4/4 at h = h0 n^(-1/5) is the
+    power form (c1 h0^4 + c2/h0) n^(-4/5), c1 = mu2^2 R(p'')/4, c2 = R(K).
 
     R(p'') is integrated from the model's analytic second derivative over
     its support_hint, on Gauss-Legendre panels (risk.gauss_panels);
@@ -384,8 +396,5 @@ def amise_conventional(density: DensityModel, kernel: KernelModel,
             "R(p'') of density %r is not resolved: error estimate %.3g "
             "for the value %.6g" % (density.name, err, rpp)
         )
-    h = ((kernel.roughness / kernel.mu2 ** 2) ** 0.2 * rpp ** -0.2
-         * n ** -0.2)
-    value = (1.25 * (kernel.mu2 ** 2 * kernel.roughness ** 4) ** 0.2
-             * rpp ** 0.2 * n ** -0.8)
-    return float(h), float(value)
+    h0, value = _power_minimum(kernel.mu2 ** 2 * rpp / 4.0, kernel.roughness, 4.0)
+    return h0 * n ** -0.2, value * n ** -0.8

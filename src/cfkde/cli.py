@@ -415,8 +415,6 @@ def _select_bandwidth(cfg: RunConfig, sample, kernel: KernelModel) -> SelectorRe
     if cfg.method == "mise-thm1":
         return bound_rule("mise_thm1", cfg.v2, kernel, sample.n)
     if cfg.method == "maxmse-thm3":
-        if cfg.v3 is None or cfg.a is None:
-            raise ValueError("maxmse-thm3 needs --v3 and --a")
         return bound_rule("maxmse_thm3", (cfg.v3, cfg.a), kernel, sample.n)
     raise ValueError("unknown method: %r" % (cfg.method,))
 

@@ -59,7 +59,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .charfun import _BLOCK, _EPS, _X12, Sample, _ecf_panel_ops, ecf_panel_sums
-from .kernels import KernelModel, make_builtin
+from .kernels import KernelModel, _check_h, make_builtin
 
 __all__ = [
     "EstimateGrid",
@@ -122,11 +122,6 @@ class EstimateGrid:
     @property
     def mass(self) -> float:
         return float(np.trapezoid(self.ys, self.xs))
-
-
-def _check_h(h: float) -> None:
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("bandwidth must be positive and finite, got %r" % (h,))
 
 
 def _check_uniform(xs: np.ndarray) -> float:
@@ -445,22 +440,19 @@ def estimate_on_grid(
     return est
 
 
-def _clipped_mass(ys: np.ndarray, xs: np.ndarray, xi: float) -> float:
-    return float(np.trapezoid(np.maximum(ys - xi, 0.0), xs))
-
-
 def correct_to_density(est: EstimateGrid) -> EstimateGrid:
     """Clip the curve at the level xi that restores unit grid mass.
 
-    The clipped-mass map xi -> int max(y - xi, 0) is continuous and
-    decreasing, so the level is found by bisection.  A curve whose grid
-    mass is already below one cannot be repaired by clipping and raises
-    CorrectionInfeasibleError.
+    The clipped trapezoid mass sum w max(y - xi, 0) is S_k - xi W_k while xi
+    lies between the k-th and (k+1)-th largest y, with S_k = sum w y and
+    W_k = sum w over the k largest; xi = (S_k - 1)/W_k on the segment where
+    it crosses one.  A curve whose grid mass is already below one cannot be
+    repaired by clipping and raises CorrectionInfeasibleError.
     """
     xs = np.asarray(est.xs, dtype=float)
     ys = np.asarray(est.ys, dtype=float)
     _check_uniform(xs)
-    excess = _clipped_mass(ys, xs, 0.0) - 1.0
+    excess = float(np.trapezoid(np.maximum(ys, 0.0), xs)) - 1.0
     if abs(excess) <= _MASS_TOL:
         return replace(est, xs=xs, ys=np.maximum(ys, 0.0), corrected=True, xi=0.0)
     if excess < 0.0:
@@ -468,17 +460,11 @@ def correct_to_density(est: EstimateGrid) -> EstimateGrid:
             "grid mass %.6f is below 1; widen the grid or decrease h"
             % (excess + 1.0)
         )
-    lo, hi = 0.0, float(np.max(ys))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = _clipped_mass(ys, xs, mid) - 1.0
-        if abs(m) <= _MASS_TOL:
-            lo = hi = mid
-            break
-        if m > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    xi = 0.5 * (lo + hi)
+    order = np.argsort(ys)[::-1]
+    y, w = ys[order], np.convolve(np.diff(xs), [0.5, 0.5])[order]
+    s_k, w_k = np.cumsum(w * y), np.cumsum(w)
+    # the mass at xi = y_k grows with k, and is below one while y_k > xi
+    k = int(np.searchsorted(s_k - y * w_k, 1.0))
+    xi = (s_k[k - 1] - 1.0) / w_k[k - 1]
     return replace(est, xs=xs, ys=np.maximum(ys - xi, 0.0), corrected=True,
                    xi=float(xi))

@@ -116,6 +116,11 @@ class KernelModel:
     sq_tail_terms: Optional[Tuple[float, Tuple[Tuple[complex, float, int], ...]]] = None
 
 
+def _check_h(h: float) -> None:
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("bandwidth must be positive and finite, got %r" % (h,))
+
+
 def scaled_eval(kernel: KernelModel, h: float, x):
     """Evaluate the rescaled kernel K_h(x) = K(x / h) / h.
 
@@ -123,15 +128,14 @@ def scaled_eval(kernel: KernelModel, h: float, x):
     ----------
     kernel : KernelModel
     h : float
-        Bandwidth, must be positive.
+        Bandwidth, must be positive and finite.
     x : array_like
 
     Returns
     -------
     ndarray or float
     """
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive, got %r" % (h,))
+    _check_h(h)
     x = np.asarray(x, dtype=float)
     return kernel.eval(x / h) / h
 

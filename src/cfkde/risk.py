@@ -43,8 +43,8 @@ import numpy as np
 from scipy.special import digamma
 
 from .charfun import _W12, _X12, DensityModel, Sample
-from .estimator import _check_h, estimate_on_grid
-from .kernels import KernelModel
+from .estimator import estimate_on_grid
+from .kernels import KernelModel, _check_h
 
 __all__ = [
     "RISK_RTOL",

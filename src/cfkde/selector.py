@@ -3,8 +3,9 @@
 Three families of selectors are provided. ``rule_of_thumb_normal`` rescales
 the asymptotically optimal bandwidth for a unit normal target by an estimated
 scale. ``bound_rule`` turns the closed-form minimizers of the finite-sample
-risk bounds into plug-in bandwidth rules driven by user-supplied derivative
-constants. ``cv_bandwidth`` minimizes a transform-side risk criterion over a
+risk bounds, which each bound's spec owns (bounds.BoundSpec.minimum), into
+plug-in bandwidth rules driven by user-supplied derivative constants.
+``cv_bandwidth`` minimizes a transform-side risk criterion over a
 bandwidth grid, estimating the unknown squared transform modulus either by the
 unbiased statistic (n |f_n|^2 - 1)/(n - 1) or by a normal parametric model.
 The unbiased criterion (UCV) is computed exactly by the cheaper of two
@@ -16,6 +17,8 @@ once for the whole grid when K and K*K are polynomials on their supports.
 
 ``plan_sample_size`` inverts a minimized risk bound: given a target accuracy
 it returns the smallest sample size whose certified bound falls below it.
+The bound rules and the planner read the caller's constants through one
+check, each finite and positive.
 """
 
 import dataclasses
@@ -25,7 +28,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import SPECS, _power_minimum, amise_conventional
+from .bounds import SPECS, BoundSpec, amise_conventional
 from .charfun import (_BLOCK, _W12, _X12, Sample, _ecf_panel_ops, ecf_panel_sums,
                       ecf_sq_unbiased, make_density)
 from .estimator import _window
@@ -130,6 +133,12 @@ class PlanRequest:
     regime: Optional[str] = None
 
 
+def _check_scale(sigma_hat: float, floor: float = 0.0) -> None:
+    if not (math.isfinite(sigma_hat) and sigma_hat > floor):
+        raise ValueError("sigma_hat must be finite and exceed %g, not %r"
+                         % (floor, sigma_hat))
+
+
 def rule_of_thumb_normal(sigma_hat: float, n: int) -> SelectorResult:
     """Normal-reference bandwidth rule for the gaussian kernel.
 
@@ -148,8 +157,7 @@ def rule_of_thumb_normal(sigma_hat: float, n: int) -> SelectorResult:
     -------
     SelectorResult
     """
-    if not sigma_hat > 0.0:
-        raise ValueError("sigma_hat must be positive")
+    _check_scale(sigma_hat)
     if n < 1:
         raise ValueError("n must be at least 1")
     kernel = make_builtin("gaussian")
@@ -190,30 +198,23 @@ def bound_rule(kind: str, constants, k: KernelModel, n: int) -> SelectorResult:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if kind == "mise_thm1":
-        if constants is None:
-            raise ValueError("mise_thm1 needs the constant v2")
-        v2 = float(constants[0]) if isinstance(constants, (tuple, list)) \
-            else float(constants)
-        if not v2 > 0.0:
-            raise ValueError("v2 must be positive")
-        c1, c2, p, _ = SPECS["thm1"].power_form(k, v2)
-        meta = {"n": n, "kernel": k.name, "v2": v2}
-    elif kind == "maxmse_thm3":
-        if not isinstance(constants, (tuple, list)) or len(constants) != 2:
-            raise ValueError("maxmse_thm3 needs the pair (v3, a)")
-        v3, a = float(constants[0]), float(constants[1])
-        if not (v3 > 0.0 and a > 0.0):
-            raise ValueError("v3 and a must be positive")
-        c1, c2, p, _ = SPECS["thm3"].power_form(k, v3, a)
-        # the transform-integral factor enters here without its 1/(2 pi)
-        # normalization, matching the published plug-in recipe
-        c2 *= 2.0 * math.pi
-        meta = {"n": n, "kernel": k.name, "v3": v3, "a": a}
-    else:
+    if kind not in _RULES:
         raise ValueError("unknown bound rule kind: %r" % (kind,))
-    h0 = _power_minimum(c1, c2, p)[0]
-    meta["h0"] = h0
+    target, names = _RULES[kind]
+    if not isinstance(constants, (tuple, list)):
+        constants = (constants,)
+    if len(constants) != len(names):
+        raise ValueError("%s needs the constants (%s)" % (kind, ", ".join(names)))
+    spec = SPECS[_PLAN_SPECS[target, None]]
+    v, a, _ = _spec_constants(spec, **dict(zip(names, constants)))
+    h0 = spec.minimum(k, v, a)[0]
+    p = spec.p(None)
+    if kind == "maxmse_thm3":
+        # the transform-integral factor enters here without its 1/(2 pi)
+        # normalization, matching the published plug-in recipe: the
+        # minimizer of c1 h^p + 2 pi c2/h
+        h0 *= (2.0 * math.pi) ** (1.0 / (p + 1.0))
+    meta = {"n": n, "kernel": k.name, **dict(zip(names, (v, a))), "h0": h0}
     # the recipe of both bounds, h_n = h0 n^(-1/(p+1))
     h = h0 * n ** (-1.0 / (p + 1.0))
     return SelectorResult(method=kind, h=h, criterion_curve=None,
@@ -222,8 +223,7 @@ def bound_rule(kind: str, constants, k: KernelModel, n: int) -> SelectorResult:
 
 def default_h_grid(sigma_hat: float, n: int, size: int = 60) -> np.ndarray:
     """Log-spaced bandwidth grid spanning [0.05, 3] times the n^(-1/5) scale."""
-    if not sigma_hat > 0.0:
-        raise ValueError("sigma_hat must be positive")
+    _check_scale(sigma_hat)
     scale = sigma_hat * n ** -0.2
     return np.geomspace(0.05 * scale, 3.0 * scale, size)
 
@@ -541,8 +541,7 @@ def cv_bandwidth(s: Sample, k: KernelModel,
         method = "ucv"
     else:
         scale = sigma if sigma_hat is None else float(sigma_hat)
-        if not scale > scale_floor:
-            raise ValueError("parametric model needs a positive scale")
+        _check_scale(scale, scale_floor)
         curve = _parametric_curve(scale, k, grid, n)
         method = "cv_parametric"
         extra = {"sigma_hat": scale}
@@ -555,13 +554,35 @@ def cv_bandwidth(s: Sample, k: KernelModel,
                           criterion_curve=pairs, metadata=meta)
 
 
-def _positive(x: Optional[float]) -> bool:
-    return x is not None and x > 0.0
-
-
-# the bound whose minimum over h0 certifies each (target, regime)
+# the bound whose minimum over h0 certifies each (target, regime), and the
+# target and constants of each bound rule
 _PLAN_SPECS = {("mise", None): "thm1", ("max_mse", None): "thm3",
                ("mise", "nonsmooth"): "thm6", ("mise", "smooth"): "thm7"}
+_RULES = {"mise_thm1": ("mise", ("v2",)), "maxmse_thm3": ("max_mse", ("v3", "a"))}
+
+
+def _spec_constants(spec: BoundSpec, v2=None, v3=None, a=None, variation=None,
+                    vm=None, m=None) -> Tuple[float, Optional[float], Optional[int]]:
+    # the (v, a, m) that spec reads from the caller's constants, by the order
+    # of its variation: V2, V3 with a, V (or 2a for a unimodal density
+    # bounded by a) or V_m with m >= 1; each must be finite and positive
+    def need(name, value):
+        if value is None or not (math.isfinite(value) and value > 0.0):
+            raise ValueError("%s needs the constant %s, finite and positive, not %r"
+                             % (spec.theorem_id, name, value))
+        return float(value)
+
+    if spec.order == 2:
+        return need("v2", v2), None, None
+    if spec.order == 3:
+        return need("v3", v3), need("a", a), None
+    if spec.order == 0:
+        if variation is None and a is not None:
+            return 2.0 * need("a", a), None, None
+        return need("variation", variation), None, None
+    if m is None or m < 1:
+        raise ValueError("%s needs an order m >= 1" % spec.theorem_id)
+    return need("vm", vm), None, m
 
 
 def plan_bound_constant(req: PlanRequest,
@@ -581,44 +602,14 @@ def plan_bound_constant(req: PlanRequest,
     -------
     (float, float)
     """
-    if req.target not in ("mise", "max_mse"):
-        raise ValueError("unknown target: %r" % (req.target,))
+    if (req.target, req.regime) not in _PLAN_SPECS:
+        raise ValueError("no route certifies the target %r under the regime %r"
+                         % (req.target, req.regime))
     if not req.epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-
-    a = m = None
-    if req.regime is None:
-        if k is None:
-            raise ValueError("conventional planning needs a kernel")
-        if req.target == "mise":
-            if not _positive(req.v2):
-                raise ValueError("mise planning needs the constant v2")
-            v = req.v2
-        else:
-            if not (_positive(req.v3) and _positive(req.a)):
-                raise ValueError("max_mse planning needs the pair (v3, a)")
-            v, a = req.v3, req.a
-    elif req.regime in ("nonsmooth", "smooth"):
-        if req.target != "mise":
-            raise ValueError("the %s route certifies mise only" % req.regime)
-        if req.regime == "smooth":
-            if req.m is None or req.m < 1:
-                raise ValueError("smooth planning needs m >= 1")
-            if not _positive(req.vm):
-                raise ValueError("smooth planning needs the constant vm")
-            v, m = req.vm, req.m
-        elif _positive(req.variation):
-            v = req.variation
-        elif _positive(req.a):
-            # a unimodal density bounded by a has total variation 2a
-            v = 2.0 * req.a
-        else:
-            raise ValueError("nonsmooth planning needs variation or a")
-    else:
-        raise ValueError("unknown regime: %r" % (req.regime,))
     spec = SPECS[_PLAN_SPECS[req.target, req.regime]]
-    c1, c2, p, rate = spec.power_form(k, v, a, m)
-    return _power_minimum(c1, c2, p)[1] / spec.divisor, rate
+    v, a, m = _spec_constants(spec, req.v2, req.v3, req.a, req.variation, req.vm, req.m)
+    return spec.minimum(k, v, a, m)[1:]
 
 
 def plan_sample_size(req: PlanRequest,
@@ -639,7 +630,15 @@ def plan_sample_size(req: PlanRequest,
     c, r = plan_bound_constant(req, k)
     if c <= req.epsilon:
         return 1
-    n0 = max(1, math.ceil((c / req.epsilon) ** (1.0 / r)))
+    try:
+        n0 = max(1, math.ceil((c / req.epsilon) ** (1.0 / r)))
+    except OverflowError:
+        n0 = math.inf
+    if n0 > 2 ** 53:
+        # the loops below step n0 by one, which a float stops telling
+        # apart past 2^53
+        raise ValueError("epsilon %r needs more samples than a float counts exactly"
+                         % (req.epsilon,))
     while c * n0 ** -r > req.epsilon:
         n0 += 1
     while n0 > 1 and c * (n0 - 1.0) ** -r <= req.epsilon:

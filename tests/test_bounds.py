@@ -497,6 +497,37 @@ def test_corollary_matches_numeric_minimization(theorem_id, param):
     assert res.bound >= res.optimal[1] - 1e-15
 
 
+def test_power_minimum_sweep():
+    # the stationarity condition p c1 h*^(p+1) = c2, and no smaller value
+    # on either side of h*, over two hundred decades of coefficients
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        c1, c2 = 10.0 ** rng.uniform(-100.0, 100.0, 2)
+        p = float(rng.choice([1.0, 2.0, 4.0, 6.0]))
+        h_star, value = bounds._power_minimum(c1, c2, p)
+        assert p * c1 * h_star ** (p + 1.0) == pytest.approx(c2, rel=1e-12)
+        for h in (h_star * (1.0 - 1e-3), h_star * (1.0 + 1e-3)):
+            assert value <= c1 * h ** p + c2 / h
+
+
+@pytest.mark.parametrize("c1, c2", [
+    (0.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+    (1.0, math.nan), (-1.0, 1.0), (1e-300, 1e300)])
+def test_power_minimum_rejects_what_has_no_finite_positive_minimum(c1, c2):
+    # 0 divides by zero, and 1e-300 against 1e300 puts h* at inf
+    with pytest.raises(ValueError, match="no finite positive minimum"):
+        bounds._power_minimum(c1, c2, 4.0)
+
+
+def test_spec_minimum_names_its_inputs_where_the_coefficients_overflow():
+    # V_2^(5/3) overflows as a Python float for thm7 at m = 2
+    with pytest.raises(ValueError, match="thm7 has no finite positive minimum at v=1e"):
+        bounds.SPECS["thm7"].minimum(None, 1e308, m=2)
+    h0, value, rate = bounds.SPECS["thm1"].minimum(GAUSS, NORMAL.variation[2])
+    res = bounds.bound("thm1", NORMAL, GAUSS, 1, h0=1.0)
+    assert (h0, value, rate) == (res.optimal[0], res.optimal[1], res.rate)
+
+
 # ---------------------------------------------------------------------------
 # rate structure
 

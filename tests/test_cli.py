@@ -375,6 +375,38 @@ def test_plan_missing_constants_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, word", (
+    # each ended in a ZeroDivisionError or OverflowError traceback and exit 1
+    (["select", "--method", "mise-thm1", "--v2", "inf"], "v2"),
+    (["select", "--method", "mise-thm1", "--v2", "1e-320"], "v=1e-320"),
+    (["select", "--method", "maxmse-thm3", "--v3", "inf", "--a", "1"], "v3"),
+    (["plan", "--target", "mise", "--eps", "0.01", "--v2", "inf"], "v2"),
+    (["plan", "--target", "mise", "--eps", "1e-300", "--v2", "1"], "samples"),
+    (["plan", "--target", "mise", "--eps", "0.01", "--regime", "nonsmooth",
+      "--variation", "inf"], "variation"),
+    (["plan", "--target", "mise", "--eps", "1e-300", "--regime", "nonsmooth",
+      "--variation", "2"], "samples"),
+    (["plan", "--target", "mise", "--eps", "0.01", "--regime", "smooth", "--m", "2",
+      "--vm", "1e308"], "v=1e+308"),
+    (["plan", "--target", "mise", "--eps", "0.01", "--regime", "smooth",
+      "--m", "1" + "0" * 400, "--vm", "1"], "thm7"),
+    (["select", "--method", "ucv", "--q-estimator", "parametric", "--sigma-hat", "inf"],
+     "sigma_hat"),
+    # exited 2 already, but said "cannot convert float NaN to integer"
+    (["plan", "--target", "max_mse", "--eps", "0.01", "--v3", "1", "--a", "inf"],
+     "constant a,"),
+))
+def test_select_and_plan_constants_not_finite_and_positive_exit_2(tmp_path, capsys,
+                                                                  argv, word):
+    if argv[0] == "select":
+        argv = argv + ["--input", _write_sample(tmp_path / "s.csv", [0.1, 0.4, 0.9])]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and word in err[0], err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, fmt", (
     (["estimate", "--input", "s.csv", "--h", "0.3"], "json"),
     (["select", "--input", "s.csv", "--method", "rot-normal"], "csv"),

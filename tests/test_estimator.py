@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from cfkde.charfun import as_sample, make_density
 from cfkde.estimator import (
@@ -197,6 +198,21 @@ def test_corrected_sinc_estimate_valid_density():
     assert np.all(fixed.ys >= 0.0)
     assert_allclose(fixed.mass, 1.0, atol=1e-6)
     assert fixed.xi > 0.0
+
+
+def test_correction_level_is_exact():
+    # the clipped trapezoid mass is piecewise linear in xi, so the level
+    # solves it to rounding: a root of the mass on the grid, at unit mass
+    xs = np.linspace(-6, 6, 512)
+    for seed in range(5):
+        rng = np.random.default_rng(40 + seed)
+        est = estimate_on_grid(as_sample(rng.normal(size=200)), make_builtin("sinc"),
+                               0.2 + 0.05 * seed, grid=xs)
+        fixed = correct_to_density(est)
+        assert abs(fixed.mass - 1.0) <= 1e-14
+        mass = lambda xi: np.trapezoid(np.maximum(est.ys - xi, 0.0), xs) - 1.0
+        root = brentq(mass, 0.0, float(np.max(est.ys)), xtol=1e-300, rtol=8.9e-16)
+        assert fixed.xi == pytest.approx(root, rel=1e-12)
 
 
 def test_correction_idempotent():

@@ -175,6 +175,10 @@ def test_scaled_eval():
         scaled_eval(k, 0.0, x)
     with pytest.raises(ValueError):
         scaled_eval(k, -1.0, x)
+    # the bandwidth rule of the estimators: a nan h gave nan values
+    for h in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            scaled_eval(k, h, x)
 
 
 def test_gaussian_eval_bit_identical_and_leaves_input():

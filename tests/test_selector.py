@@ -51,6 +51,19 @@ def test_rule_of_thumb_validation():
         selector.rule_of_thumb_normal(1.0, 0)
 
 
+@pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf, 0.0])
+def test_scale_must_be_finite_and_positive(sigma):
+    # an infinite scale gave h = inf, a grid [inf, nan, ...] and, in the
+    # parametric criterion, a ZeroDivisionError
+    with pytest.raises(ValueError, match="sigma_hat must be finite"):
+        selector.rule_of_thumb_normal(sigma, 100)
+    with pytest.raises(ValueError, match="sigma_hat must be finite"):
+        selector.default_h_grid(sigma, 100)
+    s = as_sample(np.random.default_rng(3).normal(size=50))
+    with pytest.raises(ValueError, match="sigma_hat must be finite"):
+        selector.cv_bandwidth(s, GAUSS, q_estimator="parametric", sigma_hat=sigma)
+
+
 # ---------------------------------------------------------------------------
 # bound-based rules
 
@@ -105,6 +118,14 @@ def test_bound_rule_validation():
         selector.bound_rule("unknown", 1.0, GAUSS, 100)
     with pytest.raises(ValueError):
         selector.bound_rule("mise_thm1", 1.5, SINC, 100)
+
+
+@pytest.mark.parametrize("v", [math.inf, math.nan, 0.0, -1.0])
+def test_bound_rule_constants_must_be_finite_and_positive(v):
+    for kind, constants, name in (("mise_thm1", v, "v2"), ("maxmse_thm3", (v, 0.4), "v3"),
+                                  ("maxmse_thm3", (2.8, v), "a")):
+        with pytest.raises(ValueError, match="constant %s, finite and positive" % name):
+            selector.bound_rule(kind, constants, GAUSS, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +532,19 @@ def test_plan_monotonicity():
         if prev is not None:
             assert n0 >= prev
         prev = n0
+
+
+def test_plan_stops_where_a_float_stops_counting():
+    # at eps = 1e-16, n0 is about 3e19, where n0 + 1 rounds to n0: the
+    # certificate read 1.0000000000000002e-16 > eps, and a smaller eps
+    # looped for ever
+    req = selector.PlanRequest(target="mise", epsilon=1e-16, v2=1.0)
+    with pytest.raises(ValueError, match="float counts exactly"):
+        selector.plan_sample_size(req, GAUSS)
+    req = dataclasses.replace(req, epsilon=1e-12)
+    n0 = selector.plan_sample_size(req, GAUSS)
+    c, r = selector.plan_bound_constant(req, GAUSS)
+    assert c * n0 ** -r <= 1e-12 < c * (n0 - 1) ** -r
 
 
 def test_plan_validation():
