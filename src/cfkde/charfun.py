@@ -38,10 +38,11 @@ normal and mixture V_m are increments plus a rounding bound: the sum of
 |p^(m)| increments between the sign changes of p^(m+1), plus a bound on the
 rounding of those values; a_p and B are a quadrature value plus its error.
 
-ecf_panel_sums is the one panel layer of the transform side: the 12-point
-Gauss-Legendre nodes and weights of equal panels and the factored sums of
-the empirical characteristic function there, which the sinc estimate
-(estimator) and the UCV criterion's transform route (selector) integrate.
+ecf_panel_sums is the one panel layer of the transform side: the nodes and
+weights of a rule on equal panels (12-point Gauss-Legendre by default, or
+the midpoint rule) and the factored sums of the empirical characteristic
+function there, which the sinc estimate (estimator) and the UCV criterion's
+transform route (selector) integrate.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ _BLOCK = 1 << 15
 # The 12-point Gauss-Legendre rule on [-1, 1]: ecf_panel_sums' panels, the
 # selector's partial panels and the lower rule of risk.gauss_panels.
 _X12, _W12 = np.polynomial.legendre.leggauss(12)
+# The midpoint rule on [-1, 1]: one node at the centre, weight 2.
+_MIDPOINT = (np.zeros(1), np.full(1, 2.0))
 
 
 @dataclass(frozen=True)
@@ -189,66 +192,89 @@ def ecf_sq_unbiased(sample: Sample, t):
     return out
 
 
-def ecf_panel_sums(x: np.ndarray, width: float, panels: int
+def ecf_panel_sums(x: np.ndarray, width: float, panels: int,
+                   rule: Tuple[np.ndarray, np.ndarray] = (_X12, _W12)
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Sums of cos(t x_j) and sin(t x_j) at the Gauss-Legendre nodes of panels.
+    """Sums of cos(t x_j) and sin(t x_j) at the nodes of a rule on equal panels.
 
     The values are centred first, x_j - c with c the midpoint of their
-    range: the rounding of the phases grows with |t x|.  Returns
-    (t, w, re, im, c): the 12-point Gauss-Legendre nodes t and weights w of
-    the panels [p width, (p + 1) width), p < panels, and the sums re and im
-    at each node, all flat in panel order, and c.  With t = (p + 1/2) width
-    + a, a the node's offset in its panel, p = b L + j and L about
+    range: the rounding of the phases grows with |t x|.  rule holds the
+    node offsets in [-1, 1] and the weights of one panel: by default the
+    12-point Gauss-Legendre rule, and _MIDPOINT, offset 0 with weight 2, for
+    the midpoint rule.  Returns (t, w, re, im, c): the nodes t and weights w
+    of the panels [p width, (p + 1) width), p < panels, and the sums re and
+    im at each node, all flat in panel order, and c.  With t = (p + 1/2)
+    width + a, a the node's offset in its panel, p = b L + j and L about
     sqrt(panels), exp(i t x) factors into exp(i (b L + 1/2) width x)
-    exp(i j width x) exp(i a x): the trigonometric work per value is
-    panels/L + L + 12, the last two factors are combined by angle addition,
-    and the sum over the values is four real matrix products per block of
-    them, of the cos and sin of the block phase with the cos and sin of the
-    combined phase.  The products stay real because a complex one of these
-    thin shapes costs milliseconds each through threaded BLAS.
-    _ecf_panel_ops counts its operations.
+    exp(i j width x) exp(i a x).  The block and the run phases are
+    cumulative products of exp(i L width x) from exp(i width x/2) and of
+    exp(i width x) from 1, so the trigonometric work per value is 6, plus 2
+    per node of the rule when it has more than one, whose offsets are then
+    added by real angle addition.  The sum over the values is four real
+    matrix products per block of them, of the cos and sin of the block phase
+    with the cos and sin of the combined phase.  The products stay real
+    because a complex one of these thin shapes costs milliseconds each
+    through threaded BLAS.  _ecf_panel_ops counts its operations.
     """
     x = np.asarray(x, dtype=float)
     center = 0.5 * (x.min() + x.max())
     x = x - center
     half = 0.5 * width
-    offsets = half * _X12
+    offsets, weights = half * rule[0], half * rule[1]
+    q = offsets.size
     run = max(1, round(math.sqrt(panels)))
     blocks = math.ceil(panels / run)
-    base = (np.arange(blocks) * run + 0.5) * width
-    steps = np.arange(run) * width
-    cols = run * _X12.size
+    cols = run * q
     re = np.zeros((blocks, cols))
     im = np.zeros((blocks, cols))
     chunk = max(1, _BLOCK // (blocks + cols))
-    # cos and sin of the combined phase, and the one temporary that forms them
-    co, so, tmp = (np.empty((min(chunk, x.size), run, _X12.size)) for _ in range(3))
+    size = min(chunk, x.size)
+    # the run and block phases, the cos and sin of the block phase and of the
+    # combined phase, and the one temporary that forms the latter
+    rp, bp = np.empty((run, size), complex), np.empty((blocks, size), complex)
+    cb, sb = np.empty((blocks, size)), np.empty((blocks, size))
+    co, so = np.empty((run, q, size)), np.empty((run, q, size))
+    tmp = np.empty((run, q, size)) if q > 1 else None
     for s in range(0, x.size, chunk):
         xb = x[s:s + chunk]
         m = xb.size
-        jx, ax = np.multiply.outer(xb, steps), np.multiply.outer(xb, offsets)
-        cj, sj = np.cos(jx)[:, :, None], np.sin(jx)[:, :, None]
-        ca, sa = np.cos(ax)[:, None, :], np.sin(ax)[:, None, :]
-        c, d, t = co[:m], so[:m], tmp[:m]
-        np.multiply(cj, ca, out=c)
-        c -= np.multiply(sj, sa, out=t)
-        np.multiply(sj, ca, out=d)
-        d += np.multiply(cj, sa, out=t)
-        c, d = c.reshape(m, cols), d.reshape(m, cols)
-        bx = np.multiply.outer(base, xb)
-        cb, sb = np.cos(bx), np.sin(bx)
-        re += cb @ c - sb @ d
-        im += cb @ d + sb @ c
-    nodes = _X12.size * panels
+        r, b = rp[:, :m], bp[:, :m]
+        r[0] = 1.0
+        r[1:] = np.exp(1j * width * xb)
+        np.cumprod(r, axis=0, out=r)
+        b[0] = np.exp(1j * half * xb)
+        b[1:] = np.exp(1j * (run * width) * xb)
+        np.cumprod(b, axis=0, out=b)
+        c, d = co[..., :m], so[..., :m]
+        if q > 1:
+            ax = np.multiply.outer(offsets, xb)
+            ca, sa = np.cos(ax), np.sin(ax)
+            cj, sj, t = r.real[:, None, :], r.imag[:, None, :], tmp[..., :m]
+            np.multiply(cj, ca, out=c)
+            c -= np.multiply(sj, sa, out=t)
+            np.multiply(sj, ca, out=d)
+            d += np.multiply(cj, sa, out=t)
+        else:
+            np.copyto(c[:, 0], r.real)
+            np.copyto(d[:, 0], r.imag)
+        c, d = c.reshape(cols, m).T, d.reshape(cols, m).T
+        bc, bs = cb[:, :m], sb[:, :m]
+        np.copyto(bc, b.real)
+        np.copyto(bs, b.imag)
+        re += bc @ c - bs @ d
+        im += bc @ d + bs @ c
+    nodes = q * panels
     t = ((np.arange(panels) + 0.5)[:, None] * width + offsets).ravel()
-    return (t, np.tile(half * _W12, panels), re.ravel()[:nodes], im.ravel()[:nodes],
+    return (t, np.tile(weights, panels), re.ravel()[:nodes], im.ravel()[:nodes],
             float(center))
 
 
-def _ecf_panel_ops(n: int, panels: int) -> float:
-    # ecf_panel_sums' counted operations on n values: the cos and sin of the
-    # factored phases, then the matrix products, one per 16 node-value products
-    return 2 * n * (2 * math.sqrt(panels) + _X12.size) + _X12.size * panels * n / 16
+def _ecf_panel_ops(n: int, panels: int, q: int = _X12.size) -> float:
+    # ecf_panel_sums' counted operations on n values with a q-node rule: the
+    # cos and sin of the three unit phases and of the offsets, a quarter per
+    # step of the cumulative products, and one per 16 node-value products
+    # of the matrix products
+    return 2 * n * (3 + (q if q > 1 else 0)) + n * math.sqrt(panels) / 2 + q * panels * n / 16
 
 
 def cf_envelope(density: DensityModel, m: int, t):

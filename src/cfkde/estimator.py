@@ -217,7 +217,11 @@ def _sinc_plan(data: np.ndarray, h: float, x: np.ndarray) -> _SincPlan:
     # at every node and point and the matrix products with them
     cutoff = 1.0 / h
     omega = float(max(abs(x.max() - data[0]), abs(data[-1] - x.min()), 1.0))
-    panels = max(4, int(math.ceil(cutoff * omega / math.pi)))
+    periods = cutoff * omega / math.pi
+    if not math.isfinite(periods):
+        raise ValueError("bandwidth %r puts the sinc kernel's cutoff 1/h past the float range"
+                         % (h,))
+    panels = max(4, int(math.ceil(periods)))
     nodes = _X12.size * panels
     ops = _ecf_panel_ops(data.size, panels) + nodes * x.size / 16 + 2 * nodes * x.size
     return _SincPlan(cutoff / panels, panels, ops)

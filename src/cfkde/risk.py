@@ -194,10 +194,14 @@ def certified_cutoff(cert: Callable[[np.ndarray], np.ndarray], tol: float,
     the last rung that fails, the last of them the doubling rung that
     passes (1.01^70 > 2).  limit must be finite, and T never exceeds it;
     cert(limit) may still exceed tol, and the caller accounts for what is
-    left.
+    left.  Raises ValueError where limit/start is not finite: a bandwidth or
+    scale near either end of the float range puts the cutoff past it.
     """
     if start >= limit:
         return limit
+    if not math.isfinite(limit / start):
+        raise ValueError("no finite cutoff search from %r up to %r: the bandwidth or "
+                         "scale lies too near the ends of the float range" % (start, limit))
     ladder = np.append(np.ldexp(start, np.arange(math.ceil(math.log2(limit / start)))), limit)
     ok = cert(ladder) <= tol
     if ok[0] or not ok.any():

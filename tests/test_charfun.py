@@ -442,6 +442,20 @@ def test_ecf_sq_unbiased_panels_matches_pointwise():
     assert_allclose(re[[0, 100, -1]] + 1j * im[[0, 100, -1]], n * fn, atol=1e-10)
 
 
+@pytest.mark.parametrize("n,panels", [(2, 1), (7, 2), (5000, 23), (400, 300), (2000, 1001)])
+def test_ecf_panel_sums_midpoint_matches_direct_sums(n, panels):
+    # one node per panel at its centre, weight the panel's width; several
+    # blocks of values where panels is large, a far offset
+    x = 1e5 + np.random.default_rng(n).normal(size=n)
+    width = 0.37
+    t, w, re, im, center = ecf_panel_sums(x, width, panels, charfun._MIDPOINT)
+    assert_allclose(t, (np.arange(panels) + 0.5) * width, rtol=1e-15)
+    assert_allclose(w, np.full(panels, width), rtol=1e-15)
+    tx = np.multiply.outer(t, x - center)
+    assert np.max(np.abs(re - np.cos(tx).sum(axis=1))) <= 1e-13 * n
+    assert np.max(np.abs(im - np.sin(tx).sum(axis=1))) <= 1e-13 * n
+
+
 def test_ecf_sq_unbiased_is_unbiased():
     # average over many draws approaches |cf|^2, not (1 - 1/n)|cf|^2 + 1/n
     d = make_density("normal")

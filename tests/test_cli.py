@@ -407,6 +407,50 @@ def test_select_and_plan_constants_not_finite_and_positive_exit_2(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, word", (
+    # each ended in an OverflowError traceback, exit 1: the cutoff ladder of
+    # certified_cutoff, and the sinc estimate's panel count
+    (["select", "--method", "ucv", "--q-estimator", "parametric", "--sigma-hat", "1e308"],
+     "cutoff search"),
+    (["risk", "--density", "normal", "--h-grid", "1e-320", "--n", "100"], "cutoff search"),
+    (["estimate", "--kernel", "sinc", "--correct", "--h", "1e-320"], "bandwidth 1e-320"),
+))
+def test_bandwidth_near_the_float_range_ends_exits_2(tmp_path, capsys, argv, word):
+    if argv[0] != "risk":
+        argv = argv + ["--input", _write_sample(tmp_path / "s.csv", [0.1, 0.4, 0.9, 1.6])]
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and word in err[0], err
+    assert not out.exists() and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "sinc", "epanechnikov", "uniform"])
+def test_select_ucv_grid_over_the_float_range_exits_0_or_2(tmp_path, capsys, kernel):
+    # h_min times the gaussian plan's step underflowed to 0: ZeroDivisionError
+    src = _write_sample(tmp_path / "s.csv", np.random.default_rng(0).normal(size=500))
+    out = tmp_path / "w.json"
+    rc = main(["select", "--input", src, "--method", "ucv", "--kernel", kernel,
+               "--h-grid", "1e-300,1e300", "--output", str(out)])
+    assert rc in (0, 2)
+    if rc == 0:
+        r = json.loads(out.read_text())
+        assert r["h"] in (1e-300, 1e300)
+        assert all(math.isfinite(q) for _, q in r["criterion_curve"])
+    else:
+        assert capsys.readouterr().err.startswith("error: ") and not out.exists()
+
+
+def test_select_ucv_criterion_not_finite_exits_2(tmp_path, capsys):
+    # exited 0 with h = 1e-320 and a NaN in the curve
+    src = _write_sample(tmp_path / "s.csv", np.random.default_rng(0).normal(size=500))
+    out = tmp_path / "n.json"
+    assert main(["select", "--input", src, "--method", "ucv", "--kernel", "sinc",
+                 "--h-grid", "1e-320,1", "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the criterion is not finite at h = 1e-320"] and not out.exists()
+
+
 @pytest.mark.parametrize("argv, fmt", (
     (["estimate", "--input", "s.csv", "--h", "0.3"], "json"),
     (["select", "--input", "s.csv", "--method", "rot-normal"], "csv"),

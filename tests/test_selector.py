@@ -247,6 +247,121 @@ def test_ucv_both_routes_match_oracle(name):
     _assert_matches(selector._pair_curve(x, k, grid)[0], ref)
 
 
+# the gaussian transform route on midpoint nodes Delta apart, whose aliased
+# terms lie 2 reach h_max past every pair distance
+
+def _ucv_sample(name, n, seed):
+    if name == "mixture":
+        return _mixture_sample(n, seed)
+    rng = np.random.default_rng(seed)
+    return {"normal": rng.normal, "laplace": rng.laplace, "uniform": rng.uniform}[name](size=n)
+
+
+def _midpoint_curve(x, grid, plan=None):
+    # the transform route alone, whatever the pair route would cost
+    x = np.sort(np.asarray(x, dtype=float))
+    plan = selector._transform_plan(x, GAUSS, grid) if plan is None else plan
+    assert plan.rule == "midpoint"
+    return selector._transform_curve(x, GAUSS, grid, plan) + GAUSS.roughness / (x.size * grid)
+
+
+def _pairwise_gauss(x, grid):
+    # _pairwise_ucv for the gaussian at one exp per pair and h:
+    # (K*K)(u) = e/(2 sqrt(pi)) and K(u) = e^2/sqrt(2 pi), e = exp(-u^2/4)
+    n = x.size
+    d2 = (x[:, None] - x[None, :])[np.triu_indices(n, 1)] ** 2
+    sums = np.empty(grid.size)
+    for i, h in enumerate(grid):
+        e = np.exp(d2 * (-0.25 / (h * h)))
+        sums[i] = np.sum(e * (0.5 / math.sqrt(math.pi) - e * math.sqrt(2.0 / math.pi)))
+    return GAUSS.roughness / (n * grid) + 2.0 * sums / (n * (n - 1.0) * grid)
+
+
+@pytest.mark.parametrize("n", [2, 30, 399, 2000])
+@pytest.mark.parametrize("name", ["normal", "mixture", "laplace", "uniform"])
+def test_ucv_gaussian_midpoint_route_matches_oracle(name, n):
+    # the 60-point grid up to n = 399: at n = 2000 its oracle takes seconds
+    x = _ucv_sample(name, n, 30 + n)
+    for size in (20, 60) if n < 2000 else (20,):
+        grid = selector.default_h_grid(float(np.std(x, ddof=1)), n, size)
+        ref = _pairwise_gauss(x, grid)
+        curve = _midpoint_curve(x, grid)
+        _assert_matches(curve, ref, grid[int(np.argmin(curve))], grid)
+
+
+def test_ucv_gaussian_midpoint_route_edge_samples():
+    rng = np.random.default_rng(31)
+    grid = np.geomspace(0.05, 1.5, 20)
+    for x in (0.5 * rng.integers(0, 6, size=400),  # ties
+              np.full(50, 2.0),  # one value: qhat is 1 everywhere
+              1e6 + rng.normal(size=399)):
+        ref = _pairwise_ucv(x, GAUSS, grid)
+        curve = _midpoint_curve(x, grid)
+        _assert_matches(curve, ref, grid[int(np.argmin(curve))], grid)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "sinc"])
+def test_ucv_transform_rule_and_nodes(name):
+    k = make_builtin(name)
+    x = _mixture_sample(400, 32)
+    res = selector.cv_bandwidth(as_sample(x), k)
+    meta, grid = res.metadata, np.array([h for h, _ in res.criterion_curve])
+    plan = selector._transform_plan(np.sort(x), k, grid)
+    assert meta["route"] == "transform" and meta["panel_width"] == plan.width
+    if name == "gaussian":
+        # one node a step, each alias 2 reach h_max clear of every pair
+        span = float(np.ptp(x))
+        assert plan.width * (span + 2.0 * k.reach * grid.max()) <= 2.0 * math.pi
+        assert meta["rule"] == "midpoint" and meta["nodes"] == plan.panels
+        assert plan.panels == math.ceil(plan.u_cut / (grid.min() * plan.width))
+    else:
+        # twelve nodes a panel, and a partial panel per h at the band edge
+        assert meta["rule"] == "gauss-legendre-12"
+        assert meta["nodes"] == 12 * (plan.panels + grid.size)
+
+
+def test_ucv_custom_kernel_keeps_gauss_legendre_panels():
+    # no reach is known for a kernel from functions: no alias margin
+    gauss_fn = kernel_from_functions(
+        "gauss-fn", lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+        lambda t: math.exp(-0.5 * t * t))
+    res = selector.cv_bandwidth(as_sample(_mixture_sample(80, 13)), gauss_fn)
+    meta = res.metadata
+    assert meta["route"] == "transform" and meta["rule"] == "gauss-legendre-12"
+    assert meta["nodes"] % 12 == 0
+
+
+def test_ucv_midpoint_accuracy_rests_on_the_alias_margin():
+    # the same nodes with a margin of reach h_max, or of half that, in place
+    # of 2 reach h_max: the farthest pairs alias into the curve (5.6e-13 and
+    # 1.4e-6 of max|curve| at this seed; 5e-16 with the full margin)
+    x = np.sort(np.random.default_rng(1).normal(size=400))
+    grid = selector.default_h_grid(float(np.std(x, ddof=1)), x.size, 20)
+    ref = _pairwise_ucv(x, GAUSS, grid)
+    plan = selector._transform_plan(x, GAUSS, grid)
+    errors = []
+    for margin in (2.0, 1.0, 0.5):
+        width = 2.0 * math.pi / (np.ptp(x) + margin * GAUSS.reach * grid.max())
+        panels = math.ceil(plan.u_cut / (grid.min() * width))
+        full = np.minimum(np.ceil(plan.u_cut / (grid * width)), panels).astype(int)
+        curve = _midpoint_curve(x, grid, plan._replace(width=width, panels=panels, full=full))
+        errors.append(np.max(np.abs(curve - ref)) / np.max(np.abs(ref)))
+    assert errors[0] <= 2e-15 and errors[1] > 1e-13 and errors[2] > 1e-8
+
+
+def test_ucv_criterion_not_finite_is_refused():
+    # np.argmin picked the NaN, and h = 1e-320 was selected
+    x = _mixture_sample(100, 33)
+    # the pair route, as the panels overflow: the sinc K is NaN at d/h = inf
+    with pytest.raises(ValueError, match=r"not finite at h = 1e-320"):
+        selector.cv_bandwidth(as_sample(x), SINC, h_grid=[0.5, 1e-320, 0.2])
+    # the transform route, the only one without K*K: phi is NaN past 4
+    nan_phi = dataclasses.replace(
+        GAUSS, selfconv=None, cf=lambda u: np.where(np.abs(u) < 4.0, GAUSS.cf(u), np.nan))
+    with pytest.raises(ValueError, match=r"not finite at h = 0.5"):
+        selector.cv_bandwidth(as_sample(x), nan_phi, h_grid=[0.5, 0.2])
+
+
 def test_ucv_custom_kernels_match_oracle():
     s = as_sample(_mixture_sample(80, 13))
     # a transform with no self-convolution: the transform route
