@@ -30,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .charfun import DensityModel
-from .kernels import KernelModel, make_builtin
+from .kernels import KernelModel, _check_count, make_builtin
 from .risk import _abs_bias_factor, gauss_panels, integrated_sq_bias
 
 __all__ = [
@@ -295,22 +295,23 @@ def bound(theorem_id: str, density: DensityModel, kernel: Optional[KernelModel],
     the density carries no total variation V but is unimodal and bounded
     by a, thm5 and thm6 fall back on V = 2a and report the ids
     thm5_unimodal and thm6_unimodal.  Raises ValueError for an unknown id,
-    a missing input, an h or h0 that is not finite and positive, and a
-    bound that overflows.
+    a missing input, an n or m outside 1 to 2^53, an h or h0 that is not
+    finite and positive, and a bound that overflows.
     """
     spec = SPECS.get(theorem_id)
     if spec is None:
         raise ValueError("unknown bound %r" % (theorem_id,))
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n)
     for name, width in (("h", h), ("h0", h0)):
         if width is not None and not (math.isfinite(width) and width > 0.0):
             raise ValueError("%s must be finite and positive, not %r" % (name, width))
     fixed = spec.recipe == "h"
     if (h if fixed else h0) is None:
         raise ValueError("%s needs %s" % (theorem_id, "h" if fixed else "h0"))
-    if spec.order == "m" and (m is None or m < 1):
-        raise ValueError("%s needs an order m >= 1" % theorem_id)
+    if spec.order == "m":
+        if m is None:
+            raise ValueError("%s needs an order m >= 1" % theorem_id)
+        _check_count("m", m)
     if kernel is None and not spec.sinc:
         raise ValueError("%s needs a kernel" % theorem_id)
     order = m if spec.order == "m" else spec.order
@@ -374,8 +375,7 @@ def amise_conventional(density: DensityModel, kernel: KernelModel,
     densities without one raise, and so does a quadrature whose error
     estimate exceeds its tolerance (epsabs + epsrel |R(p'')|).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n)
     if not kernel.is_density or kernel.mu2 is None or not kernel.zero_mean:
         raise ValueError(
             "kernel %r is not a zero-mean density with a second moment"

@@ -121,6 +121,13 @@ def _check_h(h: float) -> None:
         raise ValueError("bandwidth must be positive and finite, got %r" % (h,))
 
 
+def _check_count(name: str, value: int) -> None:
+    # a sample size or an order from 1 to 2^53, past which a float no
+    # longer tells consecutive integers apart
+    if not 1 <= value <= 2 ** 53:
+        raise ValueError("%s must be an integer from 1 to 2^53, not %r" % (name, value))
+
+
 def scaled_eval(kernel: KernelModel, h: float, x):
     """Evaluate the rescaled kernel K_h(x) = K(x / h) / h.
 

@@ -44,7 +44,7 @@ from scipy.special import digamma
 
 from .charfun import _W12, _X12, DensityModel, Sample
 from .estimator import estimate_on_grid
-from .kernels import KernelModel, _check_h
+from .kernels import KernelModel, _check_count, _check_h
 
 __all__ = [
     "RISK_RTOL",
@@ -553,8 +553,7 @@ def exact_mise(density: DensityModel, kernel: KernelModel, h: float,
     int |phi(ht)|^2 dt = 2 pi R(K) / h.
     """
     _check_h(h)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n)
     r = _sq_integrals(density, kernel, h)
     two_pi = 2.0 * math.pi
     (bias, var), rough = r.value[:, 0] / two_pi, kernel.roughness / h
@@ -685,8 +684,7 @@ def exact_mse(density: DensityModel, kernel: KernelModel, h: float, n: int,
     Bias and second moment at every x come from one quadrature pass.
     """
     xs = _pointwise_points(density, h, x)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n)
     r = _pointwise(density, kernel, h, xs, second=True)
     b = -r.value[0] / math.pi
     b_err = r.error[0] / math.pi

@@ -8,18 +8,24 @@ plug-in bandwidth rules driven by user-supplied derivative constants.
 ``cv_bandwidth`` minimizes a transform-side risk criterion over a
 bandwidth grid, estimating the unknown squared transform modulus either by the
 unbiased statistic (n |f_n|^2 - 1)/(n - 1) or by a normal parametric model.
-The unbiased criterion (UCV) is computed exactly by the cheaper of two
-routes: on the transform side from the empirical characteristic function at
-the M nodes of charfun.ecf_panel_sums, the panel layer the sinc estimate
-also uses, in O(n sqrt(M) + n M/16) operations, or on the data side from
-the pairs of points within the kernel's reach, each pair once for the whole
-grid when K and K*K are polynomials on their supports.  The transform side
-takes one midpoint node per step 2 pi/(span + 2 reach h_max) where the
-kernel has a finite reach and a transform that is not band-limited: every
-aliased term of the midpoint sum then lies 2 reach h_max past each pair
-distance, where K*K - 2K is 0 or below 2^-106 K(0).  Otherwise it takes
-12-node Gauss-Legendre panels.  A criterion that is not finite at some h is
-an error.
+The unbiased criterion (UCV) is computed exactly by the route that counts
+the fewest operations: on the transform side from the empirical
+characteristic function at the M nodes of charfun.ecf_panel_sums, the panel
+layer the sinc estimate also uses, in O(n sqrt(M) + n M/16) operations, or
+on the data side from the pairs of points within the kernel's reach.  The
+transform side takes one midpoint node per step 2 pi/(span + 2 reach h_max)
+where the kernel has a finite reach and a transform that is not
+band-limited: every aliased term of the midpoint sum then lies
+2 reach h_max past each pair distance, where K*K - 2K is 0 or below
+2^-106 K(0).  Otherwise it takes 12-node Gauss-Legendre panels.  The data
+side has three forms.  When K and K*K are polynomials on their supports
+(KernelModel.poly) it evaluates each pair once for the whole grid (the
+moment form), or sums by fast sum updating (Langrene & Warin 2019): per h,
+prefix sums of the powers of the data read against the first datum of
+their cell, 2 support h wide, in O(n H degree) time and O(n degree)
+memory, with an a-priori bound on the rounding.  Other kernels with a
+self-convolution evaluate the pairs per h.  A criterion that is not finite
+at some h is an error.
 
 ``plan_sample_size`` inverts a minimized risk bound: given a target accuracy
 it returns the smallest sample size whose certified bound falls below it.
@@ -35,10 +41,10 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .bounds import SPECS, BoundSpec, amise_conventional
-from .charfun import (_BLOCK, _MIDPOINT, _W12, _X12, Sample, _ecf_panel_ops,
+from .charfun import (_BLOCK, _EPS, _MIDPOINT, _W12, _X12, Sample, _ecf_panel_ops,
                       ecf_panel_sums, ecf_sq_unbiased, make_density)
 from .estimator import _window
-from .kernels import KernelModel, make_builtin
+from .kernels import KernelModel, _check_count, make_builtin
 from .risk import _sq_integrals, certified_cutoff
 
 __all__ = [
@@ -58,13 +64,30 @@ _DEGENERATE_SCALE = 1e-12
 # Largest sup |phi| the transform route of the UCV criterion leaves out
 # past its cutoff u_cut.
 _PHI_TOL = 1e-14
-# Counted operations per pair of the pair route's moment form: binning,
-# powers and bin sums take about 20-40 ns per pair at n >= 632, against
-# 9-23 ns per counted operation of the transform route.
-_MOMENT_OPS = 2
+# Counted operations per pair of the pair route's moment form, and more per
+# coefficient of K*K: binning, powers and bin sums take about 21 + 2.3 deg
+# ns a pair, against 4-14 ns per counted operation of the transform route.
+_MOMENT_OPS = (1.6, 0.17)
 # Pairs per bin sum of the moment form.  np.bincount adds in sequence: on
 # 2000 tied values one sum per bin was off by 7e-13 of max|curve|.
 _MOMENT_CHUNK = 1 << 10
+# Counted operations of the fast sums per grid point and datum, and more per
+# coefficient of K*K: two binary searches and the cells, and per power the
+# prefix sums, the gathers and the matrix products, about 140 + 45 deg ns
+_FAST_OPS = (11.0, 3.6)
+# Counted operations per node of the transform route's loop over h: phi, its
+# product with the weights and their sum
+_LOOP_OPS = 2
+# Rows whose products the fast sums' matrix products add in sequence; the
+# block sums are then added pairwise
+_FAST_ROWS = 64
+# Grid points times data the fast sums hold at once: their float arrays,
+# about 10 degree such rows, stay within about 2 MiB
+_FAST_CHUNK = 1 << 12
+# Width of a fast-sum cell past K*K's reach 2 support h: it keeps a pair
+# within reach from landing two cells apart through the rounding of the
+# cell index
+_CELL_SLACK = 2.0 ** -20
 _NODES = _X12.size
 # Most panels a transform plan may count: its per-h counts are int64.
 _MAX_PANELS = float(np.iinfo(np.int64).max // _NODES)
@@ -85,13 +108,18 @@ class SelectorResult:
         None for closed-form rules.
     metadata : dict
         Sample size, kernel name, and rule-specific constants.  The UCV
-        criterion adds its route ("transform" or "pairs"), the transform
-        cutoff u_cut and panel_width (None without a usable cutoff); for the
-        transform route its node rule ("midpoint" or "gauss-legendre-12")
-        and the nodes laid, partial panels included; for the pair route the
-        pairs evaluated: each pair within 2 support h_max once in its moment
-        form (kernels with KernelModel.poly), each pair within 2 support h
-        once per h otherwise.
+        criterion adds its route ("transform", "pairs" or "fast-sums"), the
+        transform cutoff u_cut and panel_width (None without a usable
+        cutoff); for the transform route its node rule ("midpoint" or
+        "gauss-legendre-12") and the nodes laid, partial panels included;
+        for the pair route the pairs evaluated: each pair within
+        2 support h_max once in its moment form (kernels with
+        KernelModel.poly), each pair within 2 support h once per h
+        otherwise; for the fast sums (kernels with KernelModel.poly) the
+        nonempty windows summed ("windows", at most two per datum and h)
+        and "rounding", an a-priori bound on |computed - exact curve| over
+        the grid: eps (64 + 4 degree + 40) times the magnitude of the
+        expanded terms, scaled as the curve, plus 2 eps |curve|.
     """
 
     method: str
@@ -165,8 +193,7 @@ def rule_of_thumb_normal(sigma_hat: float, n: int) -> SelectorResult:
     SelectorResult
     """
     _check_scale(sigma_hat)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n)
     kernel = make_builtin("gaussian")
     h_unit, _ = amise_conventional(make_density("normal"), kernel, n)
     h = sigma_hat * h_unit
@@ -203,8 +230,7 @@ def bound_rule(kind: str, constants, k: KernelModel, n: int) -> SelectorResult:
     -------
     SelectorResult
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n)
     if kind not in _RULES:
         raise ValueError("unknown bound rule kind: %r" % (kind,))
     target, names = _RULES[kind]
@@ -320,9 +346,9 @@ def _transform_plan(x: np.ndarray, k: KernelModel,
     partial = grid.size if band_limited else 0
     q = _NODE_RULES[rule][0].size
     # the panel sums, cos and sin and the products of the partial panels,
-    # and the phi evaluations
+    # and the loop over h
     ops = (_ecf_panel_ops(x.size, panels, q) + _NODES * partial * x.size * (2 + 1 / 16)
-           + q * int(full.sum()) + _NODES * partial)
+           + _LOOP_OPS * (q * int(full.sum()) + _NODES * partial))
     return _TransformPlan(u_cut, band_limited, rule, width, panels, full, ops)
 
 
@@ -335,19 +361,20 @@ def _transform_curve(x: np.ndarray, k: KernelModel, grid: np.ndarray,
     t, w, re, im, _ = ecf_panel_sums(x, plan.width, plan.panels, rule)
     # the unbiased |f|^2 of ecf_sq_unbiased: n |f_n|^2 = |sum exp(i t x)|^2 / n
     wq = w * (((re * re + im * im) / n - 1.0) / (n - 1.0))
+    out = np.empty(grid.size)
+    for i, h in enumerate(grid):
+        m = rule[0].size * plan.full[i]
+        phi = k.cf(h * t[:m])
+        out[i] = np.dot(wq[:m], phi * (phi - 2.0))
     if plan.band_limited:
+        # each h's partial panel, from its last whole panel to u_cut/h
         ends = plan.u_cut / grid
         lo = plan.full * plan.width
         p_half = (0.5 * (ends - lo))[:, None]
         p_t = 0.5 * (ends + lo)[:, None] + p_half * _X12
         p_wq = p_half * _W12 * ecf_sq_unbiased(Sample(values=x), p_t.ravel()).reshape(p_t.shape)
-    else:
-        p_t = p_wq = np.empty((grid.size, 0))
-    out = np.empty(grid.size)
-    for i, h in enumerate(grid):
-        m = rule[0].size * plan.full[i]
-        phi = k.cf(h * np.concatenate((t[:m], p_t[i])))
-        out[i] = np.dot(np.concatenate((wq[:m], p_wq[i])), phi * (phi - 2.0))
+        phi = k.cf(grid[:, None] * p_t)
+        out += np.sum(p_wq * (phi * (phi - 2.0)), axis=1)
     return out / math.pi
 
 
@@ -445,6 +472,151 @@ def _moments_apply(k: KernelModel, grid: np.ndarray) -> bool:
     return deg * math.log2(2.0 * k.support * float(grid.max() / grid.min())) < 500.0
 
 
+def _window_end(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # for each row of w (a column) and each j, the last l >= j of the sorted
+    # sample with fl(x_l - x_j) <= w, the pair route's own test: a binary
+    # search past every datum that can pass it, then back past each value
+    # that fails, ties and all
+    e = np.searchsorted(x, np.nextafter(x + w * (1.0 + 4.0 * _EPS), np.inf), side="right")
+    e -= 1
+    while True:
+        bad = np.flatnonzero(np.take(x, e) - x > w)
+        if bad.size == 0:
+            return e
+        e.flat[bad] = np.searchsorted(x, x[e.flat[bad]], side="left") - 1
+
+
+def _binomial_matrix(c: Sequence[float], deg: int) -> np.ndarray:
+    # P(z - y) = sum_r z^r sum_m M[m, r] (-y)^m for P = sum_k c_k u^k:
+    # M[m, r] = c_{m+r} binom(m + r, r)
+    out = np.zeros((deg, len(c)))
+    for i, ci in enumerate(c):
+        for r in range(i + 1):
+            out[i - r, r] = ci * math.comb(i, r)
+    return out
+
+
+def _fast_sums(x: np.ndarray, k: KernelModel,
+               grid: np.ndarray) -> Tuple[np.ndarray, int, np.ndarray]:
+    # The same sums as _moment_sums by fast sum updating, O(n H degree) for
+    # the whole grid.  Per h the sorted sample is cut into cells at most
+    # W = 2 support h (1 + _CELL_SLACK) wide: a new cell starts at a gap
+    # wider than 2 support h, and where floor((x - x_c)/W) steps, x_c the
+    # first datum since such a gap, so that the floor's rounding stays below
+    # the slack.  Each cell is anchored at its first datum a, y = (x - a)/h.
+    # A pair within K*K's reach 2 support h, or K's support h, never skips a
+    # cell, so j's window (j, e_j] splits into the part in j's cell and the
+    # part in the next, read against that cell's anchor, t_j = (a' - x_j)/h:
+    # every |y|, |t| stays below 2 support (1 + _CELL_SLACK) whatever the
+    # span.  With P(z - y) = sum_r Q_r(y) z^r, each part costs one prefix sum
+    # per r of the cell-local powers y^r, kept as hi + lo (the error of each
+    # step of the cumulative sum is exact), and h's whole sum is the sum of
+    # M * (A^T V), elementwise after one degree x columns matrix product.
+    # The grid is taken _FAST_CHUNK grid points times data at a time, in
+    # buffers made once.  Returns the sums, the nonempty windows summed and,
+    # per h, a bound on the sum's rounding from the sum of |M| * (A^T |V|),
+    # the magnitude of the expanded terms.
+    a, b = k.poly
+    da, db = len(a), len(b)
+    deg = max(da, db)
+    nc = db + da
+    M = np.concatenate((_binomial_matrix(b, deg), -2.0 * _binomial_matrix(a, deg)), axis=1)
+    signed = ((-1.0) ** np.arange(deg))[:, None] * M
+    n = x.size
+    # rows padded with at least one zero column, for an empty window
+    cols = (n // _FAST_ROWS + 1) * _FAST_ROWS
+    blocks = cols // _FAST_ROWS
+    gap = np.diff(x)
+    idx = np.arange(n)
+    sums = np.empty(grid.size)
+    terms = np.empty(grid.size)
+    windows = 0
+    step = min(grid.size, max(1, _FAST_CHUNK // n))
+    buffers = {}
+    for i0 in range(0, grid.size, step):
+        h = grid[i0:i0 + step, None]
+        m = h.shape[0]
+        rows = (np.arange(m) * cols)[:, None]
+        if m not in buffers:
+            # pos: indices into the rows of L, the padding at a zero column
+            pos = np.empty((m, cols), dtype=np.intp)
+            pos[:, n:] = rows + n
+            buffers[m] = (np.empty((2, m, n), dtype=np.intp), pos, np.empty((m, n)),
+                          np.zeros((2, deg, m, cols)), np.zeros((nc + deg, m, cols)),
+                          np.zeros((nc, m, cols)), np.empty((2, deg, m, n + 1)),
+                          np.empty((2, deg, m, n)))
+        (start, end), pos, q, A, V, W, acc, base = buffers[m]
+        reach = 2.0 * k.support * h
+        e2 = _window_end(x, reach)
+        e1 = _window_end(x, k.support * h)
+        windows += int(np.count_nonzero(e2 > idx) + np.count_nonzero(e1 > idx))
+        # cells: start[j] is the first datum of j's cell, end[j] its last
+        split = gap > reach
+        start[:, 0] = 0
+        np.multiply(split, idx[1:], out=start[:, 1:])
+        np.maximum.accumulate(start, axis=1, out=start)
+        np.subtract(x, np.take(x, start), out=q)
+        q /= reach * (1.0 + _CELL_SLACK)
+        np.floor(q, out=q)
+        split |= q[:, 1:] != q[:, :-1]
+        np.multiply(split, idx[1:], out=start[:, 1:])
+        np.maximum.accumulate(start, axis=1, out=start)
+        end[:, -1] = n - 1
+        end[:, -2::-1] = np.minimum.accumulate(np.where(split[:, ::-1], idx[-2::-1], n - 1),
+                                               axis=1)
+        far2 = e2 > end
+        far1 = e1 > end
+        # A[0] = y^r for the own parts, A[1] = t^r for the next-cell parts
+        A[:, 0, :, :n] = 1.0
+        y = A[0, 1, :, :n]
+        np.subtract(x, np.take(x, start), out=y)
+        y /= h
+        t = A[1, 1, :, :n]
+        np.subtract(np.take(x, np.minimum(end + 1, n - 1)), x, out=t)
+        # zeroed before the division, which overflows for a far next cell
+        t *= far2
+        t /= h
+        for r in range(2, deg):
+            np.multiply(A[:, r - 1, :, :n], A[:, 1, :, :n], out=A[:, r, :, :n])
+        powers = A[0, :, :, :n]
+        # V: L at the end of the own parts of K*K's and K's windows, then
+        # the cell-local inclusive prefix sums L themselves; own = L(end) - L
+        local = V[nc:]
+        acc[..., 0] = 0.0
+        hi, err = acc[0], acc[1]
+        np.cumsum(powers, axis=2, out=hi[..., 1:])
+        np.subtract(hi[..., 1:], hi[..., :-1], out=err[..., 1:])
+        np.subtract(powers, err[..., 1:], out=err[..., 1:])
+        np.cumsum(err[..., 1:], axis=2, out=err[..., 1:])
+        start += (np.arange(m) * (n + 1))[:, None]
+        np.take(acc.reshape(2, deg, -1), start.reshape(-1), axis=2,
+                out=base.reshape(2, deg, -1), mode="clip")
+        np.subtract(acc[..., 1:], base, out=base)
+        np.add(base[0], base[1], out=local[..., :n])
+        flat = local.reshape(deg, -1)
+        # W: the next-cell parts, from that cell's start, or the zero column
+        for own, nxt, part, far, e in ((V[:db], W[:db], flat[:db], far2, e2),
+                                       (V[db:nc], W[db:], flat[:da], far1, e1)):
+            np.add(np.where(far, end, e), rows, out=pos[:, :n])
+            np.take(part, pos, axis=1, out=own, mode="clip")
+            np.add(np.where(far, e, n), rows, out=pos[:, :n])
+            np.take(part, pos, axis=1, out=nxt, mode="clip")
+        # products summed over blocks of _FAST_ROWS rows, the blocks pairwise
+        blocked = A.reshape(2, deg, m, blocks, _FAST_ROWS).transpose(0, 2, 3, 1, 4)
+        own, nxt = (np.matmul(pw, v.reshape(-1, m, blocks, _FAST_ROWS).transpose(1, 2, 3, 0))
+                    for pw, v in zip(blocked, (V, W)))
+        own, nxt = (np.ascontiguousarray(np.moveaxis(g, 1, -1)).sum(axis=-1) for g in (own, nxt))
+        at = own[..., :nc]
+        start_sums = np.concatenate((own[..., nc:nc + db], own[..., nc:nc + da]), axis=-1)
+        sums[i0:i0 + m] = np.sum(signed * (at - start_sums) + M * nxt, axis=(1, 2))
+        terms[i0:i0 + m] = np.sum(np.abs(M) * (at + start_sums + nxt), axis=(1, 2))
+    # eps per rounding of each expanded term: y or t and its powers, the
+    # prefix sums, L and the own part's difference, and the up to _FAST_ROWS
+    # products and additions of a block, about log2 of the blocks pairwise,
+    # and the final sum over M
+    return sums, windows, _EPS * (_FAST_ROWS + 4 * deg + 40) * terms
+
+
 def _pair_curve(x: np.ndarray, k: KernelModel,
                 grid: np.ndarray) -> Tuple[np.ndarray, int]:
     # 2/(n(n-1) h) sum_{j<l} [(K*K)(d/h) - 2 K(d/h)] over the grid, by the
@@ -462,51 +634,89 @@ def _ucv_curve(x: np.ndarray, k: KernelModel,
     of a cumulative product, or 16 node-point products of a matrix product.
     The transform route costs 6 n evaluations of cos and sin (24 n more for
     the offsets of the Gauss-Legendre rule), n sqrt(panels)/2 for the
-    cumulative products, 24 n per h more for a band-limited phi, the phi
-    evaluations, and n/16 per node.  On a gaussian sample with one far
-    outlier, where the two counts are within 6% of each other, the
-    transform route takes 1.55 (n = 200) and 0.85 (n = 1000) times the pair
-    route's time on a 20-point grid.  Its nodes are
+    cumulative products, 24 n per h more for a band-limited phi, n/16 per
+    node, and _LOOP_OPS per node that the loop over h reads.  Its nodes are
     midpoint nodes, one per step 2 pi/(span + 2 reach h_max), where phi is
     not band-limited and the reach is finite (_transform_plan), else
     Gauss-Legendre panels.  The pair route sums (K*K)(d/h) - 2 K(d/h) over
     the pairs of the sorted sample within the kernel's reach,
-    d <= 2 support h, in one of two forms:
+    d <= 2 support h, in one of three forms:
 
-    * moments (kernels with KernelModel.poly, epanechnikov and uniform):
-      each pair within 2 support h_max is evaluated once for the whole grid
-      and costs _MOMENT_OPS operations; the H edges add O(H degree).
-    * per h (every other kernel with a selfconv): two kernel evaluations
-      per pair within 2 support h, summed over the grid.
+    * moments (route "pairs"; kernels with KernelModel.poly): each pair
+      within 2 support h_max once for the whole grid, at
+      _MOMENT_OPS[0] + _MOMENT_OPS[1] deg operations, deg the coefficients
+      of K*K; only while (2 support h_max/h_min)^deg stays far from
+      overflow (_moments_apply).
+    * fast sums (route "fast-sums"; the same kernels): per h, prefix sums
+      of the powers of the data in cells 2 support h wide (_fast_sums), at
+      _FAST_OPS[0] + _FAST_OPS[1] deg operations per grid point and datum.
+    * per h (route "pairs"; every other kernel with a selfconv): two kernel
+      evaluations per pair within 2 support h, summed over the grid.
 
+    The weights were fitted to these timings (2-core machine, thread time,
+    best of 9; normal samples on their default grid, and a gaussian sample
+    with one outlier on the grid of the sample without it, 20 points),
+    moments against fast sums:
+
+    * Epanechnikov, 20 points: n = 632 6.0 against 7.7 ms, 800 11.3
+      against 8.8, 1589 25.3 against 10.5; 60 points: n = 1589 25.8
+      against 30.0, 3000 84.9 against 51.7.
+    * uniform, 20 points: n = 399 1.7 against 1.8, 502 2.5 against 2.5;
+      biweight: n = 632 6.8 against 7.8, 800 9.3 against 8.0.
+
+    and transform against per-h pairs, with the counted ratio:
+
+    * gaussian, outlier at 640, n = 200: 10.2 against 5.4 ms (1.35; 1.05
+      when the loop over h counted one operation per node); outlier at
+      1280, n = 400: 25.3 against 20.2 (1.16); n = 1000, outlier at 1280:
+      46 against 120 (0.51), at 2560: 257 against 118 (1.01).
+    * sinc, outlier at 320, n = 200: 6.4 against 14.2 ms, yet counted 1.10:
+      its K and K*K cost about 2.5 times the gaussian's per pair.
+
+    The forms count within 10% of each other where a miss was seen.
     metadata["pairs"] counts the pairs evaluated: once each for the moment
     form, once per h for the per-h form.  On the transform route
     metadata["rule"] names the node rule ("midpoint" or "gauss-legendre-12")
     and metadata["nodes"] counts the nodes laid, partial panels included.
+    The fast sums record the nonempty windows summed and "rounding", an
+    a-priori bound on |computed - exact curve| over the grid.
     """
     n = x.size
     plan = _transform_plan(x, k, grid)
     reach = 2.0 * k.support
-    moments = _moments_apply(k, grid)
-    if moments:
-        pair_ops = _MOMENT_OPS * _pair_count(x, reach * float(grid.max()))
+    # the counted operations of each exact route that applies; on a tie the
+    # first listed is taken
+    ops = {}
+    if plan is not None:
+        ops["transform"] = plan.ops
+    if k.poly is not None:
+        deg = max(len(c) for c in k.poly)
+        if _moments_apply(k, grid):
+            ops["pairs"] = ((_MOMENT_OPS[0] + _MOMENT_OPS[1] * deg)
+                            * _pair_count(x, reach * float(grid.max())))
+        ops["fast-sums"] = (_FAST_OPS[0] + _FAST_OPS[1] * deg) * n * grid.size
     elif k.selfconv is not None:
-        pair_ops = 2 * sum(_pair_count(x, reach * h) for h in grid)
-    else:
-        pair_ops = None
-    if plan is None and pair_ops is None:
+        ops["pairs"] = 2 * sum(_pair_count(x, reach * h) for h in grid)
+    if not ops:
         raise ValueError("kernel %r has neither a transform plan for this grid "
                          "nor a self-convolution" % (k.name,))
+    route = min(ops, key=ops.get)
     meta = {"u_cut": None if plan is None else plan.u_cut,
-            "panel_width": None if plan is None else plan.width}
-    if pair_ops is None or (plan is not None and plan.ops <= pair_ops):
+            "panel_width": None if plan is None else plan.width, "route": route}
+    if route == "transform":
         curve = _transform_curve(x, k, grid, plan)
-        meta.update(route="transform", rule=plan.rule, nodes=(
+        meta.update(rule=plan.rule, nodes=(
             _NODE_RULES[plan.rule][0].size * plan.panels
             + (_NODES * grid.size if plan.band_limited else 0)))
+    elif route == "pairs":
+        curve, meta["pairs"] = _pair_curve(x, k, grid)
     else:
-        curve, pairs = _pair_curve(x, k, grid)
-        meta.update(route="pairs", pairs=pairs)
+        sums, meta["windows"], rounding = _fast_sums(x, k, grid)
+        scale = 2.0 / (n * (n - 1.0) * grid)
+        curve = scale * sums + k.roughness / (n * grid)
+        # and the rounding of the scaling and of the roughness term's sum
+        meta["rounding"] = float(np.max(scale * rounding + 2.0 * _EPS * np.abs(curve)))
+        return curve, meta
     return curve + k.roughness / (n * grid), meta
 
 

@@ -425,6 +425,21 @@ def test_bandwidth_near_the_float_range_ends_exits_2(tmp_path, capsys, argv, wor
     assert not out.exists() and not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("argv", (
+    # each ended in an OverflowError traceback, exit 1: m read by the
+    # smooth rows' exponent, n by the division of exact_mise
+    ["bounds", "--density", "normal", "--n", "100", "--m", "1" + "0" * 400],
+    ["risk", "--density", "normal", "--n", "1" + "0" * 400, "--h-grid", "0.3"],
+    ["risk", "--density", "laplace", "--n", "1" + "0" * 400, "--h-grid", "0.3"],
+))
+def test_counts_past_2_to_the_53_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "2^53" in err[0], err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kernel", ["gaussian", "sinc", "epanechnikov", "uniform"])
 def test_select_ucv_grid_over_the_float_range_exits_0_or_2(tmp_path, capsys, kernel):
     # h_min times the gaussian plan's step underflowed to 0: ZeroDivisionError

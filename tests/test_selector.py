@@ -429,16 +429,21 @@ def test_ucv_moment_route_matches_oracle(name):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ucv_wide_grid_sums_per_h():
-    # (2 h_max/h_min)^5 overflows on this grid, so the epanechnikov pairs
-    # are summed per h; the uniform kernel's degree 1 keeps the moments.
-    # The transform route would need about 1e82 panels: it has no plan
+    # (2 h_max/h_min)^5 overflows on this grid, so the epanechnikov moments
+    # do not apply and the fast sums, which read each h alone, take it; the
+    # uniform kernel's degree 1 keeps the moments.  The transform route
+    # would need about 1e82 panels: it has no plan
     x = _mixture_sample(50, 19)
     grid = [1e-40, 0.3, 1e40]
-    assert selector._transform_plan(np.sort(x), make_builtin("epanechnikov"),
-                                    np.array(grid)) is None
+    k = make_builtin("epanechnikov")
+    assert selector._transform_plan(np.sort(x), k, np.array(grid)) is None
     d = np.abs(x[:, None] - x[None, :])[np.triu_indices(x.size, 1)]
-    res = _check_against_oracle(as_sample(x), make_builtin("epanechnikov"), h_grid=grid)
-    assert res.metadata["pairs"] == sum(np.count_nonzero(d <= 2.0 * h) for h in grid)
+    res = _check_against_oracle(as_sample(x), k, h_grid=grid)
+    assert res.metadata["route"] == "fast-sums"
+    assert res.metadata["windows"] == _fast_windows(x, k, grid)
+    assert res.metadata["rounding"] >= np.max(np.abs(
+        np.array([q for _, q in res.criterion_curve]) - _pairwise_ucv(x, k, grid)))
+    _check_fast_sums(as_sample(x), make_builtin("uniform"), h_grid=grid)
     res = _check_against_oracle(as_sample(x), make_builtin("uniform"), h_grid=grid)
     assert res.metadata["pairs"] == d.size
     # with neither route usable the grid is refused
@@ -468,6 +473,108 @@ def test_ucv_moment_route_of_the_biweight():
     res = _check_against_oracle(as_sample(x), k)
     assert res.metadata["route"] == "pairs"
     _check_against_oracle(as_sample(x), k, h_grid=[0.4, 0.05, 0.9, 0.2, 0.4, 1.7, 0.11])
+
+
+# the fast-sum form of the pair route: per h, prefix sums of the powers of
+# the data read against their cell's first datum
+
+
+def _fast_windows(x, k, grid):
+    # the nonempty windows (j, e_j] of K*K's reach and of K's support
+    x = np.sort(np.asarray(x, dtype=float))
+    later = np.triu(np.ones((x.size, x.size), dtype=bool), 1)
+    d = x[None, :] - x[:, None]
+    return sum(int(np.count_nonzero(np.any(later & (d <= w * h), axis=1)))
+               for h in grid for w in (2.0 * k.support, k.support))
+
+
+def _check_fast_sums(s, k, h_grid=None):
+    # the fast sums forced: the oracle's curve and argmin, the windows
+    # summed, and a rounding bound no smaller than the difference
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selector, "_FAST_OPS", (0.0, 0.0))
+        res = selector.cv_bandwidth(s, k, h_grid=h_grid)
+    meta = res.metadata
+    grid = np.array([h for h, _ in res.criterion_curve])
+    curve = np.array([q for _, q in res.criterion_curve])
+    ref = _pairwise_ucv(s.values, k, grid)
+    _assert_matches(curve, ref, res.h, grid)
+    assert meta["route"] == "fast-sums"
+    assert meta["windows"] == _fast_windows(s.values, k, grid)
+    assert meta["rounding"] >= np.max(np.abs(curve - ref))
+    return res
+
+
+@pytest.mark.parametrize("name", COMPACT)
+def test_ucv_fast_sums_match_oracle(name):
+    k = make_builtin(name)
+    rng = np.random.default_rng(16)
+    x = _mixture_sample(300, 17)
+    assert len(_check_fast_sums(as_sample(x), k).criterion_curve) == 60
+    # an unsorted grid with a duplicate h
+    grid = [0.4, 0.05, 0.9, 0.2, 0.4, 1.7, 0.11]
+    res = _check_fast_sums(as_sample(x), k, h_grid=grid)
+    assert [h for h, _ in res.criterion_curve] == grid
+    _check_fast_sums(as_sample([0.3, 1.7]), k)
+    _check_fast_sums(as_sample(0.5 * rng.integers(0, 6, size=90)), k)
+    with pytest.warns(UserWarning):
+        _check_fast_sums(as_sample([2.0] * 4), k, h_grid=[0.1, 0.4, 1.3])
+    _check_fast_sums(as_sample(1e6 + rng.normal(size=200)), k)
+    unit = rng.normal(size=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_fast_sums(as_sample(1e-150 * unit), k,
+                         h_grid=1e-150 * selector.default_h_grid(1.0, 200))
+    _check_fast_sums(as_sample(1e150 * unit), k)
+    # the distance to a far next cell over h overflows, for data whose
+    # windows do not reach it (and so does the oracle's d/h)
+    with np.errstate(over="ignore"):
+        _check_fast_sums(as_sample(np.append(unit[:50], 1e4)), k, h_grid=[1e-305, 0.5])
+
+
+@pytest.mark.parametrize("h", [0.3, 0.1875, 1.0 / 3.0, 1e-3 * math.pi])
+def test_ucv_fast_sums_pair_edges(h):
+    # pairs at d = h and d = 2h and one ulp either side of each: the window
+    # ends by the pair route's own test fl(x_l - x_j) <= support h
+    x = np.array([0.0, np.nextafter(h, 0.0), h, np.nextafter(h, 2.0 * h),
+                  np.nextafter(2.0 * h, 0.0), 2.0 * h, np.nextafter(2.0 * h, 3.0 * h)])
+    _check_fast_sums(as_sample(x), make_builtin("uniform"), h_grid=[0.5 * h, h])
+
+
+def test_ucv_fast_sums_of_the_biweight():
+    # K of degree 4 and K*K of degree 9: ten prefix sums per h
+    k = _polynomial_kernel("biweight", (Fraction(15, 16), 0, Fraction(-15, 8), 0,
+                                        Fraction(15, 16)))
+    x = _mixture_sample(300, 17)
+    _check_fast_sums(as_sample(x), k)
+    _check_fast_sums(as_sample(x), k, h_grid=[0.4, 0.05, 0.9, 0.2, 0.4, 1.7, 0.11])
+
+
+def test_ucv_fast_sums_on_a_lattice_and_far_from_zero():
+    rng = np.random.default_rng(21)
+    # integer data and integer h: many pairs at d = h, where the uniform K
+    # jumps, and at d = 2h, where the reach ends
+    lattice = rng.integers(0, 12, size=200).astype(float)
+    _check_fast_sums(as_sample(lattice), make_builtin("uniform"), h_grid=[1.0, 2.0, 3.0, 5.0])
+    # |x| near 1e6 with h near 1e-3: each cell is read against its own first
+    # datum, so the powers keep the digits of the spread, not of 1e6
+    far = 1e6 + 0.01 * rng.normal(size=300)
+    for name in COMPACT:
+        _check_fast_sums(as_sample(far), make_builtin(name), h_grid=np.geomspace(5e-4, 5e-3, 12))
+
+
+def test_ucv_fast_sums_memory_is_linear_in_n():
+    # the pairs within 2 h_max of the moment form would take about 400 MB
+    # here; the fast sums hold O(n degree) floats per grid point
+    s = as_sample(np.random.default_rng(15).normal(size=50000))
+    tracemalloc.start()
+    try:
+        res = selector.cv_bandwidth(s, make_builtin("epanechnikov"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.metadata["route"] == "fast-sums" and res.metadata["rounding"] > 0.0
+    assert peak < 64 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", COMPACT)
