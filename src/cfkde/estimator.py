@@ -146,6 +146,8 @@ def default_grid(sample: Sample, h: float, n_points: int = 512) -> np.ndarray:
     pad = 4.0 * h + 4.0 * sample.std()
     lo = float(sample.values[0]) - pad
     hi = float(sample.values[-1]) + pad
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("bandwidth %r pads the default grid past the float range" % h)
     if hi <= lo:
         hi = lo + 1.0
     return np.linspace(lo, hi, n_points)

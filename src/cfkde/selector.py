@@ -73,17 +73,15 @@ _MOMENT_OPS = (1.6, 0.17)
 _MOMENT_CHUNK = 1 << 10
 # Counted operations of the fast sums per grid point and datum, and more per
 # coefficient of K*K: two binary searches and the cells, and per power the
-# prefix sums, the gathers and the matrix products, about 140 + 45 deg ns
-_FAST_OPS = (11.0, 3.6)
+# prefix sums, the gathers and the matrix products, about 180 + 37 deg ns at
+# n = 600-1000, where numpy's cost per call and h still shows
+_FAST_OPS = (15.0, 2.8)
 # Counted operations per node of the transform route's loop over h: phi, its
 # product with the weights and their sum
 _LOOP_OPS = 2
 # Rows whose products the fast sums' matrix products add in sequence; the
 # block sums are then added pairwise
 _FAST_ROWS = 64
-# Grid points times data the fast sums hold at once: their float arrays,
-# about 10 degree such rows, stay within about 2 MiB
-_FAST_CHUNK = 1 << 12
 # Width of a fast-sum cell past K*K's reach 2 support h: it keeps a pair
 # within reach from landing two cells apart through the rounding of the
 # cell index
@@ -410,7 +408,9 @@ def _per_h_sums(x: np.ndarray, k: KernelModel,
                 grid: np.ndarray) -> Tuple[np.ndarray, int]:
     # sum_{j<l} [(K*K)(d/h) - 2 K(d/h)] for each h over the pairs with
     # d <= 2 support h, each block's distances sorted once for all h; also
-    # returns the pairs evaluated, summed over the grid
+    # returns the pairs evaluated, summed over the grid.  Where K*K is K
+    # (sinc), K - 2K is -K exactly: one evaluation per pair
+    same = k.selfconv is k.eval
     reach = 2.0 * k.support
     far = reach * float(grid.max())
     sums = np.zeros(grid.size)
@@ -422,7 +422,7 @@ def _per_h_sums(x: np.ndarray, k: KernelModel,
             near = d[:np.searchsorted(d, reach * h, side="right")] \
                 if math.isfinite(far) else d
             u = near / h
-            sums[i] += np.sum(k.selfconv(u) - 2.0 * k.eval(u))
+            sums[i] += np.sum(-k.eval(u) if same else k.selfconv(u) - 2.0 * k.eval(u))
             pairs += near.size
     return sums, pairs
 
@@ -472,18 +472,18 @@ def _moments_apply(k: KernelModel, grid: np.ndarray) -> bool:
     return deg * math.log2(2.0 * k.support * float(grid.max() / grid.min())) < 500.0
 
 
-def _window_end(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # for each row of w (a column) and each j, the last l >= j of the sorted
-    # sample with fl(x_l - x_j) <= w, the pair route's own test: a binary
-    # search past every datum that can pass it, then back past each value
-    # that fails, ties and all
+def _window_end(x: np.ndarray, w: float) -> np.ndarray:
+    # for each j, the last l >= j of the sorted sample with
+    # fl(x_l - x_j) <= w, the pair route's own test: a binary search past
+    # every datum that can pass it, then back past each value that fails,
+    # ties and all
     e = np.searchsorted(x, np.nextafter(x + w * (1.0 + 4.0 * _EPS), np.inf), side="right")
     e -= 1
     while True:
         bad = np.flatnonzero(np.take(x, e) - x > w)
         if bad.size == 0:
             return e
-        e.flat[bad] = np.searchsorted(x, x[e.flat[bad]], side="left") - 1
+        e[bad] = np.searchsorted(x, x[e[bad]], side="left") - 1
 
 
 def _binomial_matrix(c: Sequence[float], deg: int) -> np.ndarray:
@@ -499,21 +499,21 @@ def _binomial_matrix(c: Sequence[float], deg: int) -> np.ndarray:
 def _fast_sums(x: np.ndarray, k: KernelModel,
                grid: np.ndarray) -> Tuple[np.ndarray, int, np.ndarray]:
     # The same sums as _moment_sums by fast sum updating, O(n H degree) for
-    # the whole grid.  Per h the sorted sample is cut into cells at most
-    # W = 2 support h (1 + _CELL_SLACK) wide: a new cell starts at a gap
-    # wider than 2 support h, and where floor((x - x_c)/W) steps, x_c the
-    # first datum since such a gap, so that the floor's rounding stays below
-    # the slack.  Each cell is anchored at its first datum a, y = (x - a)/h.
-    # A pair within K*K's reach 2 support h, or K's support h, never skips a
-    # cell, so j's window (j, e_j] splits into the part in j's cell and the
-    # part in the next, read against that cell's anchor, t_j = (a' - x_j)/h:
-    # every |y|, |t| stays below 2 support (1 + _CELL_SLACK) whatever the
-    # span.  With P(z - y) = sum_r Q_r(y) z^r, each part costs one prefix sum
-    # per r of the cell-local powers y^r, kept as hi + lo (the error of each
-    # step of the cumulative sum is exact), and h's whole sum is the sum of
-    # M * (A^T V), elementwise after one degree x columns matrix product.
-    # The grid is taken _FAST_CHUNK grid points times data at a time, in
-    # buffers made once.  Returns the sums, the nonempty windows summed and,
+    # the whole grid, one h at a time.  Per h the sorted sample is cut into
+    # cells at most W = 2 support h (1 + _CELL_SLACK) wide: a new cell starts
+    # at a gap wider than 2 support h, and where floor((x - x_c)/W) steps,
+    # x_c the first datum since such a gap, so that the floor's rounding
+    # stays below the slack.  Each cell is anchored at its first datum a,
+    # y = (x - a)/h.  A pair within K*K's reach 2 support h, or K's support
+    # h, never skips a cell, so j's window (j, e_j] splits into the part in
+    # j's cell and the part in the next, read against that cell's anchor,
+    # t_j = (a' - x_j)/h: every |y|, |t| stays below 2 support
+    # (1 + _CELL_SLACK) whatever the span.  With P(z - y) = sum_r Q_r(y) z^r,
+    # each part costs one prefix sum per r of the cell-local powers y^r, kept
+    # as hi + lo (the error of each step of the cumulative sum is exact), and
+    # h's whole sum is the sum of M * (A^T V), elementwise after one
+    # degree x columns matrix product.  The arrays are made once per call and
+    # reused for every h.  Returns the sums, the nonempty windows summed and,
     # per h, a bound on the sum's rounding from the sum of |M| * (A^T |V|),
     # the magnitude of the expanded terms.
     a, b = k.poly
@@ -525,91 +525,75 @@ def _fast_sums(x: np.ndarray, k: KernelModel,
     n = x.size
     # rows padded with at least one zero column, for an empty window
     cols = (n // _FAST_ROWS + 1) * _FAST_ROWS
-    blocks = cols // _FAST_ROWS
     gap = np.diff(x)
     idx = np.arange(n)
     sums = np.empty(grid.size)
     terms = np.empty(grid.size)
     windows = 0
-    step = min(grid.size, max(1, _FAST_CHUNK // n))
-    buffers = {}
-    for i0 in range(0, grid.size, step):
-        h = grid[i0:i0 + step, None]
-        m = h.shape[0]
-        rows = (np.arange(m) * cols)[:, None]
-        if m not in buffers:
-            # pos: indices into the rows of L, the padding at a zero column
-            pos = np.empty((m, cols), dtype=np.intp)
-            pos[:, n:] = rows + n
-            buffers[m] = (np.empty((2, m, n), dtype=np.intp), pos, np.empty((m, n)),
-                          np.zeros((2, deg, m, cols)), np.zeros((nc + deg, m, cols)),
-                          np.zeros((nc, m, cols)), np.empty((2, deg, m, n + 1)),
-                          np.empty((2, deg, m, n)))
-        (start, end), pos, q, A, V, W, acc, base = buffers[m]
+    # A[0] = y^r for the own parts, A[1] = t^r for the next-cell parts
+    A = np.zeros((2, deg, cols))
+    A[:, 0, :n] = 1.0
+    powers, y, t = A[0, :, :n], A[0, 1, :n], A[1, 1, :n]
+    # V: L at the end of the own parts of K*K's and K's windows, then the
+    # cell-local inclusive prefix sums L themselves; own = L(end) - L.
+    # W: the next-cell parts, from that cell's start, or the zero column
+    V = np.zeros((nc + deg, cols))
+    W = np.zeros((nc, cols))
+    local = V[nc:]
+    # the rows in blocks of _FAST_ROWS, for the matrix products
+    blocked = list(zip(A.reshape(2, deg, -1, _FAST_ROWS).transpose(0, 2, 1, 3),
+                       [v.reshape(v.shape[0], -1, _FAST_ROWS).transpose(1, 2, 0) for v in (V, W)]))
+    acc = np.zeros((2, deg, n + 1))
+    hi, err = acc
+    base = np.empty((2, deg, n))
+    start = np.zeros(n, dtype=np.intp)
+    end = np.full(n, n - 1)
+    # indices into the rows of L, the padding at the zero column
+    pos = np.full(cols, n)
+    for i, h in enumerate(grid):
         reach = 2.0 * k.support * h
         e2 = _window_end(x, reach)
         e1 = _window_end(x, k.support * h)
         windows += int(np.count_nonzero(e2 > idx) + np.count_nonzero(e1 > idx))
         # cells: start[j] is the first datum of j's cell, end[j] its last
         split = gap > reach
-        start[:, 0] = 0
-        np.multiply(split, idx[1:], out=start[:, 1:])
-        np.maximum.accumulate(start, axis=1, out=start)
-        np.subtract(x, np.take(x, start), out=q)
-        q /= reach * (1.0 + _CELL_SLACK)
-        np.floor(q, out=q)
-        split |= q[:, 1:] != q[:, :-1]
-        np.multiply(split, idx[1:], out=start[:, 1:])
-        np.maximum.accumulate(start, axis=1, out=start)
-        end[:, -1] = n - 1
-        end[:, -2::-1] = np.minimum.accumulate(np.where(split[:, ::-1], idx[-2::-1], n - 1),
-                                               axis=1)
+        np.multiply(split, idx[1:], out=start[1:])
+        np.maximum.accumulate(start, out=start)
+        q = np.floor((x - np.take(x, start)) / (reach * (1.0 + _CELL_SLACK)))
+        split |= q[1:] != q[:-1]
+        np.multiply(split, idx[1:], out=start[1:])
+        np.maximum.accumulate(start, out=start)
+        end[-2::-1] = np.minimum.accumulate(np.where(split[::-1], idx[-2::-1], n - 1))
         far2 = e2 > end
         far1 = e1 > end
-        # A[0] = y^r for the own parts, A[1] = t^r for the next-cell parts
-        A[:, 0, :, :n] = 1.0
-        y = A[0, 1, :, :n]
         np.subtract(x, np.take(x, start), out=y)
         y /= h
-        t = A[1, 1, :, :n]
         np.subtract(np.take(x, np.minimum(end + 1, n - 1)), x, out=t)
         # zeroed before the division, which overflows for a far next cell
         t *= far2
         t /= h
         for r in range(2, deg):
-            np.multiply(A[:, r - 1, :, :n], A[:, 1, :, :n], out=A[:, r, :, :n])
-        powers = A[0, :, :, :n]
-        # V: L at the end of the own parts of K*K's and K's windows, then
-        # the cell-local inclusive prefix sums L themselves; own = L(end) - L
-        local = V[nc:]
-        acc[..., 0] = 0.0
-        hi, err = acc[0], acc[1]
-        np.cumsum(powers, axis=2, out=hi[..., 1:])
-        np.subtract(hi[..., 1:], hi[..., :-1], out=err[..., 1:])
-        np.subtract(powers, err[..., 1:], out=err[..., 1:])
-        np.cumsum(err[..., 1:], axis=2, out=err[..., 1:])
-        start += (np.arange(m) * (n + 1))[:, None]
-        np.take(acc.reshape(2, deg, -1), start.reshape(-1), axis=2,
-                out=base.reshape(2, deg, -1), mode="clip")
+            np.multiply(A[:, r - 1, :n], A[:, 1, :n], out=A[:, r, :n])
+        np.cumsum(powers, axis=1, out=hi[:, 1:])
+        np.subtract(hi[:, 1:], hi[:, :-1], out=err[:, 1:])
+        np.subtract(powers, err[:, 1:], out=err[:, 1:])
+        np.cumsum(err[:, 1:], axis=1, out=err[:, 1:])
+        np.take(acc, start, axis=2, out=base, mode="clip")
         np.subtract(acc[..., 1:], base, out=base)
-        np.add(base[0], base[1], out=local[..., :n])
-        flat = local.reshape(deg, -1)
-        # W: the next-cell parts, from that cell's start, or the zero column
-        for own, nxt, part, far, e in ((V[:db], W[:db], flat[:db], far2, e2),
-                                       (V[db:nc], W[db:], flat[:da], far1, e1)):
-            np.add(np.where(far, end, e), rows, out=pos[:, :n])
+        np.add(base[0], base[1], out=local[:, :n])
+        for own, nxt, part, far, e in ((V[:db], W[:db], local[:db], far2, e2),
+                                       (V[db:nc], W[db:], local[:da], far1, e1)):
+            pos[:n] = np.where(far, end, e)
             np.take(part, pos, axis=1, out=own, mode="clip")
-            np.add(np.where(far, e, n), rows, out=pos[:, :n])
+            pos[:n] = np.where(far, e, n)
             np.take(part, pos, axis=1, out=nxt, mode="clip")
-        # products summed over blocks of _FAST_ROWS rows, the blocks pairwise
-        blocked = A.reshape(2, deg, m, blocks, _FAST_ROWS).transpose(0, 2, 3, 1, 4)
-        own, nxt = (np.matmul(pw, v.reshape(-1, m, blocks, _FAST_ROWS).transpose(1, 2, 3, 0))
-                    for pw, v in zip(blocked, (V, W)))
-        own, nxt = (np.ascontiguousarray(np.moveaxis(g, 1, -1)).sum(axis=-1) for g in (own, nxt))
-        at = own[..., :nc]
-        start_sums = np.concatenate((own[..., nc:nc + db], own[..., nc:nc + da]), axis=-1)
-        sums[i0:i0 + m] = np.sum(signed * (at - start_sums) + M * nxt, axis=(1, 2))
-        terms[i0:i0 + m] = np.sum(np.abs(M) * (at + start_sums + nxt), axis=(1, 2))
+        # products summed over each block's rows in sequence, the blocks pairwise
+        own, nxt = (np.ascontiguousarray(np.moveaxis(pw @ v, 0, -1)).sum(axis=-1)
+                    for pw, v in blocked)
+        at = own[:, :nc]
+        start_sums = np.concatenate((own[:, nc:nc + db], own[:, nc:nc + da]), axis=-1)
+        sums[i] = np.sum(signed * (at - start_sums) + M * nxt)
+        terms[i] = np.sum(np.abs(M) * (at + start_sums + nxt))
     # eps per rounding of each expanded term: y or t and its powers, the
     # prefix sums, L and the own part's difference, and the up to _FAST_ROWS
     # products and additions of a block, about log2 of the blocks pairwise,
@@ -648,32 +632,35 @@ def _ucv_curve(x: np.ndarray, k: KernelModel,
       of K*K; only while (2 support h_max/h_min)^deg stays far from
       overflow (_moments_apply).
     * fast sums (route "fast-sums"; the same kernels): per h, prefix sums
-      of the powers of the data in cells 2 support h wide (_fast_sums), at
-      _FAST_OPS[0] + _FAST_OPS[1] deg operations per grid point and datum.
+      of the powers of the data in cells 2 support h wide (_fast_sums), one
+      h at a time, at _FAST_OPS[0] + _FAST_OPS[1] deg operations per grid
+      point and datum.
     * per h (route "pairs"; every other kernel with a selfconv): two kernel
-      evaluations per pair within 2 support h, summed over the grid.
+      evaluations per pair within 2 support h, summed over the grid; one
+      where K*K is K (sinc), counted as two.
 
     The weights were fitted to these timings (2-core machine, thread time,
-    best of 9; normal samples on their default grid, and a gaussian sample
-    with one outlier on the grid of the sample without it, 20 points),
-    moments against fast sums:
+    best of 9, the least of three or four passes; normal samples on their
+    default grid, and a gaussian sample with one outlier on the grid of the
+    sample without it, 20 points), fast sums against moments:
 
-    * Epanechnikov, 20 points: n = 632 6.0 against 7.7 ms, 800 11.3
-      against 8.8, 1589 25.3 against 10.5; 60 points: n = 1589 25.8
-      against 30.0, 3000 84.9 against 51.7.
-    * uniform, 20 points: n = 399 1.7 against 1.8, 502 2.5 against 2.5;
-      biweight: n = 632 6.8 against 7.8, 800 9.3 against 8.0.
+    * Epanechnikov, 20 points: n = 632 5.0 against 4.6 ms, 800 6.0 against
+      6.7, 1589 10.1 against 23.9; 60 points: n = 1589 29.7 against 23.5,
+      3000 45.4 against 75.3.
+    * uniform, 20 points: n = 399 2.9 against 1.5, 502 3.2 against 2.3,
+      632 3.6 against 3.5, 800 3.9 against 4.9; biweight: n = 632 6.8
+      against 5.8, 800 7.2 against 8.2.
 
     and transform against per-h pairs, with the counted ratio:
 
-    * gaussian, outlier at 640, n = 200: 10.2 against 5.4 ms (1.35; 1.05
-      when the loop over h counted one operation per node); outlier at
-      1280, n = 400: 25.3 against 20.2 (1.16); n = 1000, outlier at 1280:
-      46 against 120 (0.51), at 2560: 257 against 118 (1.01).
-    * sinc, outlier at 320, n = 200: 6.4 against 14.2 ms, yet counted 1.10:
-      its K and K*K cost about 2.5 times the gaussian's per pair.
+    * gaussian, outlier at 640, n = 200: 10.2 against 5.4 ms (1.35);
+      outlier at 1280, n = 400: 25.3 against 20.2 (1.16); n = 1000, outlier
+      at 1280: 46 against 120 (0.51), at 2560: 257 against 118 (1.01).
+    * sinc, outlier at 320, n = 200: 8.6 against 10.8 ms, yet counted 1.19:
+      its K costs about 2.5 times the gaussian's per pair.
 
-    The forms count within 10% of each other where a miss was seen.
+    Besides the sinc case, the one miss seen is uniform at n = 632, where
+    the two forms lie within 5% of each other.
     metadata["pairs"] counts the pairs evaluated: once each for the moment
     form, once per h for the per-h form.  On the transform route
     metadata["rule"] names the node rule ("midpoint" or "gauss-legendre-12")

@@ -1,6 +1,7 @@
 """Tests for density models and empirical characteristic functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,31 @@ def test_normal_closed_tails():
     assert_allclose(d.cf_sq_tail(0.7), 2.0 * ref, rtol=1e-10)
     ref2, _ = integrate.quad(lambda t: math.exp(-0.5 * 1.5 ** 2 * t * t), 0.7, 20.0)
     assert_allclose(d.cf_abs_tail(0.7), 2.0 * ref2, rtol=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3])
+def test_laplace_tails_keep_their_digits(scale):
+    # pi/2 - arctan(u) - u/(1 + u^2), u = b T, cancels to 5e-5 relative at
+    # u = 1e4 and goes negative at u = 1e6; u * u overflows past 1e154
+    mpmath = pytest.importorskip("mpmath")
+    d = make_density("laplace", scale=scale)
+    tiny = np.finfo(float).tiny
+    # and both sides of the series' switch at 2 arctan(1/u) = 1
+    switch = 1.0 / math.tan(0.5)
+    u = np.append(np.geomspace(1e-3, 1e300, 240), [switch * (1 - 1e-15), switch * (1 + 1e-15)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sq, ab = d.cf_sq_tail(u / scale), d.cf_abs_tail(u / scale)
+    for ui, got_sq, got_ab in zip(u, sq, ab):
+        # the direct form at enough digits to survive its cancellation
+        with mpmath.workdps(40 + int(3.2 * max(0.0, math.log10(ui)))):
+            U = mpmath.mpf(scale) * mpmath.mpf(float(ui / scale))
+            refs = ((mpmath.pi / 2 - mpmath.atan(U) - U / (1 + U * U)) / scale,
+                    2 * mpmath.acot(U) / scale)
+        for got, ref in zip((got_sq, got_ab), refs):
+            ref = float(ref)
+            assert got >= 0.0
+            assert abs(got - ref) <= 1e-13 * ref + tiny, (ui, got, ref)
 
 
 def test_fejer_closed_forms():

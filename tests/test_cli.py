@@ -414,6 +414,9 @@ def test_select_and_plan_constants_not_finite_and_positive_exit_2(tmp_path, caps
      "cutoff search"),
     (["risk", "--density", "normal", "--h-grid", "1e-320", "--n", "100"], "cutoff search"),
     (["estimate", "--kernel", "sinc", "--correct", "--h", "1e-320"], "bandwidth 1e-320"),
+    # the default grid's 4h pad made its ends infinite: linspace warned and
+    # the grid was refused as not uniformly spaced
+    (["estimate", "--h", "1e308"], "bandwidth 1e+308"),
 ))
 def test_bandwidth_near_the_float_range_ends_exits_2(tmp_path, capsys, argv, word):
     if argv[0] != "risk":

@@ -563,6 +563,34 @@ def test_ucv_fast_sums_on_a_lattice_and_far_from_zero():
         _check_fast_sums(as_sample(far), make_builtin(name), h_grid=np.geomspace(5e-4, 5e-3, 12))
 
 
+@pytest.mark.parametrize("name", COMPACT + ["biweight"])
+def test_ucv_fast_sums_read_each_h_alone(name):
+    # no h reads another h's state: over a grid the sums, the windows and
+    # the rounding bound are those of each h run alone, bit for bit, on the
+    # inputs of test_ucv_fast_sums_match_oracle
+    k = (_polynomial_kernel(name, (Fraction(15, 16), 0, Fraction(-15, 8), 0, Fraction(15, 16)))
+         if name == "biweight" else make_builtin(name))
+    rng = np.random.default_rng(16)
+    x = _mixture_sample(300, 17)
+    ties = 0.5 * rng.integers(0, 6, size=90)
+    far = 1e6 + rng.normal(size=200)
+    unit = rng.normal(size=200)
+    cases = [(x, None), (x, [0.4, 0.05, 0.9, 0.2, 0.4, 1.7, 0.11]), ([0.3, 1.7], None),
+             (ties, None), ([2.0] * 4, [0.1, 0.4, 1.3]), (far, None),
+             (1e-150 * unit, 1e-150 * selector.default_h_grid(1.0, 200)), (1e150 * unit, None),
+             (np.append(unit[:50], 1e4), [1e-305, 0.5])]
+    for values, grid in cases:
+        values = np.sort(np.asarray(values, dtype=float))
+        grid = np.asarray(selector.default_h_grid(as_sample(values).std(), values.size)
+                          if grid is None else grid)
+        with np.errstate(over="ignore"):
+            sums, windows, rounding = selector._fast_sums(values, k, grid)
+            alone = [selector._fast_sums(values, k, grid[i:i + 1]) for i in range(grid.size)]
+        assert sums.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+        assert windows == sum(a[1] for a in alone)
+        assert rounding.tobytes() == np.concatenate([a[2] for a in alone]).tobytes()
+
+
 def test_ucv_fast_sums_memory_is_linear_in_n():
     # the pairs within 2 h_max of the moment form would take about 400 MB
     # here; the fast sums hold O(n degree) floats per grid point
@@ -613,6 +641,27 @@ def test_ucv_moment_route_skips_kernel_calls(name):
         np.count_nonzero(d <= 2.0 * k.support * h) for h, _ in res.criterion_curve)
     _assert_matches([q for _, q in res.criterion_curve],
                     np.array([q for _, q in per_h.criterion_curve]))
+
+
+def test_ucv_per_h_form_evaluates_sinc_once_per_pair():
+    # the sinc kernel's K*K is K, so K*K - 2K is -K exactly: one call of the
+    # kernel per block of pairs and h, and the same sums as two calls
+    calls = []
+
+    def counting(u):
+        calls.append(np.size(u))
+        return SINC.eval(u)
+
+    once = dataclasses.replace(SINC, eval=counting, selfconv=counting)
+    twice = dataclasses.replace(SINC, selfconv=lambda u: SINC.eval(u))
+    rng = np.random.default_rng(0)
+    x = np.sort(np.append(rng.normal(size=199), 320.0))
+    grid = selector.default_h_grid(float(np.std(x[:-1], ddof=1)), 199, 20)
+    blocks = sum(1 for _ in selector._pair_blocks(x, math.inf))
+    sums, pairs = selector._per_h_sums(x, once, grid)
+    assert len(calls) == blocks * grid.size and sum(calls) == pairs
+    ref, ref_pairs = selector._per_h_sums(x, twice, grid)
+    assert sums.tobytes() == ref.tobytes() and pairs == ref_pairs
 
 
 def test_ucv_memory_is_flat_in_n():
