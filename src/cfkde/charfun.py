@@ -594,6 +594,14 @@ def _make_mixture(weights, means, sigmas) -> DensityModel:
     )
 
 
+# pi/2 - Si(x) = f(x) cos x + g(x) sin x, with x f(x) and x^2 g(x) the series
+# sum_k (-1)^k (2k)!/x^(2k) and sum_k (-1)^k (2k + 1)!/x^(2k): their
+# coefficients in z = 1/x^2, highest power first
+_SI_FG = np.array([[[(-1.0) ** k * math.factorial(2 * k + j)] for j in (0, 1)]
+                   for k in reversed(range(5))])
+_TINY = np.finfo(float).tiny
+
+
 def _make_uniform(a: float = 0.0, b: float = 1.0) -> DensityModel:
     if not b > a:
         raise ValueError("uniform density needs b > a")
@@ -610,11 +618,22 @@ def _make_uniform(a: float = 0.0, b: float = 1.0) -> DensityModel:
         return np.exp(1j * c * t) * np.sinc(w * t / (2.0 * math.pi))
 
     def cf_sq_tail(T):
-        T = np.maximum(T, 0.0)
-        si, _ = sici(w * T)
-        x = 0.5 * w * T
-        # sin(x)^2/x, which is 0 at x = 0
-        return (4.0 / w) * (0.5 * math.pi - si + np.sin(x) * np.sinc(x / math.pi))
+        # (4/w) (pi/2 - Si(x) + sin(x/2)^2/(x/2)), x = w T.  pi/2 - Si(x) loses
+        # digits in proportion to x; past x = 128 it is f(x) cos x + g(x) sin x,
+        # from five terms of the asymptotic series of f and g (the next term
+        # is below 3e-15 of them there)
+        x = w * np.maximum(T, 0.0)
+        rest = np.asarray(0.5 * math.pi - sici(x)[0])
+        far = x > 128.0
+        if far.any():
+            y = x[far]
+            z, fg = (1.0 / y) ** 2, _SI_FG[0]
+            for c in _SI_FG[1:]:
+                fg = fg * z + c
+            rest[far] = (fg[0] * np.cos(y) + fg[1] * np.sin(y) / y) / y
+        # sin(x/2)^2/(x/2), which is 0 at x = 0
+        half = 0.5 * x
+        return ((4.0 / w) * (rest + np.sin(half) ** 2 / np.maximum(half, _TINY)))[()]
 
     def sampler(rng, size):
         return rng.uniform(a, b, size)

@@ -26,7 +26,7 @@ from . import bounds
 from .charfun import DensityModel, as_sample, make_density
 from .estimator import CorrectionInfeasibleError, estimate_on_grid
 from .kernels import BUILTIN_KERNELS, KernelModel, make_builtin
-from .risk import exact_mise, exact_mse, mc_mise
+from .risk import _mise, exact_mse, mc_mise
 from .selector import (
     PlanRequest,
     SelectorResult,
@@ -459,16 +459,14 @@ def cmd_risk(cfg: RunConfig) -> int:
     if cfg.mc is not None:
         header += ["mc_mise", "mc_se"]
     header += ["degraded", "cutoff", "nodes"]
-    rows = []
-    for h in grid:
-        rep = exact_mise(density, kernel, float(h), cfg.n)
-        row = [float(h), rep.value, rep.quad_error]
-        if cfg.mc is not None:
-            mean, se = mc_mise(density, kernel, float(h), cfg.n,
-                               reps=cfg.mc, seed=cfg.seed)
-            row += [mean, se]
-        row += [bool(rep.degraded), float(rep.cutoff), int(rep.nodes)]
-        rows.append(row)
+    # the whole grid in one call, each h to its own cutoff; _mise is exact_mise
+    # on the flat grid (perfbench/spans.py hooks exact_mise as scalar-valued)
+    rep = _mise(density, kernel, grid, cfg.n)
+    columns = [grid, rep.value, rep.quad_error]
+    if cfg.mc is not None:
+        columns += mc_mise(density, kernel, grid, cfg.n, reps=cfg.mc, seed=cfg.seed)
+    columns += [rep.degraded, rep.cutoff, rep.nodes]
+    rows = list(zip(*(np.asarray(c).tolist() for c in columns)))
     return _write_table(cfg, header, rows)
 
 
@@ -478,24 +476,30 @@ def _bound_table(density: DensityModel, kernel: KernelModel,
     n = cfg.n
     lo, hi = density.support_hint
     xs = np.linspace(lo, hi, 9)
-    rows = []
-    for res, k_used in bounds.bound_table(density, kernel, n, h, cfg.h0, cfg.m):
-        exact = None
-        if res.bound is not None:
-            # a report that raises or is degraded leaves exact and ratio blank
+    table = list(bounds.bound_table(density, kernel, n, h, cfg.h0, cfg.m))
+    exact, mise = [None] * len(table), {}
+    # one exact_mise call for the mise rows of each kernel; a report that
+    # raises or is degraded leaves exact and ratio blank
+    for i, (res, k_used) in enumerate(table):
+        if res.bound is not None and res.kind != "max_mse":
+            mise.setdefault(k_used.name, (k_used, []))[1].append(i)
+        elif res.bound is not None:
             try:
-                if res.kind == "max_mse":
-                    rep = exact_mse(density, k_used, res.h_used, n, xs)
-                else:
-                    rep = exact_mise(density, k_used, res.h_used, n)
-                if not np.any(rep.degraded):
-                    exact = float(np.max(rep.value))
+                rep = exact_mse(density, k_used, res.h_used, n, xs)
+                exact[i] = None if np.any(rep.degraded) else float(np.max(rep.value))
             except ValueError:
                 pass
-        ratio = None
-        if res.bound is not None and exact is not None and exact > 0.0:
-            ratio = res.bound / exact
-        rows.append([res.theorem_id, res.h_used, res.bound, exact, ratio,
+    for k_used, index in mise.values():
+        try:
+            rep = _mise(density, k_used, [table[i][0].h_used for i in index], n)
+        except ValueError:
+            continue
+        for i, value, degraded in zip(index, rep.value.tolist(), rep.degraded.tolist()):
+            exact[i] = None if degraded else value
+    rows = []
+    for (res, _), value in zip(table, exact):
+        ratio = res.bound / value if res.bound is not None and value and value > 0.0 else None
+        rows.append([res.theorem_id, res.h_used, res.bound, value, ratio,
                      "true" if res.applicable else "false"])
     return rows
 

@@ -419,6 +419,14 @@ def estimate_on_grid(
     _check_h(h)
     xs = default_grid(sample, h, n_points) if grid is None else np.asarray(grid, dtype=float)
     _check_uniform(xs)
+    est = _estimate(sample, kernel, h, xs)
+    if correct:
+        est = correct_to_density(est)
+    return est
+
+
+def _estimate(sample: Sample, kernel: KernelModel, h: float, xs: np.ndarray) -> EstimateGrid:
+    """``estimate_on_grid`` on a uniform grid xs, h and xs taken as checked."""
     reach = kernel.reach * h
     plo, phi = _window(sample.values, reach, xs)
     pairs = int(np.sum(phi - plo))
@@ -439,11 +447,7 @@ def estimate_on_grid(
         ys = _pair_sum(sample, kernel, h, xs, plo, phi)
         meta = {"route": route, "pairs": pairs,
                 "reach": reach if math.isfinite(reach) else None}
-    est = EstimateGrid(xs=xs, ys=ys, h=float(h), kernel_name=kernel.name,
-                       metadata=meta)
-    if correct:
-        est = correct_to_density(est)
-    return est
+    return EstimateGrid(xs=xs, ys=ys, h=float(h), kernel_name=kernel.name, metadata=meta)
 
 
 def correct_to_density(est: EstimateGrid) -> EstimateGrid:

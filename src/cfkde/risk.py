@@ -11,16 +11,18 @@ the target's characteristic function f:
 Every transform-side integral here, the bias factor of the lemma-1 bound
 included, is some int_0^inf D(t) G(h t) dt of a density factor D (|f|^2,
 Re[f e^{-itx}] or |f|) and a kernel factor G, and goes through one driver,
-``_transform_integrals``.  It stops at one cutoff T: the band limit, else
-the T of the exact tails while that fits the work budget, raised where
-needed until every bounded tail passes its share of RISK_RTOL of the
-integral's scale (``certified_cutoff``: two array calls of the
-certificate, on a doubling ladder of T and then on 1% rungs).  Up to T it
-integrates on ``gauss_panels``: Gauss-Legendre panels one period of the
-fastest oscillation wide, broken where an integrand has a kink or a jump
-(the sinc kernel's jumps, the kinks of a mixture's |f|) and nowhere else,
-a 12-against-24-node error estimate per panel, and adaptive bisection of
-the panels that miss their share of the tolerance.
+``_transform_integrals``, for a whole grid of h in one call.  Each h stops
+at a cutoff T of its own: the band limit, else the T of the exact tails
+while that fits the work budget, raised where needed until every bounded
+tail passes its share of RISK_RTOL of the integral's scale
+(``certified_cutoff``: two array calls of the certificate for all h, on
+doubling ladders of T and then on 1% rungs).  Up to T it integrates on
+``gauss_panels``, each h on panels of its own in shared integrand calls:
+Gauss-Legendre panels one period of the fastest oscillation wide, broken
+where an integrand has a kink or a jump (the sinc kernel's jumps, the
+kinks of a mixture's |f|) and nowhere else, a 12-against-24-node error
+estimate per panel, and adaptive bisection of the panels that miss their
+share of the tolerance.
 Past T, where the transforms carry ``tail_terms`` (a sum of c exp(i a t)
 t^-p: the uniform and Laplace densities, the uniform and Epanechnikov
 kernels and the transforms of their squares), the products of D's and G's
@@ -37,13 +39,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import digamma
 
 from .charfun import _W12, _X12, DensityModel, Sample
-from .estimator import estimate_on_grid
+from .estimator import _estimate
 from .kernels import KernelModel, _check_count, _check_h
 
 __all__ = [
@@ -69,6 +71,9 @@ _WORK = 1 << 23
 _CHUNK = 1 << 15
 _EPS = np.finfo(float).eps
 
+# the cutoff search's fine rungs, 1% apart: 1.01^70 > 2
+_RUNGS = 1.01 ** np.arange(1, 71)
+
 _X24, _W24 = np.polynomial.legendre.leggauss(24)
 _NODES = np.concatenate((_X12, _X24))
 _PER_PANEL = _NODES.size
@@ -79,24 +84,26 @@ class RiskReport:
     """A risk value together with its numerical-error budget.
 
     value, quad_error and degraded are arrays when the risk was asked for
-    at an array of points.  cutoff is the transform-side cutoff T and
-    nodes the number of quadrature nodes spent.
+    at an array of points or of bandwidths.  cutoff is the transform-side
+    cutoff T and nodes the number of quadrature nodes spent; these and the
+    truncation are arrays too for an array of bandwidths, one per h.
     """
 
     value: Union[float, np.ndarray]
     quad_error: Union[float, np.ndarray]
-    truncation: float
+    truncation: Union[float, np.ndarray]
     degraded: Union[bool, np.ndarray]
-    cutoff: float
-    nodes: int
+    cutoff: Union[float, np.ndarray]
+    nodes: Union[int, np.ndarray]
 
 
 class Quadrature(NamedTuple):
-    """Values and error estimates of m integrals over the same panels."""
+    """Values and error estimates of m integrals over the same panels, and
+    the nodes spent; per group for grouped integrals (``gauss_panels``)."""
 
     value: np.ndarray
     error: np.ndarray
-    nodes: int
+    nodes: Union[int, np.ndarray]
 
 
 def _degraded(value, quad_error):
@@ -128,7 +135,7 @@ def panel_edges(lo: float, hi: float, omega: float,
     return (np.arange(start.size) - first) * step + start
 
 
-def gauss_panels(fun: Callable, edges, tol) -> Quadrature:
+def gauss_panels(fun: Callable, edges, tol, group=None) -> Quadrature:
     """Integrate m functions over the panels between consecutive edges.
 
     fun maps a 1-d array of nodes to an (m, nodes) array (or a 1-d array
@@ -142,50 +149,77 @@ def gauss_panels(fun: Callable, edges, tol) -> Quadrature:
     their error estimates, so the reported error stays honest.  The
     reported error also counts the ulp floor of every panel, the rounding
     that no rule can remove.
+
+    With group, the group of each panel, edges is the pair (lo, hi) of the
+    panels' ends, each group's panels contiguous and the groups in order.
+    Each group of m integrals then runs on its own panels as if alone,
+    budget included, and fun(t, g) gets the group g of each node (a slice
+    for one group); value and error are (m, groups) arrays and nodes holds
+    each group's count.
     """
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
+    grouped = group is not None
+    if grouped:
+        lo, hi = edges
+        count = np.bincount(group)
+        last = np.cumsum(count) - 1
+        span = hi[last] - lo[last - count + 1]
+    else:
+        edges = np.asarray(edges, dtype=float)
+        lo, hi, span = edges[:-1], edges[1:], edges[-1:] - edges[:1]
     tol = np.atleast_1d(np.asarray(tol, dtype=float))
     m = tol.size
-    rate = tol / max(edges[-1] - edges[0], np.finfo(float).tiny)
+    rate = tol[:, None] / np.maximum(span, np.finfo(float).tiny)
+    # for one group, no group per panel: a slice costs no gathers
+    one = span.size == 1
+    group = None if one else group
     per_call = max(1, _CHUNK // (_PER_PANEL * m))
-    value = np.zeros(m)
-    error = np.zeros(m)
-    nodes = 0
+    value = np.zeros((m, span.size))
+    error = np.zeros((m, span.size))
+    nodes = 0 if one else np.zeros(span.size, dtype=int)
     while lo.size:
-        final = (nodes + 3 * _PER_PANEL * lo.size) * m > _WORK
+        level = _PER_PANEL * (lo.size if one else np.bincount(group, minlength=span.size))
+        final = (nodes + 3 * level) * m > _WORK
+        nodes += level
         redo = []
         for s in range(0, lo.size, per_call):
             a, b = lo[s:s + per_call], hi[s:s + per_call]
+            if one:
+                g, r, out = slice(0, 1), rate, final
+            else:
+                g = group[s:s + per_call]
+                r, out = rate[:, g], final[g]
             half = 0.5 * (b - a)
             mid = 0.5 * (b + a)
             t = (mid[:, None] + half[:, None] * _NODES).ravel()
-            v = np.asarray(fun(t), dtype=float).reshape(m, a.size, _PER_PANEL)
+            v = fun(t, g if one else np.repeat(g, _PER_PANEL)) if grouped else fun(t)
+            v = np.asarray(v, dtype=float).reshape(m, a.size, _PER_PANEL)
             q12 = (v[..., :12] @ _W12) * half
             q24 = (v[..., 12:] @ _W24) * half
             err = np.abs(q24 - q12)
             floor = 8.0 * _EPS * (np.abs(v[..., 12:]) @ _W24) * half
-            ok = np.all(err <= np.maximum(rate[:, None] * (b - a), floor), axis=0)
-            if final:
-                ok[:] = True
+            ok = np.all(err <= np.maximum(r * (b - a), floor), axis=0)
+            ok |= out | (half <= 4.0 * _EPS * np.abs(mid))
+            if one:
+                value[:, 0] += q24[:, ok].sum(axis=1)
+                error[:, 0] += np.maximum(err, floor)[:, ok].sum(axis=1)
             else:
-                ok |= half <= 4.0 * _EPS * np.abs(mid)
-            value += q24[:, ok].sum(axis=1)
-            error += np.maximum(err, floor)[:, ok].sum(axis=1)
+                np.add.at(value.T, g[ok], q24[:, ok].T)
+                np.add.at(error.T, g[ok], np.maximum(err, floor)[:, ok].T)
             if not ok.all():
-                redo.append((a[~ok], b[~ok]))
-        nodes += _PER_PANEL * lo.size
+                redo.append((a[~ok], b[~ok]) if one else (a[~ok], b[~ok], g[~ok]))
         if not redo:
             break
-        a = np.concatenate([r[0] for r in redo])
-        b = np.concatenate([r[1] for r in redo])
+        a, b, *g = (np.concatenate(r) for r in zip(*redo))
         mid = 0.5 * (a + b)
         lo, hi = np.concatenate((a, mid)), np.concatenate((mid, b))
-    return Quadrature(value, error, nodes)
+        group = None if one else np.concatenate(g * 2)
+    if grouped:
+        return Quadrature(value, error, np.atleast_1d(nodes))
+    return Quadrature(value[:, 0], error[:, 0], nodes)
 
 
 def certified_cutoff(cert: Callable[[np.ndarray], np.ndarray], tol: float,
-                     start: float = 1.0, limit: float = math.inf) -> float:
+                     start=1.0, limit=math.inf):
     """Smallest T, to within 1%, with cert(T) <= tol for a decreasing cert.
 
     cert maps an array of T to an array of certificates and is called at
@@ -195,20 +229,36 @@ def certified_cutoff(cert: Callable[[np.ndarray], np.ndarray], tol: float,
     passes (1.01^70 > 2).  limit must be finite, and T never exceeds it;
     cert(limit) may still exceed tol, and the caller accounts for what is
     left.  Raises ValueError where limit/start is not finite: a bandwidth or
-    scale near either end of the float range puts the cutoff past it.
+    scale near either end of the float range puts the cutoff past it.  With
+    an array of start (and of limit), one search per row in the same two
+    calls, cert mapping (rows, rungs) arrays of T; a row's ladder repeats
+    its limit once there.
     """
-    if start >= limit:
-        return limit
-    if not math.isfinite(limit / start):
-        raise ValueError("no finite cutoff search from %r up to %r: the bandwidth or "
-                         "scale lies too near the ends of the float range" % (start, limit))
-    ladder = np.append(np.ldexp(start, np.arange(math.ceil(math.log2(limit / start)))), limit)
-    ok = cert(ladder) <= tol
-    if ok[0] or not ok.any():
-        return float(start if ok[0] else limit)
-    i = int(np.argmax(ok))
-    rungs = np.minimum(ladder[i - 1] * 1.01 ** np.arange(1, 71), ladder[i])
-    return float(rungs[np.argmax(cert(rungs) <= tol)])
+    scalar = np.ndim(start) == 0
+    start = np.atleast_1d(np.asarray(start, dtype=float))
+    limit = np.zeros(start.size) + limit
+    start = np.minimum(start, limit)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = limit / start
+    widest = float(ratio.max())
+    if not math.isfinite(widest):
+        raise ValueError("no finite cutoff search from %r up to %r: the bandwidth or scale lies "
+                         "too near the ends of the float range"
+                         % (float(start.min()), float(limit.max())))
+    steps = math.ceil(math.log2(widest))
+    if steps == 0:
+        return float(limit[0]) if scalar else limit
+    passes = lambda T: (cert(T[0]) if scalar else cert(T)).reshape(T.shape) <= tol
+    ladder = np.minimum(np.ldexp(start[:, None], np.arange(steps + 2)), limit[:, None])
+    ok = passes(ladder)
+    # the first rung that passes: the start, the limit where none does, or
+    # of the rungs 1% apart up from the rung below it
+    i, rows = np.argmax(ok, axis=1), np.arange(start.size)
+    T = np.where(ok[:, 0], start, limit)
+    if i.any():
+        rungs = np.minimum(ladder[rows, i - 1, None] * _RUNGS, ladder[rows, i, None])
+        T = np.where(i > 0, rungs[rows, np.argmax(passes(rungs), axis=1)], T)
+    return float(T[0]) if scalar else T
 
 
 def _sup_tail(kernel: KernelModel) -> Callable:
@@ -331,12 +381,13 @@ def _product(d: _Terms, g: _Terms, hs, xs) -> _Terms:
     return _Terms(c, a, np.add.outer(d.p, g.p), slack)
 
 
-def _tail_sum(x: _Terms, T: float):
+def _tail_sum(x: _Terms, T):
     """Re sum int_T^inf c exp(i a t) t^-p dt, and a bound on its rounding.
 
-    The sum runs over the last two axes of the terms' arrays.  Each integral
-    is c T^(1-p) E_p(-i a T).  Besides the rounding of E_p and of the
-    products, y = a T may be off by dy = slack T + ulp(y); that moves the
+    The sum runs over the last two axes of the terms' arrays, and T
+    broadcasts against them (a cutoff per h: shape (h, 1, 1, 1)).  Each
+    integral is c T^(1-p) E_p(-i a T).  Besides the rounding of E_p and of
+    the products, y = a T may be off by dy = slack T + ulp(y); that moves the
     integral by T^(1-p) times at most dy |E_(p-1)(-i y)| <= 2 dy/|y| and
     int_1^inf min(dy s, 2) s^-p ds, which is at most dy/(p - 2) for p >= 3
     and dy (1 + ln(2/dy)) for p = 2 (the bound that holds at y = 0).
@@ -359,18 +410,19 @@ def _min_gap(phases) -> float:
     return float(gaps.min()) if gaps.size else math.inf
 
 
-def _tail_cutoff(density: DensityModel, kernel_terms, h: float):
-    """Cutoff T for the exact tails: two periods of the slowest oscillation
-    of the terms past where every expansion holds, so no term's integral is
-    much larger than the tail it sums to.  kernel_terms are the kernel's
-    expansions in use, each in u = h t.  None when that T is 0."""
+def _tail_cutoff(density: DensityModel, kernel_terms, hs) -> np.ndarray:
+    """Cutoff T for the exact tails at each h of hs: two periods of the
+    slowest oscillation of the terms past where every expansion holds, so no
+    term's integral is much larger than the tail it sums to.  kernel_terms
+    are the kernel's expansions in use, each in u = h t.  0 marks an h
+    without one."""
     t0, d_terms = density.tail_terms
-    start, slow = float(t0), _min_gap([a for _, a, _ in d_terms])
-    for u0, k_terms in kernel_terms:
-        start = max(start, float(u0) / h)
-        slow = min(slow, h * _min_gap([a for _, a, _ in k_terms]))
-    T = start + (4.0 * math.pi / slow if math.isfinite(slow) else 0.0)
-    return T if T > 0.0 else None
+    start, slow = np.full(hs.shape, float(t0)), _min_gap([a for _, a, _ in d_terms])
+    with np.errstate(over="ignore"):
+        for u0, k_terms in kernel_terms:
+            start = np.maximum(start, float(u0) / hs)
+            slow = np.minimum(slow, hs * _min_gap([a for _, a, _ in k_terms]))
+        return start + np.where(np.isfinite(slow), 4.0 * math.pi / slow, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,80 +450,116 @@ class _Row(NamedTuple):
 
 class _Integrals(NamedTuple):
     """int_0^inf D(t) G(h t) dt on the axes (factor, h, x), its error and
-    the half-width of its bounded tail; the callers drop the axis they do
-    not use."""
+    the half-width of its bounded tail, with the cutoff and the nodes of
+    each h; the callers drop the axis they do not use."""
 
     value: np.ndarray
     error: np.ndarray
     truncation: np.ndarray
-    cutoff: float
-    nodes: int
+    cutoff: np.ndarray
+    nodes: np.ndarray
+
+
+def _tail_bound(row: _Row, rest, u, s):
+    """(midpoint, half-width) of the row's bounded tail at u = h T, h on the
+    first axis, and the sup-tail s there: row.bound, but where rest (None:
+    nowhere) only what the h's exact tails leave, row.rest (None: 0)."""
+    if rest is None:
+        return row.bound(u, s)
+    part = row.rest(u, s) if row.rest else (0.0, 0.0)
+    return tuple(np.where(rest[:, None], p, w) for p, w in zip(part, row.bound(u, s)))
+
+
+def _panels(T, omega, breaks):
+    """The panels of each h up to its T, as ``panel_edges`` lays them out:
+    their ends and their h, for ``gauss_panels``."""
+    if len(breaks):
+        edges = [panel_edges(0.0, c, w, breaks) for c, w in zip(T.tolist(), omega.tolist())]
+        return (np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]),
+                np.repeat(np.arange(T.size), [e.size - 1 for e in edges]))
+    # without breaks, [0, T] in c equal panels, the k-th from k T/c
+    count = np.maximum(1.0, np.ceil(T / (2.0 * math.pi / omega))).astype(int)
+    group = np.repeat(np.arange(T.size), count)
+    k = np.arange(group.size) - np.repeat(np.cumsum(count) - count, count)
+    step = (T / count)[group]
+    return k * step, np.where(k + 1 == count[group], T[group], (k + 1) * step), group
 
 
 def _transform_integrals(density: DensityModel, kernel: KernelModel, integrand: Callable,
-                         rows, hs, xs, omega: float, tail: Callable,
+                         rows, hs, xs, omega, tail: Callable,
                          d_terms: Optional[_Terms], breaks: Sequence[float] = (),
                          periods: Optional[float] = None) -> _Integrals:
     """The half-line integrals of the risks for every factor of rows, h in
-    hs and x in xs.
+    hs and x in xs, each h to its own cutoff T, as if alone.
 
-    integrand maps t to its rows in (factor, h, x) order; omega is their
-    fastest phase speed.  D, the density factor, has the tail tail(T) =
-    int_{|t| >= T} |D|, half of it on the half line, and the tail terms
-    d_terms (None: none), which the x shift exp(-i t x) is applied to.
-    T is the band limit where the density has one.  Else it is the exact
-    tails' T (``_tail_cutoff``), where some factor has terms and the first
-    panel pass up to that T fits the work budget, raised by one
-    ``certified_cutoff`` search until tail(T)/2 times every bound's
-    half-width at h_min T is within half its row's tolerance.  The search
-    never lowers the exact tails' T; otherwise T stays within periods
-    periods of omega (by default the most whose panels fit a quarter of
-    the work budget).  The panels up to T break at breaks, the kinks and
-    jumps of the integrand, and take half of each row's tolerance.  Past
-    T, the product of D's and G's terms is summed over every (h, x) at
+    integrand maps nodes t and the h of each to its rows in (factor, x)
+    order; omega, per h or one for all, is their fastest phase speed.  D,
+    the density factor, has the tail tail(T) = int_{|t| >= T} |D|, half of
+    it on the half line, and the tail terms d_terms (None: none), which the
+    x shift exp(-i t x) is applied to.  T is the band limit where the
+    density has one.  Else it is the exact tails' T (``_tail_cutoff``),
+    where some factor has terms and the first panel pass up to that T fits
+    the work budget, raised by one ``certified_cutoff`` search, a ladder per
+    h, until tail(T)/2 times every bound's half-width at h T is within half
+    its row's tolerance.  The search never lowers the exact tails' T;
+    otherwise T stays within periods periods of omega (by default the most
+    whose panels fit a quarter of the work budget).  One ``gauss_panels``
+    call takes every h on panels of its own up to its T, broken at breaks,
+    the kinks and jumps of the integrand, with half of each row's tolerance.
+    Past T, the product of D's and G's terms is summed over every (h, x) at
     once (``_tail_sum``), and each bound adds tail(T)/2 times its midpoint
     to the value and times its half-width to the error and the truncation.
     """
     shape = (len(rows), hs.size, xs.size)
+    omega = np.zeros(hs.size) + omega
     sup_tail = _sup_tail(kernel)
     tol = 0.5 * RISK_RTOL * float(tail(0.0)) * np.array([r.weight for r in rows])
-    exact, bounds = False, [None] * len(rows)
+    exact, live = np.zeros(hs.size, dtype=bool), []
     if density.cf_cutoff is not None:
-        T = float(density.cf_cutoff)
+        T = np.full(hs.size, float(density.cf_cutoff))
     else:
-        # the largest T whose first panel pass fits the work budget
-        reach = _WORK / (_PER_PANEL * math.prod(shape)) * 2.0 * math.pi / omega
-        limit = 0.25 * reach if periods is None else periods * 2.0 * math.pi / omega
-        h_min, T = float(hs.min()), None
+        # the largest T whose first panel pass fits the work budget of one h;
+        # past the float range at an h near 0, which the search refuses
+        with np.errstate(over="ignore"):
+            reach = _WORK / (_PER_PANEL * shape[0] * shape[2]) * 2.0 * math.pi / omega
+            limit = 0.25 * reach if periods is None else periods * 2.0 * math.pi / omega
+        T = np.full(hs.size, 0.0625)
         if d_terms is not None and any(r.terms is not None for r in rows):
-            T = _tail_cutoff(density, [r.expansion for r in rows if r.expansion], h_min)
-        exact = T is not None and T <= reach
-        if exact:
-            limit = max(limit, T)
-        bounds = [r.rest if exact and r.terms is not None else r.bound for r in rows]
-        live = [(b, float(t)) for b, t in zip(bounds, tol) if b is not None]
+            tails_T = _tail_cutoff(density, [r.expansion for r in rows if r.expansion], hs)
+            exact = (tails_T > 0.0) & (tails_T <= reach)
+            T = np.where(exact, tails_T, T)
+            limit = np.where(exact, np.maximum(limit, tails_T), limit)
+        # (factor, the h whose exact tails take its terms) with a bound left
+        live = [(j, exact & (r.terms is not None)) for j, r in enumerate(rows)]
+        live = [(j, rest if rest.any() else None) for j, rest in live
+                if rows[j].rest or not rest.all()]
 
         def cert(c):
-            u = h_min * c
+            u = hs[:, None] * c
             s = sup_tail(u)
-            return 0.5 * tail(c) * functools.reduce(np.maximum, [b(u, s)[1] / t for b, t in live])
+            return 0.5 * tail(c) * functools.reduce(
+                np.maximum, [_tail_bound(rows[j], rest, u, s)[1] / tol[j] for j, rest in live])
 
         if live:
-            T = certified_cutoff(cert, 0.5, start=T if exact else 0.0625, limit=limit)
-    q = gauss_panels(integrand, panel_edges(0.0, T, omega, breaks),
-                     np.repeat(0.5 * tol, hs.size * xs.size))
-    value, error = q.value.reshape(shape), q.error.reshape(shape)
+            T = certified_cutoff(cert, 0.5, start=T, limit=limit)
+    lo, hi, group = _panels(T, omega, breaks)
+    q = gauss_panels(lambda t, g: integrand(t, hs[g]), (lo, hi), np.repeat(0.5 * tol, shape[2]),
+                     group)
+    value = q.value.reshape(shape[0], shape[2], shape[1]).swapaxes(1, 2)
+    error = q.error.reshape(shape[0], shape[2], shape[1]).swapaxes(1, 2)
     truncation = np.zeros(shape)
-    if any(b is not None for b in bounds):
-        u = hs[:, None] * T
-        tau, s = 0.5 * float(tail(T)), sup_tail(u)
-    for j, (row, b) in enumerate(zip(rows, bounds)):
-        if exact and row.terms is not None:
-            v, r = _tail_sum(_product(d_terms, row.terms, hs, xs), T)
-            value[j] += v
-            error[j] += r
-        if b is not None:
-            mid, half = b(u, s)
+    if exact.any():
+        at = T[exact][:, None, None, None]
+        for j, row in enumerate(rows):
+            if row.terms is not None:
+                v, r = _tail_sum(_product(d_terms, row.terms, hs[exact], xs), at)
+                value[j, exact] += v
+                error[j, exact] += r
+    if live:
+        u = (hs * T)[:, None]
+        tau, s = 0.5 * tail(T)[:, None], sup_tail(u)
+        for j, rest in live:
+            mid, half = _tail_bound(rows[j], rest, u, s)
             value[j] += tau * mid
             truncation[j] = tau * half
             error[j] += truncation[j]
@@ -492,7 +580,7 @@ def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
     with tau the tail of |f|^2 the bias tail lies in [tau (1-s)^2,
     tau (1+s)^2] and the variance tail in [0, tau s^2].  Where both models
     carry tail terms, the tails are exact instead, while their T, which
-    grows like 1/h_min, fits the work budget (``_transform_integrals``).
+    grows like 1/h, fits the work budget (``_transform_integrals``).
     """
     hs = np.atleast_1d(np.asarray(hs, dtype=float))
     if kernel.is_sinc:
@@ -501,7 +589,7 @@ def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
         tails = density.cf_sq_tail(1.0 / hs)
         zeros = np.zeros((2, hs.size))
         return _Integrals(np.stack((tails, total - tails)), zeros, zeros,
-                          float(1.0 / hs.min()), 0)
+                          1.0 / hs, np.zeros(hs.size, dtype=int))
     rows = [_Row(lambda u, s: (1.0 + s * s, 2.0 * s)),
             _Row(lambda u, s: (0.5 * s * s,) * 2)][:2 if variance else 1]
     d_terms = None
@@ -512,59 +600,81 @@ def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
         rows = [r._replace(terms=_multiply(g, g), expansion=kernel.tail_terms)
                 for r, g in zip(rows, factors)]
 
-    def integrand(t):
+    def integrand(t, h):
         ft = density.cf(t)
         mod2 = ft.real ** 2 + ft.imag ** 2
-        u = hs[:, None] * t[None, :]
+        u = h * t
         rows = [mod2 * kernel.one_minus_cf(u) ** 2]
         if variance:
             rows.append(mod2 * kernel.cf(u) ** 2)
-        return np.concatenate(rows)
+        return rows
 
     r = _transform_integrals(
         density, kernel, integrand, rows, hs, np.zeros(1),
-        density.cf_phases[1] - density.cf_phases[0] + 2.0 * float(hs.max()),
+        density.cf_phases[1] - density.cf_phases[0] + 2.0 * hs,
         density.cf_sq_tail, d_terms)
     value, error, truncation = (2.0 * v[..., 0] for v in r[:3])
     return _Integrals(value, error, truncation, r.cutoff, r.nodes)
 
 
-def integrated_sq_bias(density: DensityModel, kernel: KernelModel,
-                       h: float) -> RiskReport:
-    """Integrated squared bias int bias(x)^2 dx, by certified quadrature.
+def _bandwidths(h) -> np.ndarray:
+    """h as a flat array, each checked."""
+    hs = np.atleast_1d(np.asarray(h, dtype=float)).ravel()
+    for one in hs.tolist():
+        _check_h(one)
+    return hs
+
+
+def _shape(x, arr):
+    return arr[0].item() if np.ndim(x) == 0 else arr.reshape(np.shape(x))
+
+
+def _shaped(h, report: RiskReport) -> RiskReport:
+    """A report on the flat array of h in the shape of h: scalars for one."""
+    if np.ndim(h) == 0:
+        return RiskReport(*(v.item(0) for v in vars(report).values()))
+    return RiskReport(*(v.reshape(np.shape(h)) for v in vars(report).values()))
+
+
+def integrated_sq_bias(density: DensityModel, kernel: KernelModel, h) -> RiskReport:
+    """Integrated squared bias int bias(x)^2 dx, by certified quadrature, at
+    a bandwidth h or at each of an array of them (one pass, each h to its
+    own cutoff).
 
     Parseval moves the integral to the transform side, where it is
     damped by |f|^2:  (2 pi)^(-1) int |f(t)|^2 |1 - phi(h t)|^2 dt.
     """
-    _check_h(h)
-    r = _sq_integrals(density, kernel, h, variance=False)
-    value, quad_error, truncation = (float(v[0, 0]) / (2.0 * math.pi) for v in r[:3])
-    return RiskReport(value=value, quad_error=quad_error, truncation=truncation,
-                      degraded=bool(_degraded(value, quad_error)),
-                      cutoff=r.cutoff, nodes=r.nodes)
+    r = _sq_integrals(density, kernel, _bandwidths(h), variance=False)
+    value, quad_error, truncation = (v[0] / (2.0 * math.pi) for v in r[:3])
+    return _shaped(h, RiskReport(value, quad_error, truncation, _degraded(value, quad_error),
+                                 r.cutoff, r.nodes))
 
 
-def exact_mise(density: DensityModel, kernel: KernelModel, h: float,
-               n: int) -> RiskReport:
-    """Exact mean integrated squared error, by certified quadrature.
-
-    Only integrals damped by |f|^2 reach the quadrature, both in one pass:
-    the kernel-only part of the variance enters exactly as
-    int |phi(ht)|^2 dt = 2 pi R(K) / h.
-    """
-    _check_h(h)
+def _mise(density: DensityModel, kernel: KernelModel, h, n: int) -> RiskReport:
+    """``exact_mise`` on the flat array of h, whatever its shape."""
+    hs = _bandwidths(h)
     _check_count("n", n)
-    r = _sq_integrals(density, kernel, h)
+    r = _sq_integrals(density, kernel, hs)
     two_pi = 2.0 * math.pi
-    (bias, var), rough = r.value[:, 0] / two_pi, kernel.roughness / h
-    value = float(bias + (rough - var) / n)
-    # the combination's own rounding: a few ulps of the terms it combines
-    quad_error = float((r.error[0, 0] + r.error[1, 0] / n) / two_pi
-                       + 4.0 * _EPS * (abs(bias) + (rough + abs(var)) / n))
-    return RiskReport(value=value, quad_error=quad_error,
-                      truncation=float(r.truncation[0, 0]) / two_pi,
-                      degraded=bool(_degraded(value, quad_error)),
-                      cutoff=r.cutoff, nodes=r.nodes)
+    with np.errstate(over="ignore"):  # R(K)/h past the float range: an inf, degraded
+        (bias, var), rough = r.value / two_pi, kernel.roughness / hs
+        value = bias + (rough - var) / n
+        # the combination's own rounding: a few ulps of the terms it combines
+        quad_error = ((r.error[0] + r.error[1] / n) / two_pi
+                      + 4.0 * _EPS * (np.abs(bias) + (rough + np.abs(var)) / n))
+    return RiskReport(value, quad_error, r.truncation[0] / two_pi,
+                      _degraded(value, quad_error), r.cutoff, r.nodes)
+
+
+def exact_mise(density: DensityModel, kernel: KernelModel, h, n: int) -> RiskReport:
+    """Exact mean integrated squared error, by certified quadrature, at a
+    bandwidth h or at each of an array of them.
+
+    Only integrals damped by |f|^2 reach the quadrature, both in one pass
+    over every h, each h to its own cutoff: the kernel-only part of the
+    variance enters exactly as int |phi(ht)|^2 dt = 2 pi R(K) / h.
+    """
+    return _shaped(h, _mise(density, kernel, h, n))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +713,7 @@ def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
         sq = kernel.sq_tail_terms
         rows.append(_Row(psi, None if sq is None else _terms(sq), sq, weight=kernel.roughness))
 
-    def integrand(t):
+    def integrand(t, _):
         ft = density.cf(t)
         tx = xs[:, None] * t[None, :]
         re = ft.real * np.cos(tx) + ft.imag * np.sin(tx)
@@ -619,7 +729,8 @@ def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
         float(np.max(np.maximum(np.abs(hi - xs), np.abs(lo - xs)))) + h,
         density.cf_abs_tail, None if density.tail_terms is None else _terms(density.tail_terms),
         breaks=[1.0 / h, 2.0 / h] if kernel.is_sinc else ())
-    return r._replace(value=r.value[:, 0], error=r.error[:, 0])
+    return r._replace(value=r.value[:, 0], error=r.error[:, 0], cutoff=float(r.cutoff[0]),
+                      nodes=int(r.nodes[0]))
 
 
 def _abs_bias_factor(density: DensityModel, kernel: KernelModel,
@@ -634,7 +745,7 @@ def _abs_bias_factor(density: DensityModel, kernel: KernelModel,
     only loosens.
     """
     r = _transform_integrals(
-        density, kernel, lambda t: np.abs(density.cf(t)) * np.abs(kernel.one_minus_cf(h * t)),
+        density, kernel, lambda t, _: np.abs(density.cf(t)) * np.abs(kernel.one_minus_cf(h * t)),
         [_Row(lambda u, s: (0.5 * (1.0 + s),) * 2)], np.array([h]), np.zeros(1),
         density.cf_phases[1] - density.cf_phases[0] + h,
         density.cf_abs_tail, None, breaks=density.cf_kinks, periods=4096)
@@ -650,10 +761,6 @@ def _pointwise_points(density: DensityModel, h: float, x) -> np.ndarray:
             "not available" % density.name
         )
     return np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-
-
-def _shape(x, arr):
-    return arr[0].item() if np.ndim(x) == 0 else arr.reshape(np.shape(x))
 
 
 def exact_bias(density: DensityModel, kernel: KernelModel, h: float,
@@ -704,28 +811,32 @@ def exact_mse(density: DensityModel, kernel: KernelModel, h: float, n: int,
                       cutoff=r.cutoff, nodes=r.nodes)
 
 
-def mc_mise(density: DensityModel, kernel: KernelModel, h: float, n: int,
-            reps: int = 200, seed: int = 0,
-            grid_points: int = 1024) -> Tuple[float, float]:
-    """Monte Carlo estimate of the integrated squared error, averaged.
+def mc_mise(density: DensityModel, kernel: KernelModel, h, n: int,
+            reps: int = 200, seed: int = 0, grid_points: int = 1024):
+    """Monte Carlo estimate of the integrated squared error, averaged, at a
+    bandwidth h or at each of an array of them.
 
-    Returns (mean, standard error); the standard error is NaN for a
-    single replicate.  Replicate r uses the generator seeded with
-    seed + r, so any prefix of replicates is reproducible.
+    Returns (mean, standard error), arrays in the shape of h for an array;
+    the standard error is NaN for a single replicate.  Replicate r uses the
+    generator seeded with seed + r, so any prefix of replicates is
+    reproducible, and its sample is drawn once for every h.  Each h has its
+    own grid of grid_points over the support hint widened by 4h.
     """
-    if reps < 1:
-        raise ValueError("need at least one replicate")
+    hs = _bandwidths(h).tolist()
+    if reps < 1 or grid_points < 2:
+        raise ValueError("need at least one replicate and two grid points")
     if density.sampler is None:
         raise ValueError("density %r has no sampler" % density.name)
     lo, hi = density.support_hint
-    xs = np.linspace(lo - 4.0 * h, hi + 4.0 * h, grid_points)
-    truth = np.asarray(density.pdf(xs), dtype=float)
-    ises = np.empty(reps)
+    grids = [np.linspace(lo - 4.0 * b, hi + 4.0 * b, grid_points) for b in hs]
+    truths = [np.asarray(density.pdf(xs), dtype=float) for xs in grids]
+    ises = np.empty((len(hs), reps))
     for r in range(reps):
         rng = np.random.default_rng(seed + r)
-        data = np.sort(density.sampler(rng, n))
-        ys = estimate_on_grid(Sample(values=data), kernel, h, grid=xs).ys
-        ises[r] = np.trapezoid((ys - truth) ** 2, xs)
-    mean = float(np.mean(ises))
-    se = float(np.std(ises, ddof=1) / math.sqrt(reps)) if reps > 1 else math.nan
-    return mean, se
+        sample = Sample(values=np.sort(density.sampler(rng, n)))
+        for j, (b, xs, truth) in enumerate(zip(hs, grids, truths)):
+            ys = _estimate(sample, kernel, b, xs).ys
+            ises[j, r] = np.trapezoid((ys - truth) ** 2, xs)
+    mean = np.mean(ises, axis=1)
+    se = np.std(ises, axis=1, ddof=1) / math.sqrt(reps) if reps > 1 else mean * math.nan
+    return _shape(h, mean), _shape(h, se)

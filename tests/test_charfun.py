@@ -335,6 +335,28 @@ def test_laplace_tails_keep_their_digits(scale):
             assert abs(got - ref) <= 1e-13 * ref + tiny, (ui, got, ref)
 
 
+@pytest.mark.parametrize("width", (1.0, 0.4, 2.5))
+def test_uniform_sq_tail_keeps_its_digits(width):
+    # pi/2 - Si(w T) cancels past w T = 1: 1.2e-4 relative at w T = 1e12 and
+    # 0.63 at 1e16 in the direct form
+    mpmath = pytest.importorskip("mpmath")
+    d = make_density("uniform", a=-0.3, b=width - 0.3)
+    # and both sides of the switches at w T = 1 and 1024
+    wt = np.append(np.geomspace(1e-3, 1e300, 240),
+                   [1.0 - 1e-15, 1.0 + 1e-15, 1024.0 * (1 - 1e-15), 1024.0 * (1 + 1e-15)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = d.cf_sq_tail(wt / width)
+    with mpmath.workdps(40):
+        for x, g in zip(wt, got):
+            X = mpmath.mpf(width) * mpmath.mpf(float(x / width))
+            # pi/2 - Si(X) = -Im E1(i X), which mpmath takes to full digits
+            ref = float(4 / mpmath.mpf(width)
+                        * (-mpmath.im(mpmath.e1(1j * X)) + mpmath.sin(X / 2) ** 2 / (X / 2)))
+            assert g > 0.0
+            assert abs(g - ref) <= 1e-13 * ref, (x, g, ref)
+
+
 def test_fejer_closed_forms():
     d = make_density("fejer")
     assert d.cf_cutoff == 1.0

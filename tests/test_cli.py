@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from cfkde import cli
-from cfkde.charfun import as_sample
+from cfkde.charfun import as_sample, make_density
 from cfkde.cli import _read_sample, build_parser, main
 from cfkde.estimator import estimate_on_grid
 from cfkde.kernels import make_builtin
+from cfkde.risk import exact_mise
 
 
 def _write_sample(path, values):
@@ -219,6 +220,18 @@ def test_risk_provenance_columns(tmp_path):
     assert entry["degraded"] is False and entry["nodes"] > 0
 
 
+def test_risk_grid_in_one_call_each_row_to_its_own_cutoff(tmp_path):
+    # 200 h over three decades: the h = 0.01 row keeps the cutoff it has alone
+    out, alone = str(tmp_path / "wide.csv"), str(tmp_path / "alone.csv")
+    argv = ["risk", "--density", "uniform", "--kernel", "gaussian", "--n", "100"]
+    assert main(argv + ["--h-grid", "0.01:10:200", "--output", out]) == 0
+    assert main(argv + ["--h-grid", "0.01", "--output", alone]) == 0
+    rows, one = _read_csv(out), _read_csv(alone)[0]
+    assert len(rows) == 200 and all(r["degraded"] == "false" for r in rows)
+    assert rows[0]["cutoff"] == one["cutoff"] and rows[0]["nodes"] == one["nodes"]
+    assert float(rows[0]["quad_error"]) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -253,6 +266,27 @@ def test_bounds_normal_ratios_at_least_one(tmp_path):
         else:
             assert row["bound"] == ""
     assert {"thm1", "thm2", "thm3", "thm4", "thm5"} <= seen
+
+
+def test_bounds_blanks_only_the_degraded_exact_row(tmp_path):
+    # lemma2 and thm5 share one exact_mise call for the gaussian kernel; at
+    # n = 2^53 only thm5's row is degraded, so only its exact and ratio are blank
+    out = str(tmp_path / "bd.csv")
+    n = 2 ** 53
+    assert main(["bounds", "--density", "uniform", "--kernel", "gaussian", "--n", str(n),
+                 "--output", out]) == 0
+    rows = {r["theorem_id"]: r for r in _read_csv(out)}
+    d, g = make_density("uniform"), make_builtin("gaussian")
+    for theorem, degraded in (("lemma2", False), ("thm5", True)):
+        row = rows[theorem]
+        rep = exact_mise(d, g, float(row["h_n"]), n)
+        assert rep.degraded == degraded and row["bound"] != ""
+        if degraded:
+            assert row["exact"] == "" and row["ratio"] == ""
+        else:
+            assert abs(float(row["exact"]) - rep.value) <= 2.0 * rep.quad_error
+            assert float(row["ratio"]) == pytest.approx(float(row["bound"]) / float(row["exact"]))
+    assert rows["lemma5_mise"]["exact"] != ""
 
 
 def test_bounds_small_n_gates_nonsmooth_row(tmp_path):
@@ -330,7 +364,7 @@ def test_select_rot_normal_constant(tmp_path):
 
 
 def test_select_ucv_matches_library_argmin(tmp_path):
-    from cfkde.charfun import as_sample
+    from cfkde.charfun import as_sample, make_density
     from cfkde.kernels import make_builtin
     from cfkde.selector import cv_bandwidth
 

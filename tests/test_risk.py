@@ -201,6 +201,20 @@ def test_mc_mise_seeding_prefix_stable():
         mc_mise(d, g, 0.4, 30, reps=0, seed=7)
 
 
+def test_mc_mise_grid_draws_each_replicate_once_and_matches_per_h():
+    # replicate r is one sample for every h, each h on its own grid: the
+    # array call is the per-h calls bit for bit
+    d, g = _model("mixture"), make_builtin("epanechnikov")
+    hs = np.array([0.05, 0.3, 1.2])
+    mean, se = mc_mise(d, g, hs, 40, reps=4, seed=3, grid_points=256)
+    assert mean.shape == se.shape == hs.shape
+    for i, h in enumerate(hs):
+        one = mc_mise(d, g, float(h), 40, reps=4, seed=3, grid_points=256)
+        assert isinstance(one[0], float) and (mean[i], se[i]) == one
+    m1, s1 = mc_mise(d, g, hs[:1], 40, reps=1, seed=3, grid_points=256)
+    assert m1.shape == (1,) and math.isnan(s1[0])
+
+
 def test_integrated_sq_bias_normal_gaussian_closed_form():
     # the smoothed-minus-true L2 gap has a closed form for this pair
     for sigma, h in ((1.0, 0.3), (1.7, 0.8)):
@@ -656,19 +670,82 @@ def test_exact_mse_batch_keeps_the_exact_tails_of_each_point():
 @pytest.mark.parametrize("dname, kname", (("uniform", "epanechnikov"), ("uniform", "uniform"),
                                           ("laplace", "epanechnikov")))
 def test_sq_integrals_batched_exact_tails_match_per_h(dname, kname):
-    # one pass over several h sums the exact tails of every h at once, at
-    # the T of the smallest h
+    # one pass over several h sums the exact tails of every h at once, each
+    # at its own T, the T of a call of that h alone
     density, kernel = make_density(dname), make_builtin(kname)
     hs = 10.0 ** np.linspace(-1.0, 0.0, 6)
     batch = _sq_integrals(density, kernel, hs)
     assert not np.any(batch.truncation)
-    assert batch.cutoff == pytest.approx(_sq_integrals(density, kernel, hs[0]).cutoff)
     for i, h in enumerate(hs):
         one = _sq_integrals(density, kernel, h)
         assert not np.any(one.truncation)
+        assert batch.cutoff[i] == one.cutoff[0], h
         # rows: the bias and the variance integral
         assert np.all(np.abs(batch.value[:, i] - one.value[:, 0])
                       <= batch.error[:, i] + one.error[:, 0]), h
+
+
+SWEEP_H = np.geomspace(1e-3, 3.0, 7)
+
+
+@pytest.mark.parametrize("kname", ("gaussian", "epanechnikov", "uniform", "sinc"))
+@pytest.mark.parametrize("name", ("normal", "mixture", "uniform", "laplace", "fejer"))
+def test_exact_mise_over_a_grid_matches_one_call_per_h(name, kname):
+    # one call over seven h against seven calls: each row to its own cutoff,
+    # on its own panels, so nothing that a call of its own does not spend
+    density, kernel = _model(name), make_builtin(kname)
+    batch = exact_mise(density, kernel, SWEEP_H, 100)
+    fields = (batch.value, batch.quad_error, batch.truncation, batch.degraded,
+              batch.cutoff, batch.nodes)
+    assert all(np.shape(f) == SWEEP_H.shape for f in fields)
+    ones = [exact_mise(density, kernel, float(h), 100) for h in SWEEP_H]
+    for i, one in enumerate(ones):
+        assert abs(batch.value[i] - one.value) <= batch.quad_error[i] + one.quad_error
+        assert batch.cutoff[i] == one.cutoff and batch.nodes[i] == one.nodes
+        assert batch.quad_error[i] <= 1.01 * one.quad_error
+        assert one.degraded or not batch.degraded[i]
+    one = integrated_sq_bias(density, kernel, SWEEP_H[3])
+    isb = integrated_sq_bias(density, kernel, SWEEP_H)
+    assert isinstance(one.value, float) and isinstance(one.nodes, int)
+    assert abs(isb.value[3] - one.value) <= isb.quad_error[3] + one.quad_error
+    assert isb.cutoff[3] == one.cutoff
+
+
+def test_wide_grid_keeps_the_small_h_rows():
+    # 200 h over three decades: one cutoff for all rows (43.6, that of the
+    # certified search at h_min under a budget shared by 200 rows) read
+    # h = 0.01 as 0.0265 +- 0.026; each row to its own T reads it as alone
+    density, kernel = make_density("uniform"), make_builtin("gaussian")
+    hs = np.geomspace(0.01, 10.0, 200)
+    batch = exact_mise(density, kernel, hs, 100)
+    assert not np.any(batch.degraded)
+    one = exact_mise(density, kernel, 0.01, 100)
+    assert batch.cutoff[0] == one.cutoff and one.cutoff > 700.0
+    assert batch.quad_error[0] <= 1.01 * one.quad_error and one.quad_error < 1e-13
+    assert abs(batch.value[0] - one.value) <= batch.quad_error[0] + one.quad_error
+    ones = [exact_mise(density, kernel, float(h), 100) for h in hs[::19]]
+    assert [o.cutoff for o in ones] == batch.cutoff[::19].tolist()
+    assert np.sum(batch.nodes) == np.sum(
+        _sq_integrals(density, kernel, hs[:100]).nodes) + np.sum(
+        _sq_integrals(density, kernel, hs[100:]).nodes)
+
+
+@pytest.mark.parametrize("kname", ("gaussian", "epanechnikov", "uniform"))
+def test_parametric_curve_rows_match_integrated_sq_bias(kname):
+    # the UCV plug-in curve integrates every h of the grid in one pass, each
+    # to its own cutoff; row by row it is the normal density's integrated
+    # squared bias plus R(K)/(n h)
+    from cfkde.selector import _parametric_curve
+
+    kernel, sigma, n = make_builtin(kname), 1.7, 250
+    grid = np.geomspace(0.02, 3.0, 12)
+    curve = _parametric_curve(sigma, kernel, grid, n)
+    isb = integrated_sq_bias(make_density("normal", sigma=sigma), kernel, grid)
+    for i, h in enumerate(grid):
+        one = integrated_sq_bias(make_density("normal", sigma=sigma), kernel, float(h))
+        assert abs(curve[i] - kernel.roughness / (n * h) - one.value) <= (
+            2.0 * one.quad_error + 1e-15), h
+        assert isb.cutoff[i] == one.cutoff
 
 
 def test_gauss_panels_error_bounds_an_oscillatory_integral():
