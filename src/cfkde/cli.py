@@ -470,6 +470,18 @@ def cmd_risk(cfg: RunConfig) -> int:
     return _write_table(cfg, header, rows)
 
 
+def _exact_cells(risk, hs):
+    """The exact cells of rows at the bandwidths hs from one call of risk,
+    which maps a list of h to (values, degraded); where that call raises,
+    one call per h, so that a row that fails, like a degraded one, leaves
+    only its own cell blank (None)."""
+    try:
+        values, degraded = risk(hs)
+    except ValueError:
+        return [None] if len(hs) == 1 else [c for h in hs for c in _exact_cells(risk, [h])]
+    return [None if d else v for v, d in zip(values, degraded)]
+
+
 def _bound_table(density: DensityModel, kernel: KernelModel,
                  cfg: RunConfig):
     h = cfg.h if cfg.h is not None else 0.5
@@ -477,25 +489,28 @@ def _bound_table(density: DensityModel, kernel: KernelModel,
     lo, hi = density.support_hint
     xs = np.linspace(lo, hi, 9)
     table = list(bounds.bound_table(density, kernel, n, h, cfg.h0, cfg.m))
-    exact, mise = [None] * len(table), {}
-    # one exact_mise call for the mise rows of each kernel; a report that
-    # raises or is degraded leaves exact and ratio blank
+
+    def sup_mse(k_used, hs):
+        # the largest MSE over the points; degraded if any point is
+        rep = exact_mse(density, k_used, np.array(hs), n, xs)
+        return np.max(rep.value, axis=1).tolist(), np.any(rep.degraded, axis=1).tolist()
+
+    def mise(k_used, hs):
+        rep = _mise(density, k_used, hs, n)
+        return rep.value.tolist(), rep.degraded.tolist()
+
+    # one exact_mse call for the max_mse rows and one exact_mise call for the
+    # mise rows of each kernel
+    batches = {}
     for i, (res, k_used) in enumerate(table):
-        if res.bound is not None and res.kind != "max_mse":
-            mise.setdefault(k_used.name, (k_used, []))[1].append(i)
-        elif res.bound is not None:
-            try:
-                rep = exact_mse(density, k_used, res.h_used, n, xs)
-                exact[i] = None if np.any(rep.degraded) else float(np.max(rep.value))
-            except ValueError:
-                pass
-    for k_used, index in mise.values():
-        try:
-            rep = _mise(density, k_used, [table[i][0].h_used for i in index], n)
-        except ValueError:
-            continue
-        for i, value, degraded in zip(index, rep.value.tolist(), rep.degraded.tolist()):
-            exact[i] = None if degraded else value
+        if res.bound is not None:
+            risk = sup_mse if res.kind == "max_mse" else mise
+            batches.setdefault((risk, k_used.name), (k_used, []))[1].append(i)
+    exact = [None] * len(table)
+    for (risk, _), (k_used, index) in batches.items():
+        cells = _exact_cells(functools.partial(risk, k_used), [table[i][0].h_used for i in index])
+        for i, value in zip(index, cells):
+            exact[i] = value
     rows = []
     for (res, _), value in zip(table, exact):
         ratio = res.bound / value if res.bound is not None and value and value > 0.0 else None

@@ -8,21 +8,22 @@ the target's characteristic function f:
     mise    = (2 pi)^(-1) [ int |f|^2 |1 - phi(h t)|^2 dt
                             + n^(-1) int |phi(h t)|^2 (1 - |f|^2) dt ]
 
-Every transform-side integral here, the bias factor of the lemma-1 bound
-included, is some int_0^inf D(t) G(h t) dt of a density factor D (|f|^2,
-Re[f e^{-itx}] or |f|) and a kernel factor G, and goes through one driver,
-``_transform_integrals``, for a whole grid of h in one call.  Each h stops
-at a cutoff T of its own: the band limit, else the T of the exact tails
-while that fits the work budget, raised where needed until every bounded
-tail passes its share of RISK_RTOL of the integral's scale
-(``certified_cutoff``: two array calls of the certificate for all h, on
-doubling ladders of T and then on 1% rungs).  Up to T it integrates on
-``gauss_panels``, each h on panels of its own in shared integrand calls:
-Gauss-Legendre panels one period of the fastest oscillation wide, broken
-where an integrand has a kink or a jump (the sinc kernel's jumps, the
-kinks of a mixture's |f|) and nowhere else, a 12-against-24-node error
-estimate per panel, and adaptive bisection of the panels that miss their
-share of the tolerance.
+Every transform-side integral here is some int_0^inf D(t) G(h t) dt of a
+density factor D (|f|^2, Re[f e^{-itx}] or |f|) and a kernel factor G: the
+integrated risk, the pointwise bias and MSE, and the integral that the
+lemma-1 bound's bias factor subtracts from a_p.  All go through one driver,
+``_transform_integrals``, for a whole grid of h in one call (the pointwise
+risk for every x as well).  Each h stops at a cutoff T of its own: the
+band limit, else the T of the exact tails while that fits the work budget,
+raised where needed until every bounded tail passes its share of RISK_RTOL
+of the integral's scale (``certified_cutoff``: two array calls of the
+certificate for all h, on doubling ladders of T and then on 1% rungs).  Up
+to T it integrates on ``gauss_panels``, each h on panels of its own in
+shared integrand calls: Gauss-Legendre panels one period of the fastest
+oscillation wide, broken where an integrand has a kink or a jump (the sinc
+kernel's jumps, the kinks of a mixture's |f|) and nowhere else, a
+12-against-24-node error estimate per panel, and adaptive bisection of the
+panels that miss their share of the tolerance.
 Past T, where the transforms carry ``tail_terms`` (a sum of c exp(i a t)
 t^-p: the uniform and Laplace densities, the uniform and Epanechnikov
 kernels and the transforms of their squares), the products of D's and G's
@@ -193,10 +194,13 @@ def gauss_panels(fun: Callable, edges, tol, group=None) -> Quadrature:
             t = (mid[:, None] + half[:, None] * _NODES).ravel()
             v = fun(t, g if one else np.repeat(g, _PER_PANEL)) if grouped else fun(t)
             v = np.asarray(v, dtype=float).reshape(m, a.size, _PER_PANEL)
-            q12 = (v[..., :12] @ _W12) * half
-            q24 = (v[..., 12:] @ _W24) * half
+            # einsum, not a BLAS matmul, whose rounding of a panel's sum
+            # depends on the panel's place in the call: a panel's sums, and
+            # so its bisection, must not depend on the panels beside it
+            q12 = np.einsum("...k,k", v[..., :12], _W12) * half
+            q24 = np.einsum("...k,k", v[..., 12:], _W24) * half
             err = np.abs(q24 - q12)
-            floor = 8.0 * _EPS * (np.abs(v[..., 12:]) @ _W24) * half
+            floor = 8.0 * _EPS * np.einsum("...k,k", np.abs(v[..., 12:]), _W24) * half
             ok = np.all(err <= np.maximum(r * (b - a), floor), axis=0)
             ok |= out | (half <= 4.0 * _EPS * np.abs(mid))
             if one:
@@ -471,10 +475,12 @@ def _tail_bound(row: _Row, rest, u, s):
 
 
 def _panels(T, omega, breaks):
-    """The panels of each h up to its T, as ``panel_edges`` lays them out:
-    their ends and their h, for ``gauss_panels``."""
-    if len(breaks):
-        edges = [panel_edges(0.0, c, w, breaks) for c, w in zip(T.tolist(), omega.tolist())]
+    """The panels of each h up to its T, as ``panel_edges`` lays them out
+    with the breaks of that h (a row of breaks): their ends and their h, for
+    ``gauss_panels``."""
+    if breaks.size:
+        edges = [panel_edges(0.0, c, w, b)
+                 for c, w, b in zip(T.tolist(), omega.tolist(), breaks.tolist())]
         return (np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]),
                 np.repeat(np.arange(T.size), [e.size - 1 for e in edges]))
     # without breaks, [0, T] in c equal panels, the k-th from k T/c
@@ -487,7 +493,7 @@ def _panels(T, omega, breaks):
 
 def _transform_integrals(density: DensityModel, kernel: KernelModel, integrand: Callable,
                          rows, hs, xs, omega, tail: Callable,
-                         d_terms: Optional[_Terms], breaks: Sequence[float] = (),
+                         d_terms: Optional[_Terms], breaks=(),
                          periods: Optional[float] = None) -> _Integrals:
     """The half-line integrals of the risks for every factor of rows, h in
     hs and x in xs, each h to its own cutoff T, as if alone.
@@ -505,7 +511,8 @@ def _transform_integrals(density: DensityModel, kernel: KernelModel, integrand: 
     otherwise T stays within periods periods of omega (by default the most
     whose panels fit a quarter of the work budget).  One ``gauss_panels``
     call takes every h on panels of its own up to its T, broken at breaks,
-    the kinks and jumps of the integrand, with half of each row's tolerance.
+    the kinks and jumps of the integrand (one sequence for every h, or an
+    (h, breaks) array), with half of each row's tolerance.
     Past T, the product of D's and G's terms is summed over every (h, x) at
     once (``_tail_sum``), and each bound adds tail(T)/2 times its midpoint
     to the value and times its half-width to the error and the truncation.
@@ -542,7 +549,8 @@ def _transform_integrals(density: DensityModel, kernel: KernelModel, integrand: 
 
         if live:
             T = certified_cutoff(cert, 0.5, start=T, limit=limit)
-    lo, hi, group = _panels(T, omega, breaks)
+    breaks = np.asarray(breaks, dtype=float)
+    lo, hi, group = _panels(T, omega, np.broadcast_to(breaks, (hs.size, breaks.shape[-1])))
     q = gauss_panels(lambda t, g: integrand(t, hs[g]), (lo, hi), np.repeat(0.5 * tol, shape[2]),
                      group)
     value = q.value.reshape(shape[0], shape[2], shape[1]).swapaxes(1, 2)
@@ -584,12 +592,17 @@ def _sq_integrals(density: DensityModel, kernel: KernelModel, hs,
     """
     hs = np.atleast_1d(np.asarray(hs, dtype=float))
     if kernel.is_sinc:
-        # phi is the indicator of [-1, 1]: both integrals are tails of |f|^2
+        # phi is the indicator of [-1, 1]: both integrals are tails of |f|^2;
+        # a cutoff 1/h past the float range leaves no tail
         total = float(density.cf_sq_tail(0.0))
-        tails = density.cf_sq_tail(1.0 / hs)
+        with np.errstate(over="ignore"):
+            cutoff = 1.0 / hs
+        finite = np.isfinite(cutoff)
+        tails = np.zeros(hs.size)
+        tails[finite] = density.cf_sq_tail(cutoff[finite])
         zeros = np.zeros((2, hs.size))
         return _Integrals(np.stack((tails, total - tails)), zeros, zeros,
-                          1.0 / hs, np.zeros(hs.size, dtype=int))
+                          cutoff, np.zeros(hs.size, dtype=int))
     rows = [_Row(lambda u, s: (1.0 + s * s, 2.0 * s)),
             _Row(lambda u, s: (0.5 * s * s,) * 2)][:2 if variance else 1]
     d_terms = None
@@ -681,10 +694,11 @@ def exact_mise(density: DensityModel, kernel: KernelModel, h, n: int) -> RiskRep
 # pointwise risk
 
 
-def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
+def _pointwise(density: DensityModel, kernel: KernelModel, hs, xs,
                second: bool) -> _Integrals:
     """Half-line transform integrals of the bias (and of E K_h^2), batched
-    over x, on the axes (bias or second moment, x).
+    over h and x, on the axes (bias or second moment, h, x), each h to its
+    own cutoff.
 
     The bias row integrates Re[f(t) e^{-itx}] times 1 - phi(ht), the
     second-moment row times psi(ht), the transform of K^2.  Past T the
@@ -696,7 +710,6 @@ def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
     phi piece to the bound |f| s, and one without psi's terms the whole
     second-moment row to its bound (``_transform_integrals``).
     """
-    xs = np.asarray(xs, dtype=float)
     lo, hi = density.cf_phases
     sup_tail = _sup_tail(kernel)
     if math.isfinite(kernel.a_value):
@@ -713,7 +726,7 @@ def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
         sq = kernel.sq_tail_terms
         rows.append(_Row(psi, None if sq is None else _terms(sq), sq, weight=kernel.roughness))
 
-    def integrand(t, _):
+    def integrand(t, h):
         ft = density.cf(t)
         tx = xs[:, None] * t[None, :]
         re = ft.real * np.cos(tx) + ft.imag * np.sin(tx)
@@ -723,38 +736,52 @@ def _pointwise(density: DensityModel, kernel: KernelModel, h: float, xs,
             rows.append(re * kernel.sq_cf(u))
         return np.concatenate(rows)
 
-    r = _transform_integrals(
-        density, kernel, integrand, rows, np.array([h]), xs,
+    if kernel.is_sinc:
+        # the jumps of 1 - phi and of psi, the transform of K^2
+        with np.errstate(over="ignore"):
+            breaks = np.stack((1.0 / hs, 2.0 / hs), axis=1)
+    else:
+        breaks = ()
+    return _transform_integrals(
+        density, kernel, integrand, rows, hs, xs,
         # fastest phase speed of f(t) exp(-i t x) phi(h t) over the points
-        float(np.max(np.maximum(np.abs(hi - xs), np.abs(lo - xs)))) + h,
+        np.max(np.maximum(np.abs(hi - xs), np.abs(lo - xs))) + hs,
         density.cf_abs_tail, None if density.tail_terms is None else _terms(density.tail_terms),
-        breaks=[1.0 / h, 2.0 / h] if kernel.is_sinc else ())
-    return r._replace(value=r.value[:, 0], error=r.error[:, 0], cutoff=float(r.cutoff[0]),
-                      nodes=int(r.nodes[0]))
+        breaks=breaks)
 
 
 def _abs_bias_factor(density: DensityModel, kernel: KernelModel,
                      h: float) -> float:
-    """Upper estimate of (2 pi)^(-1) int |f(t)| |1 - phi(h t)| dt.
+    """Upper value of F = (2 pi)^(-1) int |f(t)| |1 - phi(h t)| dt.
 
-    Past T the factor |1 - phi| lies in [0, 1 + s], s = sup_{|u| >= hT}
-    |phi(u)|; the value comes with its error added, so the factor, which
-    is squared into an upper bound, is never rounded below its true value.
-    The panels break at the kinks of |f| (cf_kinks), where no Gauss node
-    would see them.  An algebraic tail stops at 4096 periods; the estimate
-    only loosens.
+    For a real phi, |1 - phi| = 1 - min(phi, 2 - phi), so
+    F = a_p - pi^(-1) int_0^inf |f(t)| min(phi(ht), 2 - phi(ht)) dt, a_p the
+    model's upper value of pi^(-1) int_0^inf |f| (cf_abs_tail(0)/2 pi where
+    it has none).  Past T the kernel factor lies in [-s, s], s =
+    sup_{|u| >= hT} |phi(u)|, so the cutoff follows the kernel's decay, not
+    that of |f|.  F is squared into an upper bound, so it is never rounded
+    below its true value: the integral enters as its value less its error
+    (the bounded tail included), and the rounding of the subtraction is
+    added.  The panels break at the kinks of |f| (cf_kinks), where no Gauss
+    node would see them, and at the sinc kernel's jump.  A tail that decays
+    slowly stops at 4096 periods; the estimate only loosens.
     """
+    a_p = density.a_p
+    if a_p is None:
+        a_p = float(density.cf_abs_tail(0.0)) / (2.0 * math.pi)
     r = _transform_integrals(
-        density, kernel, lambda t, _: np.abs(density.cf(t)) * np.abs(kernel.one_minus_cf(h * t)),
-        [_Row(lambda u, s: (0.5 * (1.0 + s),) * 2)], np.array([h]), np.zeros(1),
+        density, kernel,
+        lambda t, _: np.abs(density.cf(t)) * (1.0 - np.abs(kernel.one_minus_cf(h * t))),
+        [_Row(lambda u, s: (0.0, s))], np.array([h]), np.zeros(1),
         density.cf_phases[1] - density.cf_phases[0] + h,
-        density.cf_abs_tail, None, breaks=density.cf_kinks, periods=4096)
-    return (r.value + r.error).item() / math.pi
+        density.cf_abs_tail, None,
+        breaks=density.cf_kinks + ((1.0 / h,) if kernel.is_sinc else ()), periods=4096)
+    lower = (r.value - r.error).item() / math.pi
+    return a_p - lower + 2.0 * _EPS * (a_p + abs(lower))
 
 
-def _pointwise_points(density: DensityModel, h: float, x) -> np.ndarray:
-    """The points x as a flat array, once h and the density are checked."""
-    _check_h(h)
+def _pointwise_points(density: DensityModel, x) -> np.ndarray:
+    """The points x as a flat array, once the density is checked."""
     if density.cf_abs_tail is None:
         raise ValueError(
             "density %r lacks an integrable transform; pointwise bias is "
@@ -771,44 +798,56 @@ def exact_bias(density: DensityModel, kernel: KernelModel, h: float,
     must carry cf_abs_tail); otherwise the inversion integral is not
     certified and a ValueError is raised.
     """
-    xs = _pointwise_points(density, h, x)
-    r = _pointwise(density, kernel, h, xs, second=False)
-    value = -r.value[0] / math.pi
-    quad_error = r.error[0] / math.pi
+    _check_h(h)
+    xs = _pointwise_points(density, x)
+    r = _pointwise(density, kernel, np.array([h]), xs, second=False)
+    value = -r.value[0, 0] / math.pi
+    quad_error = r.error[0, 0] / math.pi
     return RiskReport(value=_shape(x, value), quad_error=_shape(x, quad_error),
                       truncation=0.0,
                       degraded=_shape(x, _degraded(value, quad_error)),
-                      cutoff=r.cutoff, nodes=r.nodes)
+                      cutoff=float(r.cutoff[0]), nodes=int(r.nodes[0]))
 
 
-def exact_mse(density: DensityModel, kernel: KernelModel, h: float, n: int,
+def exact_mse(density: DensityModel, kernel: KernelModel, h, n: int,
               x) -> RiskReport:
-    """Exact pointwise mean squared error at x (a point or an array).
+    """Exact pointwise mean squared error at x (a point or an array), at a
+    bandwidth h or at each of an array of them.
 
     MSE(x) = bias(x)^2 + n^(-1) [ E K_h^2(x - X) - (E K_h(x - X))^2 ],
     with both expectations written through the transforms: the second
     moment uses the transform of K^2 and the first is p(x) + bias(x).
-    Bias and second moment at every x come from one quadrature pass.
+    Bias and second moment at every h and x come from one quadrature pass,
+    each h to its own cutoff, as if alone.  For a scalar h, value,
+    quad_error and degraded have the shape of x; for an array of h, the
+    shape of h followed by that of x, and truncation, cutoff and nodes the
+    shape of h.  A variance below minus its error at any h and x raises
+    ValueError.
     """
-    xs = _pointwise_points(density, h, x)
+    hs = _bandwidths(h)
+    xs = _pointwise_points(density, x)
     _check_count("n", n)
-    r = _pointwise(density, kernel, h, xs, second=True)
+    r = _pointwise(density, kernel, hs, xs, second=True)
+    hc = hs[:, None]
     b = -r.value[0] / math.pi
     b_err = r.error[0] / math.pi
-    second_moment = r.value[1] / (math.pi * h)
+    second_moment = r.value[1] / (math.pi * hc)
     mean = np.asarray(density.pdf(xs), dtype=float) + b
     var = (second_moment - mean * mean) / n
     quad_error = (b_err * (2.0 * np.abs(b) + 2.0 * np.abs(mean) / n + b_err)
-                  + r.error[1] / (math.pi * h) / n)
+                  + r.error[1] / (math.pi * hc) / n)
     if np.any(var < -quad_error):
         raise ValueError(
             "negative variance %.3e indicates quadrature failure" % float(var.min())
         )
     value = b * b + np.maximum(var, 0.0)
-    return RiskReport(value=_shape(x, value), quad_error=_shape(x, quad_error),
-                      truncation=0.0,
-                      degraded=_shape(x, _degraded(value, quad_error)),
-                      cutoff=r.cutoff, nodes=r.nodes)
+    degraded = _degraded(value, quad_error)
+    if np.ndim(h) == 0:
+        return RiskReport(_shape(x, value[0]), _shape(x, quad_error[0]), 0.0,
+                          _shape(x, degraded[0]), float(r.cutoff[0]), int(r.nodes[0]))
+    per_h, shape = np.shape(h), np.shape(h) + np.shape(x)
+    return RiskReport(value.reshape(shape), quad_error.reshape(shape), np.zeros(per_h),
+                      degraded.reshape(shape), r.cutoff.reshape(per_h), r.nodes.reshape(per_h))
 
 
 def mc_mise(density: DensityModel, kernel: KernelModel, h, n: int,

@@ -10,11 +10,11 @@ import pytest
 from scipy import integrate
 from scipy.optimize import brentq, minimize_scalar
 
-from cfkde import bounds
+from cfkde import bounds, risk
 from cfkde.charfun import make_density
 from cfkde.cli import main
 from cfkde.kernels import KernelModel, make_builtin
-from cfkde.risk import exact_mise, exact_mse, integrated_sq_bias
+from cfkde.risk import exact_mise, exact_mse, gauss_panels, integrated_sq_bias
 
 GAUSS = make_builtin("gaussian")
 EPAN = make_builtin("epanechnikov")
@@ -101,9 +101,28 @@ def test_lemma1_factor_never_below_tight_integral():
         0.0, np.inf, limit=500, epsabs=1e-15, epsrel=1e-13)
     ref /= math.pi
     got = _lemma1_factor(lap, GAUSS, h)
-    # the algebraic tail enters as its certified bound: valid, at most a
-    # bit loose (the reference itself is good to about 1e-13)
-    assert ref - 1e-13 <= got <= ref * (1.0 + 1e-3)
+    # a_p less the kernel-damped integral, whose tail past T is bounded
+    # through the kernel's decay: as tight as the reference (good to about
+    # 1e-13), where |f|'s algebraic tail, cut at 4096 periods, once
+    # loosened the factor by up to 1e-3
+    assert ref - 1e-13 <= got <= ref * (1.0 + 1e-9)
+
+
+def test_lemma1_factor_cutoff_follows_the_kernel_decay(monkeypatch):
+    # Laplace x gaussian at h = 0.5: |1 - phi| integrated against |f| ran to
+    # T = 51,500 on 147,744 nodes; a_p less the integral of |f| min(phi,
+    # 2 - phi), whose tail past T is at most s(hT) times |f|'s, stops at T = 15
+    counted = []
+
+    def counting(fun, edges, tol, group=None):
+        q = gauss_panels(fun, edges, tol, group)
+        counted.append(int(np.sum(q.nodes)))
+        return q
+
+    monkeypatch.setattr(risk, "gauss_panels", counting)
+    factor = risk._abs_bias_factor(make_density("laplace"), GAUSS, 0.5)
+    assert len(counted) == 1 and counted[0] <= 1000, counted
+    assert math.isfinite(factor) and factor > 0.0
 
 
 @pytest.mark.parametrize("m, s, h", [(2.5, 0.25, 0.05), (2.0, 0.25, 1.0), (1.0, 0.25, 0.5)])

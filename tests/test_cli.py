@@ -18,7 +18,7 @@ from cfkde.charfun import as_sample, make_density
 from cfkde.cli import _read_sample, build_parser, main
 from cfkde.estimator import estimate_on_grid
 from cfkde.kernels import make_builtin
-from cfkde.risk import exact_mise
+from cfkde.risk import exact_mise, exact_mse
 
 
 def _write_sample(path, values):
@@ -232,6 +232,19 @@ def test_risk_grid_in_one_call_each_row_to_its_own_cutoff(tmp_path):
     assert float(rows[0]["quad_error"]) < 1e-13
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel", ["sinc", "gaussian", "epanechnikov"])
+def test_risk_bandwidth_below_the_float_range_is_inf_and_degraded(tmp_path, kernel):
+    # the sinc kernel's cutoff 1/h overflowed with a RuntimeWarning (an
+    # exit-1 traceback under -W error, else a NaN row); it writes the row
+    # the other kernels write: an infinite risk, flagged degraded
+    out = str(tmp_path / "tiny.csv")
+    assert main(["risk", "--density", "uniform", "--kernel", kernel, "--h-grid", "1e-320",
+                 "--n", "100", "--output", out]) == 0
+    (row,) = _read_csv(out)
+    assert row["exact_mise"] == "inf" and row["degraded"] == "true"
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -287,6 +300,40 @@ def test_bounds_blanks_only_the_degraded_exact_row(tmp_path):
             assert abs(float(row["exact"]) - rep.value) <= 2.0 * rep.quad_error
             assert float(row["ratio"]) == pytest.approx(float(row["bound"]) / float(row["exact"]))
     assert rows["lemma5_mise"]["exact"] != ""
+
+
+def test_bounds_blanks_only_the_max_mse_row_that_fails(tmp_path, monkeypatch):
+    # the gaussian max_mse rows (lemma1 at --h, thm3 and thm4 at their
+    # recipes) share one exact_mse call; when that call raises at --h, only
+    # lemma1 loses its exact and ratio cells
+    argv = ["bounds", "--density", "normal", "--kernel", "gaussian", "--n", "100",
+            "--h", "0.37"]
+    whole = str(tmp_path / "whole.csv")
+    assert main(argv + ["--output", whole]) == 0
+    calls = []
+
+    def failing(density, kernel, h, n, x):
+        calls.append(np.size(h))
+        if kernel.name == "gaussian" and np.any(np.asarray(h) == 0.37):
+            raise ValueError("negative variance -1e-3 indicates quadrature failure")
+        return exact_mse(density, kernel, h, n, x)
+
+    monkeypatch.setattr(cli, "exact_mse", failing)
+    out = str(tmp_path / "fail.csv")
+    assert main(argv + ["--output", out]) == 0
+    # the gaussian batch of three, then one call per row; the sinc batch
+    # (lemma5_maxmse, thm8 and thm10)
+    assert calls == [3, 1, 1, 1, 3]
+    before = {r["theorem_id"]: r for r in _read_csv(whole)}
+    for row in _read_csv(out):
+        theorem = row["theorem_id"]
+        if theorem == "lemma1":
+            assert before[theorem]["exact"] != ""
+            assert row["exact"] == "" and row["ratio"] == ""
+            assert row["bound"] == before[theorem]["bound"] and row["applicable"] == "true"
+        else:
+            assert row == before[theorem], theorem
+    assert before["thm3"]["exact"] != "" and before["thm4"]["exact"] != ""
 
 
 def test_bounds_small_n_gates_nonsmooth_row(tmp_path):

@@ -711,6 +711,30 @@ def test_exact_mise_over_a_grid_matches_one_call_per_h(name, kname):
     assert isb.cutoff[3] == one.cutoff
 
 
+MSE_H = np.geomspace(1e-3, 3.0, 5)
+
+
+@pytest.mark.parametrize("kname", ("gaussian", "epanechnikov", "uniform", "sinc"))
+@pytest.mark.parametrize("name", ("normal", "laplace", "fejer", "mixture"))
+def test_exact_mse_over_a_grid_matches_one_call_per_h(name, kname):
+    # one call over five h and the nine points of support_hint against five
+    # calls: each row to its own cutoff, on its own panels and breaks
+    density, kernel = _model(name), make_builtin(kname)
+    xs = np.linspace(*density.support_hint, 9)
+    batch = exact_mse(density, kernel, MSE_H, 100, xs)
+    assert all(np.shape(f) == MSE_H.shape + xs.shape
+               for f in (batch.value, batch.quad_error, batch.degraded))
+    assert all(np.shape(f) == MSE_H.shape for f in (batch.truncation, batch.cutoff, batch.nodes))
+    for i, h in enumerate(MSE_H):
+        one = exact_mse(density, kernel, float(h), 100, xs)
+        assert np.shape(one.value) == xs.shape and isinstance(one.nodes, int)
+        assert batch.cutoff[i] == one.cutoff and batch.nodes[i] == one.nodes, h
+        assert np.all(np.abs(batch.value[i] - one.value)
+                      <= batch.quad_error[i] + one.quad_error), h
+        assert np.all(batch.quad_error[i] <= 1.01 * one.quad_error), h
+        assert np.all(one.degraded | ~batch.degraded[i]), h
+
+
 def test_wide_grid_keeps_the_small_h_rows():
     # 200 h over three decades: one cutoff for all rows (43.6, that of the
     # certified search at h_min under a budget shared by 200 rows) read
