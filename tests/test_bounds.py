@@ -103,8 +103,7 @@ def test_lemma1_factor_never_below_tight_integral():
     got = _lemma1_factor(lap, GAUSS, h)
     # a_p less the kernel-damped integral, whose tail past T is bounded
     # through the kernel's decay: as tight as the reference (good to about
-    # 1e-13), where |f|'s algebraic tail, cut at 4096 periods, once
-    # loosened the factor by up to 1e-3
+    # 1e-13)
     assert ref - 1e-13 <= got <= ref * (1.0 + 1e-9)
 
 
